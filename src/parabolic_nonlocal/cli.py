@@ -13,10 +13,8 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -162,7 +160,7 @@ def _condition_from_config(spec, space):
     raise ConfigError(f"unknown nonlocal condition preset: {spec!r}")
 
 
-def _problem_from_config(cfg, seed):
+def _problem_from_config(cfg):
     preset = cfg.get("preset")
     n_modes = int(cfg.get("n_modes", 4))
     n_steps = int(cfg.get("n_steps", 64))
@@ -204,15 +202,6 @@ def _solver_from_config(cfg, seed):
         g_star_samples=int(cfg.get("g_star_samples", 200)),
         seed=seed,
     )
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("PARABOLIC_NONLOCAL_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n) if n > 0 else 1
 
 
 def cmd_verify_form(config, seed, outdir):
@@ -268,7 +257,7 @@ def cmd_propagate(config, seed, outdir):
 
 
 def cmd_solve(config, seed, outdir):
-    prob = _problem_from_config(config.get("problem", {}), seed)
+    prob = _problem_from_config(config.get("problem", {}))
     audits = audit_problem(prob, seed=seed)
     results = {
         "audits": {
@@ -280,7 +269,11 @@ def cmd_solve(config, seed, outdir):
             "passed": audits["passed"],
         }
     }
-    if not audits["passed"]:
+    if prob.g.bound_params.get("solver_ok") is False:
+        # the kernel's derivative mass reaches 1: g is not admissible for solves
+        results["audits"]["g_solver_ok"] = False
+        results["audits"]["passed"] = False
+    if not results["audits"]["passed"]:
         return EXIT_AUDIT, results, None
     cfg = _solver_from_config(config.get("solver"), seed)
     results["resolved"] = {"solver": dataclasses.asdict(cfg),
@@ -313,20 +306,14 @@ def cmd_converge(config, seed, outdir):
     x = _initial_data(config.get("x"), space.n_modes)
     m_list = [int(m) for m in config.get("m_list", [2, 4, 8])]
     m_ref = int(config.get("m_ref", space.n_modes))
-
-    # reductions are independent pure computations; fan out across workers
-    def one(m):
-        return projected_convergence_study(form, grid, x, [m], m_ref)[0]
-
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        study = list(pool.map(one, m_list))
+    study = projected_convergence_study(form, grid, x, m_list, m_ref)
     errs = [e for _, e in study]
     results = {
         "m_ref": m_ref,
         "study": [[m, e] for m, e in study],
         "nonincreasing": bool(all(errs[i] >= errs[i + 1] - 1e-10 for i in range(len(errs) - 1))),
         "resolved": {**resolved, "n_steps": n_steps, "m_list": m_list,
-                     "m_ref": m_ref, "workers": _worker_count()},
+                     "m_ref": m_ref},
     }
     csv_path = Path(outdir) / "convergence.csv"
     with open(csv_path, "w") as fh:
@@ -389,7 +376,9 @@ def run(config_path: str, output: str | None, seed_override: int | None,
     try:
         with open(config_path) as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        if not isinstance(config, dict):
+            raise ConfigError("top level must be a JSON object")
+    except (OSError, json.JSONDecodeError, ConfigError) as exc:
         write_report(outdir, {"error": f"cannot read config: {exc}", "exit_code": EXIT_CONFIG})
         if not quiet:
             print(f"config error: {exc}", file=sys.stderr)
@@ -417,13 +406,12 @@ def run(config_path: str, output: str | None, seed_override: int | None,
         payload["error"] = str(exc)
         payload["exit_code"] = EXIT_CONFIG
         code, traj = EXIT_CONFIG, None
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         payload["error"] = f"invalid parameters: {exc}"
         payload["exit_code"] = EXIT_CONFIG
         code, traj = EXIT_CONFIG, None
 
     payload["timestamp_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    outdir.mkdir(parents=True, exist_ok=True)
     if traj is not None:
         trajectory_to_csv(traj, outdir / "trajectory.csv")
     write_report(outdir, payload)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -117,23 +118,52 @@ def build_propagator(form: TimeForm, proj: Projection | None, grid: TimeGrid,
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A discrete path in the trial space with its norm accumulators.
+    """A discrete path in the trial space; its norms are computed on first read.
 
     ``sobolev_h1`` combines the trapezoid pivot-norm quadrature with the
     forward-difference derivative quadrature; ``l2_v`` and ``au_l2`` are the
     trapezoid energy-norm and operator-image quadratures.  ``au_l2`` is zero
-    when no operator was associated with the path.
+    when no stiffness evaluator was associated with the path.
     """
 
     space: GalerkinSpace
     grid: TimeGrid
     values: np.ndarray
-    h_norms: np.ndarray
-    v_norms: np.ndarray
-    l2_h: float
-    sobolev_h1: float
-    l2_v: float
-    au_l2: float
+    stiffness_fn: Callable[[float], Matrix] | None = field(default=None, repr=False,
+                                                           compare=False)
+
+    @cached_property
+    def h_norms(self) -> np.ndarray:
+        return _node_norms(self.values, self.space.gram_H)
+
+    @cached_property
+    def v_norms(self) -> np.ndarray:
+        return _node_norms(self.values, self.space.gram_V)
+
+    @cached_property
+    def l2_h(self) -> float:
+        return math.sqrt(_trapz(self.h_norms**2, self.grid.dt))
+
+    @property
+    def sobolev_h1(self) -> float:
+        dt = self.grid.dt
+        diffs = np.diff(self.values, axis=0) / dt
+        deriv_sq = float(np.einsum("ij,jk,ik->", diffs, self.space.gram_H, diffs) * dt)
+        return math.sqrt(_trapz(self.h_norms**2, dt) + deriv_sq)
+
+    @property
+    def l2_v(self) -> float:
+        return math.sqrt(_trapz(self.v_norms**2, self.grid.dt))
+
+    @cached_property
+    def au_l2(self) -> float:
+        if self.stiffness_fn is None:
+            return 0.0
+        ghi_sv = np.empty(self.grid.n_steps + 1)
+        for j, t in enumerate(self.grid.nodes):
+            w = self.space.inv_sqrt_H @ (self.stiffness_fn(float(t)) @ self.values[j])
+            ghi_sv[j] = float(w @ w)
+        return math.sqrt(_trapz(ghi_sv, self.grid.dt))
 
     @property
     def mean_radius(self) -> float:
@@ -145,37 +175,17 @@ def _trapz(values_sq: np.ndarray, dt: float) -> float:
     return float(np.trapezoid(values_sq, dx=dt))
 
 
+def _node_norms(vals: np.ndarray, gram: Matrix) -> np.ndarray:
+    return np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", vals, gram, vals), 0.0))
+
+
 def make_trajectory(space: GalerkinSpace, grid: TimeGrid, values: np.ndarray,
                     stiffness_fn: Callable[[float], Matrix] | None = None) -> Trajectory:
-    """Assemble a Trajectory, recomputing every norm accumulator from values."""
+    """Wrap nodal values as a Trajectory after checking their shape."""
     vals = np.asarray(values, dtype=float)
     if vals.shape != (grid.n_steps + 1, space.n_modes):
         raise ValueError("values must have shape (n_steps+1, n_modes)")
-    dt = grid.dt
-    h_norms = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", vals, space.gram_H, vals), 0.0))
-    v_norms = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", vals, space.gram_V, vals), 0.0))
-    l2_h_sq = _trapz(h_norms**2, dt)
-    l2_v = math.sqrt(_trapz(v_norms**2, dt))
-    diffs = np.diff(vals, axis=0) / dt
-    deriv_sq = float(np.einsum("ij,jk,ik->", diffs, space.gram_H, diffs) * dt)
-    au_l2 = 0.0
-    if stiffness_fn is not None:
-        ghi_sv = np.empty_like(h_norms)
-        for j, t in enumerate(grid.nodes):
-            w = space.inv_sqrt_H @ (stiffness_fn(float(t)) @ vals[j])
-            ghi_sv[j] = float(w @ w)
-        au_l2 = math.sqrt(_trapz(ghi_sv, dt))
-    return Trajectory(
-        space=space,
-        grid=grid,
-        values=vals,
-        h_norms=h_norms,
-        v_norms=v_norms,
-        l2_h=math.sqrt(l2_h_sq),
-        sobolev_h1=math.sqrt(l2_h_sq + deriv_sq),
-        l2_v=l2_v,
-        au_l2=au_l2,
-    )
+    return Trajectory(space=space, grid=grid, values=vals, stiffness_fn=stiffness_fn)
 
 
 def zero_trajectory(space: GalerkinSpace, grid: TimeGrid) -> Trajectory:

@@ -120,10 +120,24 @@ class TestSolve:
         assert main(["--config", cfg, "--output", str(out), "--quiet"]) == 0
         assert read_report(out)["results"]["converged"]
 
+    def test_kernel_unusable_for_solves_exits_2(self, tmp_path):
+        # a width-1 cosine bump has derivative mass 2, so g is flagged unusable
+        cfg = write_config(tmp_path, "cfg.json", {
+            "command": "solve",
+            "problem": {"n_modes": 4, "n_steps": 32, "nonlinearity": "zero",
+                        "g": {"kind": "mollified_integral", "width": 1.0,
+                              "intervals": [[0.0, 0.5]]},
+                        "r0": 0.5},
+        })
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--output", str(out), "--quiet"]) == 2
+        res = read_report(out)["results"]
+        assert res["audits"]["g_solver_ok"] is False
+        assert "status" not in res  # no solve attempted
+
 
 class TestConverge:
-    def test_study_csv_and_monotonicity(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PARABOLIC_NONLOCAL_THREADS", "2")
+    def test_study_csv_and_monotonicity(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {
             "command": "converge",
             "form": {"coefficient": "time_power_06", "n_modes": 16},
@@ -163,6 +177,19 @@ class TestConfigHandling:
         out = tmp_path / "out"
         assert main(["--config", str(tmp_path / "nope.json"),
                      "--output", str(out), "--quiet"]) == 1
+        assert "error" in read_report(out)
+
+    @pytest.mark.parametrize("payload", [
+        [{"command": "verify-form"}],
+        {"command": "verify-form", "form": {"n_modes": None}},
+        {"command": "solve", "problem": {"n_modes": 2, "n_steps": 16,
+                                         "g": {"kind": "mollified_integral",
+                                               "intervals": 5}}},
+    ], ids=["list_config", "null_n_modes", "scalar_intervals"])
+    def test_malformed_config_writes_report(self, tmp_path, payload):
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--output", str(out), "--quiet"]) == 1
         assert "error" in read_report(out)
 
     def test_unknown_command(self, tmp_path):

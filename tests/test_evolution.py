@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -298,6 +299,24 @@ class TestProjectedConvergence:
         for _, err in study:
             assert err <= 1e-8
 
+    def test_reference_flow_built_once(self):
+        # one stiffness evaluation per step for the reference and for each
+        # reduction; no path norm is read, so none is computed
+        rng = np.random.default_rng(31)
+        sp = build_sine_space(16, math.pi)
+        form = random_accretive_form(sp, rng)
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return form.stiffness_at(t)
+
+        grid = TimeGrid(1.0, 32)
+        x = np.array([math.exp(-k) for k in range(1, 17)])
+        projected_convergence_study(replace(form, stiffness_at=counted), grid, x,
+                                    [2, 4, 8], 16)
+        assert len(calls) == 4 * grid.n_steps
+
     def test_reference_must_dominate(self):
         sp = build_sine_space(4, math.pi)
         form = constant_form(sp, sp.gram_V, 1.0)
@@ -317,6 +336,24 @@ class TestTrajectoryNorms:
         assert rebuilt.sobolev_h1 == pytest.approx(tr.sobolev_h1, rel=1e-12)
         assert rebuilt.l2_v == pytest.approx(tr.l2_v, rel=1e-12)
         assert rebuilt.au_l2 == pytest.approx(tr.au_l2, rel=1e-12)
+
+    def test_norms_computed_on_first_read_only(self):
+        rng = np.random.default_rng(41)
+        sp = build_sine_space(3, math.pi)
+        form = random_accretive_form(sp, rng)
+        grid = TimeGrid(1.0, 16)
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return form.stiffness_at(t)
+
+        tr = make_trajectory(sp, grid, rng.standard_normal((17, 3)), counted)
+        assert len(calls) == 0
+        first = tr.au_l2
+        assert len(calls) == grid.n_steps + 1
+        assert tr.au_l2 == first
+        assert len(calls) == grid.n_steps + 1
 
     def test_regularity_ratio_scalar_closed_form(self):
         sp, form = scalar_form()
