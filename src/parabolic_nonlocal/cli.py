@@ -83,6 +83,16 @@ def _jsonable(obj):
     return obj
 
 
+def _section(config, key):
+    """A nested config object; absent or null reads as empty."""
+    spec = config.get(key)
+    if spec is None:
+        return {}
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{key!r} must be a JSON object")
+    return spec
+
+
 def _coefficient_from_config(spec):
     if spec in (None, "unit"):
         return constant_coefficient(1.0)
@@ -191,7 +201,6 @@ def _problem_from_config(cfg):
 
 
 def _solver_from_config(cfg, seed):
-    cfg = cfg or {}
     return SolverConfig(
         lambda_steps=int(cfg.get("lambda_steps", 10)),
         damping=float(cfg.get("damping", 0.5)),
@@ -205,8 +214,7 @@ def _solver_from_config(cfg, seed):
 
 
 def cmd_verify_form(config, seed, outdir):
-    form_cfg = config.get("form", {})
-    space, field, form, resolved = _form_from_config(form_cfg)
+    space, field, form, resolved = _form_from_config(_section(config, "form"))
     grid = default_audit_grid(form.horizon)
     m_hat, alpha_hat = estimate_bounds(form, grid)
     dini = audit_dini(form, np.geomspace(form.horizon * 1e-4, form.horizon * 1e-2, 9))
@@ -233,8 +241,7 @@ def cmd_verify_form(config, seed, outdir):
 
 
 def cmd_propagate(config, seed, outdir):
-    form_cfg = config.get("form", {})
-    space, _, form, resolved = _form_from_config(form_cfg)
+    space, _, form, resolved = _form_from_config(_section(config, "form"))
     n_steps = int(config.get("n_steps", 128))
     scheme = config.get("scheme", "cayley")
     grid = TimeGrid(form.horizon, n_steps)
@@ -257,7 +264,8 @@ def cmd_propagate(config, seed, outdir):
 
 
 def cmd_solve(config, seed, outdir):
-    prob = _problem_from_config(config.get("problem", {}))
+    prob = _problem_from_config(_section(config, "problem"))
+    cfg = _solver_from_config(_section(config, "solver"), seed)
     audits = audit_problem(prob, seed=seed)
     results = {
         "audits": {
@@ -275,7 +283,6 @@ def cmd_solve(config, seed, outdir):
         results["audits"]["passed"] = False
     if not results["audits"]["passed"]:
         return EXIT_AUDIT, results, None
-    cfg = _solver_from_config(config.get("solver"), seed)
     results["resolved"] = {"solver": dataclasses.asdict(cfg),
                            "n_modes": prob.form.space.n_modes,
                            "n_steps": prob.grid.n_steps}
@@ -299,8 +306,7 @@ def cmd_solve(config, seed, outdir):
 
 
 def cmd_converge(config, seed, outdir):
-    form_cfg = config.get("form", {})
-    space, _, form, resolved = _form_from_config(form_cfg)
+    space, _, form, resolved = _form_from_config(_section(config, "form"))
     n_steps = int(config.get("n_steps", 64))
     grid = TimeGrid(form.horizon, n_steps)
     x = _initial_data(config.get("x"), space.n_modes)
@@ -334,7 +340,7 @@ def cmd_evi(config, seed, outdir):
     else:
         raise ConfigError(f"unknown functional preset: {phi_name!r}")
     prob = preset_evi(n_modes, n_steps, phi)
-    cfg = _solver_from_config(config.get("solver"), seed)
+    cfg = _solver_from_config(_section(config, "solver"), seed)
     rep = solve_nonlocal(prob, cfg)
     residual = evi_residual(prob.form, phi, rep.solution, int(config.get("n_test", 50)), seed=seed)
     results = {
@@ -386,17 +392,17 @@ def run(config_path: str, output: str | None, seed_override: int | None,
 
     if output is None and isinstance(config.get("output"), str):
         outdir = Path(config["output"])
-    seed = seed_override if seed_override is not None else int(config.get("seed", 0))
     command = config.get("command")
 
     payload = {
         "tool": {"name": "parabolic-nonlocal", "version": __version__},
         "command": command,
-        "seed": seed,
         "config": config,
     }
     outdir.mkdir(parents=True, exist_ok=True)
     try:
+        seed = seed_override if seed_override is not None else int(config.get("seed", 0))
+        payload["seed"] = seed
         if command not in COMMANDS:
             raise ConfigError(f"unknown command: {command!r}")
         code, results, traj = COMMANDS[command](config, seed, outdir)

@@ -58,27 +58,21 @@ def g_constant(x0: Vector) -> NonlocalCondition:
     )
 
 
-def _piecewise_linear_integral(traj: Trajectory, a: float, b: float) -> Vector:
-    """Exact integral of the piecewise-linear path over [a, b] subset [0, T]."""
-    nodes = traj.grid.nodes
-    dt = traj.grid.dt
-    total = np.zeros(traj.space.n_modes)
-    if b <= a:
-        return total
+def _hat_weights(grid: TimeGrid, a: float, b: float) -> np.ndarray:
+    """Exact integrals over [a, b] of the grid's hat functions, one per node.
 
-    def value_at(t: float) -> Vector:
-        j = min(int(t / dt), traj.grid.n_steps - 1)
-        w = (t - nodes[j]) / dt
-        return (1.0 - w) * traj.values[j] + w * traj.values[j + 1]
+    The hat at t_j has antiderivative ``dt * Phi((x - t_j) / dt)`` with
+    Phi(s) = (1 + s)^2 / 2 on [-1, 0] and 1 - (1 - s)^2 / 2 on [0, 1], s clipped
+    to [-1, 1]; the half hats at the end nodes come out exact too because the
+    endpoints are clamped into [0, T].  The integral of the piecewise-linear
+    path over [a, b] is then ``weights @ values``.
+    """
 
-    j_lo = max(int(a / dt), 0)
-    j_hi = min(int(math.ceil(b / dt)), traj.grid.n_steps)
-    for j in range(j_lo, j_hi):
-        lo = max(a, nodes[j])
-        hi = min(b, nodes[j + 1])
-        if hi > lo:
-            total += (hi - lo) * 0.5 * (value_at(lo) + value_at(hi))
-    return total
+    def antiderivative(x: float) -> np.ndarray:
+        s = np.clip((min(max(x, 0.0), grid.horizon) - grid.nodes) / grid.dt, -1.0, 1.0)
+        return np.where(s <= 0.0, 0.5 * (1.0 + s) ** 2, 1.0 - 0.5 * (1.0 - s) ** 2)
+
+    return grid.dt * (antiderivative(b) - antiderivative(a))
 
 
 def _kernel_cosine_coefficients(kernel, space: GalerkinSpace) -> np.ndarray:
@@ -94,16 +88,13 @@ def _kernel_cosine_coefficients(kernel, space: GalerkinSpace) -> np.ndarray:
     panels = max(16, int(math.ceil(8.0 * a * space.n_modes / length)))
     q_nodes, q_weights = np.polynomial.legendre.leggauss(10)
     edges = np.linspace(-a, a, panels + 1)
-    coeffs = np.zeros(space.n_modes)
-    for i in range(panels):
-        mid = 0.5 * (edges[i] + edges[i + 1])
-        half = 0.5 * (edges[i + 1] - edges[i])
-        ys = mid + half * q_nodes
-        ws = half * q_weights
-        profile = np.array([kernel.profile(float(y)) for y in ys])
-        for k in range(1, space.n_modes + 1):
-            coeffs[k - 1] += float(np.sum(ws * profile * np.cos(k * math.pi * ys / length)))
-    return coeffs
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    ys = (mid[:, None] + half[:, None] * q_nodes).ravel()
+    ws = (half[:, None] * q_weights).ravel()
+    profile = np.array([kernel.profile(float(y)) for y in ys])
+    k = np.arange(1, space.n_modes + 1)
+    return np.cos(np.outer(k, ys) * math.pi / length) @ (ws * profile)
 
 
 def g_mollified_integral(kernel, intervals, traj_space: GalerkinSpace) -> NonlocalCondition:
@@ -130,10 +121,8 @@ def g_mollified_integral(kernel, intervals, traj_space: GalerkinSpace) -> Nonloc
         horizon = traj.grid.horizon
         if ivals and (ivals[0][0] < -1e-12 or ivals[-1][1] > horizon * (1 + 1e-12)):
             raise ValueError("intervals must lie inside the trajectory horizon")
-        total = np.zeros(traj_space.n_modes)
-        for s, t in ivals:
-            total += _piecewise_linear_integral(traj, s, t)
-        return conv @ total
+        w = sum((_hat_weights(traj.grid, s, t) for s, t in ivals), np.zeros(traj.grid.n_steps + 1))
+        return conv @ (w @ traj.values)
 
     return NonlocalCondition(
         eval=eval_g,
@@ -441,12 +430,10 @@ def exp_shift(prob: NonlocalProblem, mu: float) -> NonlocalProblem:
     )
 
     g = prob.g
-    nodes = prob.grid.nodes
+    growth = np.exp(mu * prob.grid.nodes)[:, None]
 
     def g_hat(traj: Trajectory) -> Vector:
-        scaled = make_trajectory(space, traj.grid,
-                                 traj.values * np.exp(mu * nodes)[:, None])
-        return g.eval(scaled)
+        return g.eval(make_trajectory(space, traj.grid, traj.values * growth))
 
     new_g = NonlocalCondition(
         eval=g_hat,

@@ -185,7 +185,13 @@ class TestConfigHandling:
         {"command": "solve", "problem": {"n_modes": 2, "n_steps": 16,
                                          "g": {"kind": "mollified_integral",
                                                "intervals": 5}}},
-    ], ids=["list_config", "null_n_modes", "scalar_intervals"])
+        {"command": "verify-form", "form": [1, 2]},
+        {"command": "solve", "problem": [1]},
+        {"command": "solve", "problem": {"preset": "evi_quadratic", "n_modes": 2,
+                                         "n_steps": 16}, "solver": [1]},
+        {"command": "evi", "seed": "abc"},
+    ], ids=["list_config", "null_n_modes", "scalar_intervals", "list_form", "list_problem",
+            "list_solver", "text_seed"])
     def test_malformed_config_writes_report(self, tmp_path, payload):
         cfg = write_config(tmp_path, "cfg.json", payload)
         out = tmp_path / "out"

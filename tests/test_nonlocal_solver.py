@@ -24,6 +24,7 @@ from parabolic_nonlocal.nonlocal_solver import (
     estimate_g_star,
     exp_shift,
     g_constant,
+    _kernel_cosine_coefficients,
     g_mollified_integral,
     homotopy_map,
     solve_nonlocal,
@@ -123,6 +124,41 @@ class TestGMollified:
         g = g_mollified_integral(sharp, [(0.0, 0.5)], self.space)
         assert not g.bound_params["solver_ok"]
         assert g.bound_params["derivative_mass"] == pytest.approx(2.0, rel=1e-3)
+
+    def test_off_grid_interval_exact_for_linear_path(self):
+        alpha = np.array([0.3, -1.1, 0.5, 2.0])
+        beta = np.array([-0.7, 0.4, 1.3, -0.2])
+        lo, hi = 0.013, 0.77
+        g = g_mollified_integral(self.kernel, [(lo, hi)], self.space)
+        tr = make_trajectory(self.space, self.grid, alpha + np.outer(self.grid.nodes, beta))
+        conv = np.diag(_kernel_cosine_coefficients(self.kernel, self.space))
+        exact = conv @ (alpha * (hi - lo) + beta * (hi**2 - lo**2) / 2.0)
+        assert np.abs(g.eval(tr) - exact).max() <= 1e-15
+
+    def test_full_horizon_is_trapezoid_rule(self):
+        g = g_mollified_integral(self.kernel, [(0.0, 1.0)], self.space)
+        vals = np.random.default_rng(6).standard_normal((65, 4))
+        tr = make_trajectory(self.space, self.grid, vals)
+        coeffs = _kernel_cosine_coefficients(self.kernel, self.space)
+        expected = coeffs * np.trapezoid(vals, dx=self.grid.dt, axis=0)
+        assert np.abs(g.eval(tr) - expected).max() <= 1e-15
+
+    def test_interval_beyond_horizon_rejected(self):
+        g = g_mollified_integral(self.kernel, [(0.0, 2.0)], self.space)
+        tr = make_trajectory(self.space, self.grid, np.ones((65, 4)))
+        with pytest.raises(ValueError):
+            g.eval(tr)
+
+    @pytest.mark.parametrize("width, n_modes", [(4.0, 8), (2.5, 32)])
+    def test_kernel_transform_closed_form(self, width, n_modes):
+        # raised cosine of half-width a at omega = k pi / L, with b = pi / a
+        space = build_sine_space(n_modes, math.pi)
+        omega = np.arange(1, n_modes + 1) * math.pi / space.domain_length
+        a, b = width, math.pi / width
+        exact = (np.sin(omega * a) / (omega * a)
+                 - np.sin(omega * a) / (2.0 * a) * (1.0 / (omega + b) + 1.0 / (omega - b)))
+        coeffs = _kernel_cosine_coefficients(cosine_bump_kernel(width), space)
+        assert np.abs(coeffs - exact).max() <= 1e-13
 
 
 class TestAuditGBound:
