@@ -83,6 +83,14 @@ def _jsonable(obj):
     return obj
 
 
+def _seed(value) -> int:
+    """The run seed: an integral JSON number (2.0 counts; 1.5, "7" and true do not)."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"seed must be an integer, got {value!r}")
+    return int(value)
+
+
 def _section(config, key):
     """A nested config object; absent or null reads as empty."""
     spec = config.get(key)
@@ -401,7 +409,7 @@ def run(config_path: str, output: str | None, seed_override: int | None,
     }
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        seed = seed_override if seed_override is not None else int(config.get("seed", 0))
+        seed = seed_override if seed_override is not None else _seed(config.get("seed", 0))
         payload["seed"] = seed
         if command not in COMMANDS:
             raise ConfigError(f"unknown command: {command!r}")

@@ -201,15 +201,63 @@ def l2h_distance(a: Trajectory, b: Trajectory) -> float:
     return math.sqrt(max(_trapz(sq, a.grid.dt), 0.0))
 
 
-def _march(prop: Propagator, x: Vector, f_values: np.ndarray | None) -> np.ndarray:
-    """Roll the one-step scheme with trapezoidal source treatment."""
+STEP_TOL = 1e-14
+STEP_ITERATIONS = 100
+
+
+class StepNotConverged(RuntimeError):
+    """A step's implicit source equation was not solved by fixed-point iteration."""
+
+
+def _solve_step(source: Callable[[float, Vector], Vector], t: float, known: Vector,
+                b: Matrix, v: Vector) -> tuple[Vector, Vector]:
+    """Fixed-point iteration for ``u = known + B s(t, u) / 2`` from ``v``.
+
+    Stops once the update is at most ``STEP_TOL * sqrt(1 + |u|^2)``
+    (Euclidean) and returns u with the source value it was computed from.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as errors below
+        for _ in range(STEP_ITERATIONS):
+            s = np.asarray(source(t, v), dtype=float)
+            new = known + b @ (0.5 * s)
+            d = new - v
+            update_sq, size_sq = float(d @ d), float(new @ new)
+            if not math.isfinite(update_sq + size_sq):
+                raise FloatingPointError(f"step equation diverged at t={t:g}")
+            if update_sq <= STEP_TOL**2 * (1.0 + size_sq):
+                return new, s
+            v = new
+    raise StepNotConverged(f"step equation not solved at t={t:g}")
+
+
+def _march(prop: Propagator, x: Vector, f_values: np.ndarray | None,
+           source: Callable[[float, Vector], Vector] | None = None) -> np.ndarray:
+    """Roll the one-step scheme with trapezoidal source treatment.
+
+    The source is given either as nodal values ``f_values`` or, when those
+    are None, as a state-dependent ``source(t, u)``.  Then each step's
+    trapezoid equation ``u_{j+1} = F_j u_j + B_j (s(t_j, u_j) + s(t_{j+1},
+    u_{j+1})) / 2`` is implicit, and :func:`_solve_step` solves it from the
+    source extrapolated linearly from the last two nodes.  A step still
+    unsolved after ``STEP_ITERATIONS`` raises :class:`StepNotConverged`; a
+    non-finite iterate raises ``FloatingPointError``.
+    """
     n = prop.space.n_modes
+    nodes = prop.grid.nodes
     out = np.empty((prop.grid.n_steps + 1, n))
     out[0] = np.asarray(x, dtype=float)
+    if source is not None:
+        s_prev = s_old = np.asarray(source(float(nodes[0]), out[0]), dtype=float)
     for j in range(prop.grid.n_steps):
         v = prop.step_factors[j] @ out[j]
         if f_values is not None:
             v = v + prop.source_factors[j] @ (0.5 * (f_values[j] + f_values[j + 1]))
+        elif source is not None:
+            b = prop.source_factors[j]
+            known = v + b @ (0.5 * s_prev)
+            guess = known + b @ (0.5 * (2.0 * s_prev - s_old))
+            s_old = s_prev
+            v, s_prev = _solve_step(source, float(nodes[j + 1]), known, b, guess)
         out[j + 1] = v
     return out
 

@@ -24,6 +24,10 @@ from .nonlocal_solver import (
 )
 
 
+class QuadratureNotConverged(ValueError):
+    """The stiffness quadrature does not resolve the coefficient field."""
+
+
 @dataclass(frozen=True)
 class CoefficientField:
     """Scalar diffusion coefficient kappa(t, x) with declared floors.
@@ -136,7 +140,8 @@ def divergence_form_assemble(field: CoefficientField, space: GalerkinSpace,
     derivatives by composite Gauss-Legendre quadrature.
 
     The assembly is verified by comparing against doubled quadrature order at
-    three sampled times; disagreement above 1e-8 per entry is an error.
+    three sampled times; disagreement above 1e-8 per entry raises
+    :class:`QuadratureNotConverged`.
     """
     if quad_order < 4:
         raise ValueError("quad_order must be at least 4")
@@ -172,7 +177,7 @@ def divergence_form_assemble(field: CoefficientField, space: GalerkinSpace,
     for t in (0.0, 0.5 * horizon, horizon):
         gap = np.abs(assemble(t, xs, ws, dphi) - assemble(t, xs2, ws2, dphi2)).max()
         if gap > 1e-8:
-            raise RuntimeError(f"quadrature not converged at t={t}: entry drift {gap:.2e}")
+            raise QuadratureNotConverged(f"quadrature not converged at t={t}: entry drift {gap:.2e}")
 
     t_samples = np.linspace(0.0, horizon, 33)
     x_samples = np.linspace(0.0, length, 65)

@@ -1,16 +1,16 @@
-"""Nonlocal initial conditions and the continuation solver for u(0) = g(u).
+"""Nonlocal initial conditions and the shooting solver for u(0) = g(u).
 
-The fixed point of the data-to-solution map is found by walking a homotopy
-parameter from 0 to 1 with damped Picard iterations (optionally secant
-accelerated) warm-started at each stage.  Existence theory gives no
-algorithm, so non-convergence is a first-class reported outcome, never an
-exception: reports carry a status and the homotopy stage reached.
+The problem is reduced to the n unknowns of x = u(0): a forward march from x
+solves every step's implicit trapezoid equation, and Newton on R^n drives
+x - P g(U(x)) to zero, with the Leray-Schauder homotopy as the fallback.
+Existence theory gives no algorithm, so non-convergence is a first-class
+reported outcome, never an exception: reports carry a status and the
+homotopy stages reached.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -18,11 +18,11 @@ import numpy as np
 
 from .evolution import (
     Propagator,
+    StepNotConverged,
     TimeGrid,
     Trajectory,
     _march,
     build_propagator,
-    l2h_distance,
     make_trajectory,
     zero_trajectory,
 )
@@ -226,18 +226,29 @@ def homotopy_map(prob: NonlocalProblem, lam: float, w: Trajectory,
     """One application of the data-to-solution map at homotopy stage ``lam``.
 
     Solves the linear problem with initial value ``lam P g(w)`` and source
-    ``lam P f(t, w(t))``; stage 0 returns the zero path.
+    ``lam P f(t, w(t))``; stage 0 returns the zero path.  Its fixed points are
+    the paths :func:`solve_nonlocal` finds at that stage.
     """
     if w.grid.n_steps != prob.grid.n_steps or w.grid.horizon != prob.grid.horizon:
         raise ValueError("iterate lives on the wrong grid")
     prop = propagator if propagator is not None else build_propagator(prob.form, prob.proj,
                                                                       prob.grid)
-    return _light_s_apply(prob, prop, lam, w, projected_stiffness_fn(prob.form, prob.proj))
+    p = prob.proj.matrix
+    vals = _march(prop, lam * (p @ np.asarray(prob.g.eval(w), dtype=float)),
+                  lam * (apply_superposition(prob.f, w) @ p.T))
+    return make_trajectory(prob.form.space, prob.grid, vals,
+                           projected_stiffness_fn(prob.form, prob.proj))
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Continuation and inner fixed-point settings."""
+    """Shooting and continuation settings (see :func:`solve_nonlocal`).
+
+    ``inner_tol`` bounds the pivot norm of the shooting residual and
+    ``max_inner`` the forward marches per stage.  ``damping`` and
+    ``secant_depth`` set the damped-Picard and secant iterations of earlier
+    releases; they are still accepted and have no effect.
+    """
 
     lambda_steps: int = 10
     damping: float = 0.5
@@ -249,15 +260,13 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         if self.lambda_steps < 1 or self.max_inner < 1:
             raise ValueError("lambda_steps and max_inner must be positive")
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a continuation solve, converged or not."""
+    """Outcome of a nonlocal solve, converged or not."""
 
     solution: Trajectory
     fixed_point_residual: float
@@ -269,24 +278,114 @@ class SolveReport:
     g_star: float
 
 
-def _light_s_apply(prob: NonlocalProblem, prop: Propagator, lam: float, w: Trajectory,
+# forward-difference step bounds, relative to 1 + |x|_inf, and the shortest backtracked step
+_FD_MIN, _FD_MAX, _MIN_STEP = 1.5e-8, 1e-2, 1e-3
+
+
+def _light_s_apply(prob: NonlocalProblem, prop: Propagator, lam: float, x: Vector,
                    stiff: Callable[[float], Matrix]) -> Trajectory:
-    # the stage map's one body; the name is what the benchmark tracer counts as stages
-    gw = np.asarray(prob.g.eval(w), dtype=float)
-    fv = apply_superposition(prob.f, w)
-    p = prob.proj.matrix
-    vals = _march(prop, lam * (p @ gw), lam * (fv @ p.T))
+    # one forward march from u(0) = x; the name is what the benchmark tracer counts as stages
+    p, f = prob.proj.matrix, prob.f.eval
+    vals = _march(prop, x, None, lambda t, u: lam * (p @ np.asarray(f(t, u), dtype=float)))
     return make_trajectory(prob.form.space, prob.grid, vals, stiff)
 
 
-def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> SolveReport:
-    """Walk the homotopy stage from 0 to 1, iterating the stage map to a fixed point.
+class _Halt(Exception):
+    """The stage stops; ``args[0]`` is the status."""
 
-    Each stage runs damped Picard iteration (with optional multisecant
-    acceleration) warm-started from the previous stage.  Statuses:
-    ``converged``, ``max_iterations`` (stage recorded in the path),
-    ``boundary_hit`` (an iterate reached the outer radius, contradicting the
-    standing annulus bound), ``non_finite``.
+
+class _MarchFailed(_Halt):
+    """A march left ``R0``, turned non-finite or had an unsolved step equation."""
+
+
+def _solve_stage(prob: NonlocalProblem, prop: Propagator, stiff: Callable[[float], Matrix],
+                 lam: float, x: Vector, path: Trajectory, cfg: SolverConfig) -> tuple:
+    """Drive ``r(x) = x - lam P g(U(x))`` to zero from ``x``; ``U(x)`` marches from u(0) = x.
+
+    Newton uses a forward-difference Jacobian (n marches, kept while steps
+    halve the residual) and backtracks.  Each marched path must be finite and
+    inside ``R0``; at most ``max_inner`` are marched.  A failed march at a
+    trial point counts as an infinite residual, so the step is halved, and a
+    Jacobian column whose march fails is differenced backwards; only a failed
+    march at the starting point ends the stage with its status.  Returns
+    ``(status, x, path, marches, residual)`` of the last accepted iterate
+    (``path`` if none was).
+    """
+    p, marches = prob.proj.matrix, 0
+
+    def shoot(x: Vector) -> tuple[Trajectory, Vector, float]:
+        nonlocal marches
+        if marches >= cfg.max_inner:
+            raise _Halt("max_iterations")
+        marches += 1
+        try:
+            path = _light_s_apply(prob, prop, lam, x, stiff)
+            r = x - lam * (p @ np.asarray(prob.g.eval(path), dtype=float))
+        except StepNotConverged:
+            raise _MarchFailed("max_iterations") from None
+        except (ValueError, FloatingPointError):
+            raise _MarchFailed("non_finite") from None
+        if not (np.all(np.isfinite(path.values)) and np.all(np.isfinite(r))):
+            raise _MarchFailed("non_finite")
+        if path.mean_radius >= prob.R0:
+            raise _MarchFailed("boundary_hit")
+        return path, r, prob.form.space.h_norm(r)
+
+    def attempt(x: Vector) -> tuple:
+        try:
+            return shoot(x)
+        except _MarchFailed:
+            return None, None, math.inf
+
+    def column(x: Vector, r: Vector, h: float, e: Vector) -> Vector:
+        for dx in (h, -h):
+            r_dx = attempt(x + dx * e)[1]
+            if r_dx is not None:
+                return (r_dx - r) / dx
+        raise _Halt("max_iterations")
+
+    res = math.inf
+    try:
+        path, r, res = shoot(x)
+        jac = None
+        while res > cfg.inner_tol:
+            fresh = jac is None
+            if fresh:
+                scale = 1.0 + float(np.abs(x).max())
+                h = min(max(float(np.abs(r).max()), _FD_MIN * scale), _FD_MAX * scale)
+                jac = np.column_stack([column(x, r, h, e) for e in np.eye(x.size)])
+            step, t = np.linalg.lstsq(jac, -r, rcond=None)[0], 1.0
+            trial = attempt(x + step)
+            while trial[2] > (1.0 - 1e-4 * t) * res and t > _MIN_STEP:
+                t *= 0.5
+                trial = attempt(x + t * step)
+            if trial[2] > (1.0 - 1e-4 * t) * res:
+                if fresh:
+                    raise _Halt("max_iterations")
+                jac = None
+                continue
+            jac = jac if trial[2] <= 0.5 * res else None
+            x, (path, r, res) = x + t * step, trial
+    except _Halt as halt:
+        return halt.args[0], x, path, marches, res
+    return "converged", x, path, marches, res
+
+
+def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> SolveReport:
+    """Solve u(0) = g(u) by shooting on u(0), with continuation as the fallback.
+
+    The unknown is x = u(0) in R^n: the forward march ``U(x)`` solves every
+    step's trapezoid equation, and Newton drives ``r(x) = x - P g(U(x))`` to
+    zero from ``x0 = P g(0)``, so a constant g takes one march.  Only if that
+    fails do the Leray-Schauder stages ``lam = k / lambda_steps`` run, each
+    warm-started from the last (the first from zero if g fails on the zero
+    path).  ``lambda_path`` holds ``(lam, marches, residual)`` per stage.
+    Statuses: ``converged``, ``max_iterations`` (march budget spent, the
+    starting step equation unsolved, or no descent), ``boundary_hit`` (an
+    iterate's path reached the outer radius, contradicting the standing
+    annulus bound), ``non_finite``.  A condition that cannot be evaluated on
+    the grid at all, such as intervals past the horizon, raises ValueError
+    from the g* estimate.
     """
     cfg = cfg or SolverConfig()
     space = prob.form.space
@@ -295,58 +394,24 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
     stiff = projected_stiffness_fn(prob.form, prob.proj)
     sqrt_t = math.sqrt(grid.horizon)
 
-    w = zero_trajectory(space, grid)
-    lambda_path: list[tuple[float, int, float]] = []
-    status = "converged"
-
-    for k in range(1, cfg.lambda_steps + 1):
-        lam = k / cfg.lambda_steps
-        hist_w: deque = deque(maxlen=cfg.secant_depth + 1)
-        hist_r: deque = deque(maxlen=cfg.secant_depth + 1)
-        res = math.inf
-        iterations = 0
-        stage_done = False
-        while iterations < cfg.max_inner:
-            iterations += 1
-            try:
-                sw = _light_s_apply(prob, prop, lam, w, stiff)
-            except (ValueError, FloatingPointError):
-                status = "non_finite"
+    zero = zero_trajectory(space, grid)
+    try:
+        # _solve_stage reports its own failures; this catches g failing on the zero path
+        x0 = prob.proj.matrix @ np.asarray(prob.g.eval(zero), dtype=float)
+        status, _, solution, marches, res = _solve_stage(prob, prop, stiff, 1.0, x0, zero, cfg)
+    except (ValueError, FloatingPointError):
+        x0, status, solution, marches, res = np.zeros(space.n_modes), "non_finite", zero, 0, math.inf
+    lambda_path = [(1.0, marches, res)]
+    if status != "converged" and cfg.lambda_steps > 1:
+        x, prev = x0, 1.0
+        for k in range(1, cfg.lambda_steps + 1):
+            lam = k / cfg.lambda_steps
+            status, x, solution, marches, res = _solve_stage(prob, prop, stiff, lam,
+                                                             x * (lam / prev), solution, cfg)
+            lambda_path.append((lam, marches, res))
+            if status != "converged":
                 break
-            if not np.all(np.isfinite(sw.values)):
-                status = "non_finite"
-                break
-            if sw.mean_radius >= prob.R0:
-                status = "boundary_hit"
-                break
-            res = l2h_distance(w, sw)
-            if res <= cfg.inner_tol:
-                w = sw
-                stage_done = True
-                break
-            wf = w.values.ravel()
-            rf = sw.values.ravel() - wf
-            if cfg.secant_depth > 0:
-                hist_w.append(wf.copy())
-                hist_r.append(rf.copy())
-            if cfg.secant_depth > 0 and len(hist_r) >= 2:
-                dw = np.column_stack([hist_w[i + 1] - hist_w[i] for i in range(len(hist_w) - 1)])
-                dr = np.column_stack([hist_r[i + 1] - hist_r[i] for i in range(len(hist_r) - 1)])
-                gamma, *_ = np.linalg.lstsq(dr, rf, rcond=None)
-                new = wf + cfg.damping * rf - (dw + cfg.damping * dr) @ gamma
-            else:
-                new = wf + cfg.damping * rf
-            w = make_trajectory(space, grid, new.reshape(w.values.shape), stiff)
-        if status != "converged":
-            lambda_path.append((lam, iterations, res))
-            break
-        if not stage_done:
-            status = "max_iterations"
-            lambda_path.append((lam, iterations, res))
-            break
-        lambda_path.append((lam, iterations, res))
-
-    solution = w
+            prev = lam
 
     try:
         g_u = np.asarray(prob.g.eval(solution), dtype=float)

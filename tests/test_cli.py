@@ -94,9 +94,7 @@ class TestSolve:
     def test_stalled_solver_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {
             "command": "solve",
-            "problem": {"n_modes": 2, "n_steps": 64, "nonlinearity": "zero",
-                        "g": {"kind": "constant", "x0": [0.4, 0.0]},
-                        "r0": 1.0},
+            "problem": {"preset": "heat_timevarying", "n_modes": 4, "n_steps": 64},
             "solver": {"max_inner": 1, "inner_tol": 1e-12},
         })
         out = tmp_path / "out"
@@ -190,8 +188,12 @@ class TestConfigHandling:
         {"command": "solve", "problem": {"preset": "evi_quadratic", "n_modes": 2,
                                          "n_steps": 16}, "solver": [1]},
         {"command": "evi", "seed": "abc"},
+        {"command": "verify-form", "form": {"n_modes": 64, "quad_order": 4, "length": 1e-3}},
+        {"command": "verify-form", "seed": 1.5, "form": {"n_modes": 2}},
+        {"command": "verify-form", "seed": True, "form": {"n_modes": 2}},
     ], ids=["list_config", "null_n_modes", "scalar_intervals", "list_form", "list_problem",
-            "list_solver", "text_seed"])
+            "list_solver", "text_seed", "unconverged_quadrature", "fractional_seed",
+            "boolean_seed"])
     def test_malformed_config_writes_report(self, tmp_path, payload):
         cfg = write_config(tmp_path, "cfg.json", payload)
         out = tmp_path / "out"
@@ -212,6 +214,15 @@ class TestConfigHandling:
         assert main(["--config", cfg, "--output", str(out), "--seed", "99",
                      "--quiet"]) == 0
         assert read_report(out)["seed"] == 99
+
+    def test_integral_float_seed_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "command": "verify-form", "seed": 2.0,
+            "form": {"coefficient": "unit", "n_modes": 2},
+        })
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--output", str(out), "--quiet"]) == 0
+        assert read_report(out)["seed"] == 2
 
     def test_reports_deterministic_modulo_timestamp(self, tmp_path):
         payload = {

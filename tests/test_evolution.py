@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from parabolic_nonlocal.evolution import (
+    StepNotConverged,
     TimeGrid,
+    _march,
     adjoint_propagate,
     build_propagator,
     duhamel_direct_sum,
@@ -180,6 +182,49 @@ class TestDuhamel:
         sp, form = scalar_form()
         with pytest.raises(ValueError):
             duhamel_solve(form, None, TimeGrid(1.0, 8), np.array([0.0]), np.ones((5, 1)))
+
+
+class TestStateDependentSource:
+    def test_affine_source_matches_exact_step_solve(self):
+        # s(t, u) = h(t) - c u makes each scalar trapezoid step a linear equation
+        sp, form = scalar_form()
+        grid = TimeGrid(1.0, 64)
+        prop = build_propagator(form, None, grid)
+        c = 0.7
+        h = np.cos(3.0 * grid.nodes)
+        out = _march(prop, np.array([0.4]), None,
+                     lambda t, u: math.cos(3.0 * t) - c * u)
+        exact = np.empty(65)
+        exact[0] = 0.4
+        for j in range(64):
+            f_mat, b = prop.step_factors[j][0, 0], prop.source_factors[j][0, 0]
+            rhs = f_mat * exact[j] + 0.5 * b * (h[j] - c * exact[j] + h[j + 1])
+            exact[j + 1] = rhs / (1.0 + 0.5 * b * c)
+        assert np.abs(out[:, 0] - exact).max() <= 1e-14
+
+    def test_state_independent_source_matches_nodal_values(self):
+        sp = build_sine_space(3, math.pi)
+        form = constant_form(sp, sp.gram_V, 1.0)
+        grid = TimeGrid(1.0, 32)
+        prop = build_propagator(form, None, grid)
+        src = np.outer(np.sin(grid.nodes), [1.0, -0.5, 0.25])
+        x = np.array([0.2, 0.1, -0.3])
+        nodal = _march(prop, x, src)
+        state = _march(prop, x, None, lambda t, u: math.sin(t) * np.array([1.0, -0.5, 0.25]))
+        assert np.abs(nodal - state).max() <= 1e-15
+
+    def test_divergent_step_iteration_raises(self):
+        # dt/2 * 96 = 1.5 > 1: the step iteration grows the error by 1.5 each pass
+        sp, form = scalar_form()
+        prop = build_propagator(form, None, TimeGrid(1.0, 32))
+        with pytest.raises(StepNotConverged):
+            _march(prop, np.array([1.0]), None, lambda t, u: 96.0 * u)
+
+    def test_overflowing_step_iteration_raises_floating_point_error(self):
+        sp, form = scalar_form()
+        prop = build_propagator(form, None, TimeGrid(1.0, 32))
+        with pytest.raises(FloatingPointError):
+            _march(prop, np.array([1.0]), None, lambda t, u: 1e12 * u)
 
 
 class TestAdjoint:

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from parabolic_nonlocal.evolution import (
     TimeGrid,
+    build_propagator,
     l2h_distance,
     make_trajectory,
     projected_convergence_study,
@@ -12,7 +14,7 @@ from parabolic_nonlocal.evolution import (
     zero_trajectory,
 )
 from parabolic_nonlocal.galerkin import build_sine_space, constant_form, project
-from parabolic_nonlocal.models import cosine_bump_kernel
+from parabolic_nonlocal.models import cosine_bump_kernel, preset_heat_timevarying
 from parabolic_nonlocal.nonlinearity import Nonlinearity, scan_transversality, zero_nonlinearity
 from parabolic_nonlocal.nonlocal_solver import (
     NonlocalCondition,
@@ -30,6 +32,8 @@ from parabolic_nonlocal.nonlocal_solver import (
     solve_nonlocal,
     unshift_trajectory,
 )
+
+STATUSES = ("converged", "max_iterations", "boundary_hit", "non_finite")
 
 # closed-form fixed point of the scalar time-average condition:
 # x = c h (1-q) / (1 - c q), q = (1 - e^-T)/T, for u' + u = h, u(0) = (c/T) int u
@@ -315,6 +319,117 @@ class TestSolveNonlocal:
         ratios = [r.apriori_lhs / r.apriori_rhs for r in reports]
         assert all(math.isfinite(r) and r > 0 for r in ratios)
         assert abs(ratios[1] - ratios[0]) / ratios[0] < 0.05
+
+
+class TestShooting:
+    def test_heat_matches_direct_affine_solve(self):
+        # the heat preset is affine: its discrete fixed point solves (I - L) w = c
+        # with c = S(0) and L w = S(w) - c, S the stage map at lam = 1
+        prob = preset_heat_timevarying(4, 64)
+        space, grid = prob.form.space, prob.grid
+        prop = build_propagator(prob.form, prob.proj, grid)
+        shape = (grid.n_steps + 1, space.n_modes)
+        size = shape[0] * shape[1]
+
+        def stage_map(flat):
+            w = make_trajectory(space, grid, flat.reshape(shape))
+            return homotopy_map(prob, 1.0, w, prop).values.ravel()
+
+        c = stage_map(np.zeros(size))
+        lin = np.column_stack([stage_map(e) - c for e in np.eye(size)])
+        direct = np.linalg.solve(np.eye(size) - lin, c)
+        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12))
+        assert rep.converged
+        assert np.abs(rep.solution.values.ravel() - direct).max() <= 1e-10
+
+    def test_constant_condition_is_one_march(self):
+        grid = TimeGrid(1.0, 64)
+        f = Nonlinearity(lambda t, x: -x / (1.0 + np.abs(x)) + math.sin(t), 1.0, lambda t: 1.0)
+        prob = scalar_problem(grid, f, g_constant(np.array([0.6])))
+        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12))
+        assert rep.converged
+        assert rep.lambda_path == ((1.0, 1, 0.0),)
+
+    def test_affine_oracle_within_n_plus_two_marches(self):
+        grid = TimeGrid(1.0, 512)
+        f = Nonlinearity(lambda t, x: np.array([0.3]), 0.0, lambda t: 0.3)
+        prob = scalar_problem(grid, f, time_average_condition(0.8, 1.0), r0=0.31)
+        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12))
+        assert rep.converged
+        assert len(rep.lambda_path) == 1 and rep.lambda_path[0][1] <= 1 + 2
+        assert rep.solution.values[0][0] == pytest.approx(AFFINE_ORACLE, abs=1e-6)
+
+    def test_unsolvable_step_equation_reports_status(self):
+        grid = TimeGrid(1.0, 32)
+        # dt/2 * 1e4 >> 1: no step's fixed-point iteration contracts
+        f = Nonlinearity(lambda t, x: 1e4 * x + 1.0, 1e4, lambda t: 1.0)
+        prob = scalar_problem(grid, f, time_average_condition(0.5, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve_nonlocal(prob)
+        assert rep.status in STATUSES and rep.status != "converged"
+        assert not rep.converged
+
+    def test_continuation_rescues_boundary_hit(self):
+        # u(0) = 3 - 2 u(0) has the root 1 inside R0, but x0 = g(0) = 3 marches
+        # outside it; the homotopy stages reach the root from lam = 0
+        grid = TimeGrid(1.0, 64)
+        g = NonlocalCondition(lambda tr: 3.0 - 2.0 * tr.values[0], "multipoint", {})
+        prob = scalar_problem(grid, zero_nonlinearity(), g, r0=1.0, R0=1.5)
+        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12))
+        assert rep.lambda_path[0][:2] == (1.0, 1)
+        assert [p[0] for p in rep.lambda_path[1:]] == pytest.approx(np.linspace(0.1, 1.0, 10))
+        assert rep.converged and rep.status == "converged"
+        assert rep.solution.values[0][0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_backtracking_recovers_from_step_past_R0(self):
+        # r(x) = atan(x - 10): the full Newton step from x0 = g(0) = atan(10)
+        # lands near x = 109, far outside R0; halving it reaches the root 10
+        grid = TimeGrid(1.0, 64)
+        g = NonlocalCondition(lambda tr: tr.values[0] - np.arctan(tr.values[0] - 10.0),
+                              "multipoint", {})
+        prob = scalar_problem(grid, zero_nonlinearity(), g, R0=20.0)
+        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12, lambda_steps=1))
+        assert rep.status == "converged" and rep.converged
+        assert len(rep.lambda_path) == 1
+        assert rep.solution.values[0][0] == pytest.approx(10.0, abs=1e-10)
+
+    def test_jacobian_column_differenced_backwards_at_R0(self):
+        # r(x) = 3 (x - 1) from x0 = g(0) = 3, whose path sits just inside R0:
+        # the forward-difference march leaves R0, the backward one does not
+        grid = TimeGrid(1.0, 64)
+        g = NonlocalCondition(lambda tr: tr.values[0] - 3.0 * (tr.values[0] - 1.0),
+                              "multipoint", {})
+        probe = scalar_problem(grid, zero_nonlinearity(), g)
+        unit = propagate(probe.form, probe.proj, grid, np.array([1.0])).mean_radius
+        prob = scalar_problem(grid, zero_nonlinearity(), g, R0=3.02 * unit)
+        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12, lambda_steps=1))
+        assert rep.status == "converged" and rep.converged
+        # start, forward and backward column, Newton step
+        assert rep.lambda_path[0][1] == 4
+        assert rep.solution.values[0][0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_condition_failing_on_zero_path_reports_status(self):
+        def eval_g(traj):
+            if not traj.values.any():
+                raise FloatingPointError("g is singular at the zero path")
+            return np.array([0.1])
+
+        grid = TimeGrid(1.0, 32)
+        g = NonlocalCondition(eval_g, "multipoint", {})
+        prob = scalar_problem(grid, zero_nonlinearity(), g)
+        rep = solve_nonlocal(prob, SolverConfig(lambda_steps=1, g_star_samples=4))
+        assert rep.status == "non_finite" and not rep.converged
+        assert rep.lambda_path == ((1.0, 0, math.inf),)
+        assert rep.fixed_point_residual == math.inf
+
+    def test_condition_past_horizon_raises(self):
+        grid = TimeGrid(1.0, 32)
+        g = g_mollified_integral(cosine_bump_kernel(0.1), [(0.5, 2.0)],
+                                 build_sine_space(1, math.pi))
+        prob = scalar_problem(grid, zero_nonlinearity(), g)
+        with pytest.raises(ValueError, match="horizon"):
+            solve_nonlocal(prob)
 
 
 class TestAuditProblem:
