@@ -53,6 +53,7 @@ class TimeGrid:
 class Propagator:
     """One-step factors of the discrete evolution family on a grid.
 
+    ``step_factors`` and ``source_factors`` are ``(n_steps, n, n)`` stacks.
     ``step_factors[j]`` maps data at node j to node j+1; two-parameter
     actions are composed products, so the evolution-family law holds exactly
     at grid nodes.  ``source_factors[j]`` applies the step's source weight
@@ -61,8 +62,8 @@ class Propagator:
 
     space: GalerkinSpace
     grid: TimeGrid
-    step_factors: tuple[Matrix, ...]
-    source_factors: tuple[Matrix, ...]
+    step_factors: np.ndarray
+    source_factors: np.ndarray
     scheme: str
 
     def compose(self, i_from: int, i_to: int) -> Matrix:
@@ -89,7 +90,13 @@ class Propagator:
 
 def build_propagator(form: TimeForm, proj: Projection | None, grid: TimeGrid,
                      scheme: str = "cayley") -> Propagator:
-    """Materialize the one-step factors for the (optionally reduced) form."""
+    """Materialize the one-step factors for the (optionally reduced) form.
+
+    With ``c = dt/2`` (Cayley) or ``dt`` (implicit Euler), one batched solve
+    gives ``X_j = (G_H + c S(t_{j+1/2}))^(-1) G_H`` for every step; the step
+    factor is ``2 X - I`` (Cayley) or ``X``, the source factor ``dt X``.  The
+    stiffness is still evaluated once per step through ``stiffness_at``.
+    """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if grid.horizon > form.horizon * (1.0 + 1e-12):
@@ -97,23 +104,21 @@ def build_propagator(form: TimeForm, proj: Projection | None, grid: TimeGrid,
     stiff = projected_stiffness_fn(form, proj)
     gh = form.space.gram_H
     dt = grid.dt
-    steps = []
-    sources = []
-    for j in range(grid.n_steps):
-        t_mid = 0.5 * (grid.nodes[j] + grid.nodes[j + 1])
-        s = stiff(t_mid)
-        if scheme == "cayley":
-            lhs = gh + 0.5 * dt * s
-            rhs = gh - 0.5 * dt * s
-        else:
-            lhs = gh + dt * s
-            rhs = gh
-        sol = np.linalg.solve(lhs, np.hstack([rhs, dt * gh]))
-        n = form.space.n_modes
-        steps.append(np.ascontiguousarray(sol[:, :n]))
-        sources.append(np.ascontiguousarray(sol[:, n:]))
-    return Propagator(space=form.space, grid=grid, step_factors=tuple(steps),
-                      source_factors=tuple(sources), scheme=scheme)
+    c = 0.5 * dt if scheme == "cayley" else dt
+    lhs = np.empty((grid.n_steps, *gh.shape))
+    for j, t_mid in enumerate(0.5 * (grid.nodes[:-1] + grid.nodes[1:])):
+        np.multiply(c, stiff(t_mid), out=lhs[j])
+    lhs += gh
+    x = np.linalg.solve(lhs, np.broadcast_to(gh, lhs.shape))
+    del lhs  # keep the peak at two stacks
+    if scheme == "cayley":
+        steps = np.multiply(x, 2.0)
+        steps -= np.eye(gh.shape[0])
+    else:
+        steps = x.copy()
+    x *= dt
+    return Propagator(space=form.space, grid=grid, step_factors=steps,
+                      source_factors=x, scheme=scheme)
 
 
 @dataclass(frozen=True)

@@ -32,12 +32,14 @@ class QuadratureNotConverged(ValueError):
 class CoefficientField:
     """Scalar diffusion coefficient kappa(t, x) with declared floors.
 
-    ``nu`` is the ellipticity floor, ``holder_K``/``holder_exponent`` bound
-    the time increments; the exponent must exceed 1/2 for the form's
-    time-regularity audit to pass.
+    ``eval`` takes numpy arrays of times and points and returns kappa on
+    their broadcast shape (a scalar is broadcast too); wrap a function that
+    only takes scalars in ``np.vectorize``.  ``nu`` is the ellipticity
+    floor, ``holder_K``/``holder_exponent`` bound the time increments; the
+    exponent must exceed 1/2 for the form's time-regularity audit to pass.
     """
 
-    eval: Callable[[float, float], float]
+    eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
     nu: float
     holder_K: float
     holder_exponent: float
@@ -65,21 +67,29 @@ def time_power_coefficient(base: float = 1.0, amp: float = 0.5,
     )
 
 
+def _kappa(field: CoefficientField, t, x) -> np.ndarray:
+    """kappa on the broadcast shape of ``t`` and ``x``, checked finite."""
+    shape = np.broadcast_shapes(np.shape(t), np.shape(x))
+    values = np.asarray(field.eval(t, x), dtype=float)
+    try:
+        values = np.broadcast_to(values, shape)
+    except ValueError:
+        raise ValueError(f"coefficient returned shape {values.shape}, expected {shape}") from None
+    if not np.all(np.isfinite(values)):
+        raise ValueError("coefficient field is not finite")
+    return values
+
+
 def audit_coefficient_field(field: CoefficientField, horizon: float,
                             domain_length: float, n_samples: int = 400,
                             seed=0) -> dict:
     """Spot-check the declared ellipticity and time-increment bounds."""
     rng = np.random.default_rng(seed)
-    ell_worst = math.inf
-    holder_worst = -math.inf
-    for _ in range(n_samples):
-        x = float(rng.uniform(0.0, domain_length))
-        t1 = float(rng.uniform(0.0, horizon))
-        t2 = float(rng.uniform(0.0, horizon))
-        ell_worst = min(ell_worst, field.eval(t1, x))
-        gap = abs(field.eval(t1, x) - field.eval(t2, x))
-        bound = field.holder_K * abs(t1 - t2) ** field.holder_exponent
-        holder_worst = max(holder_worst, gap - bound)
+    x, t1, t2 = rng.uniform(0.0, [domain_length, horizon, horizon], (n_samples, 3)).T
+    k1 = _kappa(field, t1, x)
+    ell_worst = float(k1.min())
+    bound = field.holder_K * np.abs(t1 - t2) ** field.holder_exponent
+    holder_worst = float((np.abs(k1 - _kappa(field, t2, x)) - bound).max())
     return {
         "ellipticity_ok": bool(ell_worst >= field.nu - 1e-12),
         "ellipticity_min": ell_worst,
@@ -92,11 +102,13 @@ def audit_coefficient_field(field: CoefficientField, horizon: float,
 class MollifierKernel:
     """A nonnegative, compactly supported, unit-mass smoothing profile.
 
+    ``profile`` takes a numpy array of points and returns an array of the
+    same shape; wrap a function that only takes scalars in ``np.vectorize``.
     ``derivative_mass`` is the L1 mass of the profile's derivative; it must
     stay below 1 for the kernel to be usable in nonlocal solves.
     """
 
-    profile: Callable[[float], float]
+    profile: Callable[[np.ndarray], np.ndarray]
     support_radius: float
     derivative_mass: float
     mass: float
@@ -108,10 +120,10 @@ class MollifierKernel:
             raise ValueError(f"kernel mass {self.mass} is not 1 within 1e-6")
 
 
-def _kernel_masses(profile: Callable[[float], float], radius: float,
+def _kernel_masses(profile: Callable[[np.ndarray], np.ndarray], radius: float,
                    n_points: int = 4001) -> tuple[float, float]:
     xs = np.linspace(-radius, radius, n_points)
-    vals = np.array([profile(float(x)) for x in xs])
+    vals = np.asarray(profile(xs), dtype=float)
     mass = float(np.trapezoid(vals, xs))
     deriv = np.gradient(vals, xs)
     deriv_mass = float(np.trapezoid(np.abs(deriv), xs))
@@ -124,10 +136,9 @@ def cosine_bump_kernel(width: float) -> MollifierKernel:
     The derivative mass is 2/width, so widths above 2 are usable for solves.
     """
 
-    def profile(x: float) -> float:
-        if abs(x) >= width:
-            return 0.0
-        return (1.0 + math.cos(math.pi * x / width)) / (2.0 * width)
+    def profile(x: np.ndarray) -> np.ndarray:
+        return np.where(np.abs(x) >= width, 0.0,
+                        (1.0 + np.cos(math.pi * x / width)) / (2.0 * width))
 
     mass, deriv_mass = _kernel_masses(profile, width)
     return MollifierKernel(profile=profile, support_radius=width,
@@ -171,7 +182,7 @@ def divergence_form_assemble(field: CoefficientField, space: GalerkinSpace,
     dphi2 = basis_derivatives(xs2)
 
     def assemble(t: float, points, weights, deriv) -> Matrix:
-        kappa = np.array([field.eval(t, float(x)) for x in points])
+        kappa = _kappa(field, t, points)
         return (deriv * (weights * kappa)[None, :]) @ deriv.T
 
     for t in (0.0, 0.5 * horizon, horizon):
@@ -181,7 +192,7 @@ def divergence_form_assemble(field: CoefficientField, space: GalerkinSpace,
 
     t_samples = np.linspace(0.0, horizon, 33)
     x_samples = np.linspace(0.0, length, 65)
-    sup_kappa = max(field.eval(float(t), float(x)) for t in t_samples for x in x_samples)
+    sup_kappa = float(_kappa(field, t_samples[:, None], x_samples[None, :]).max())
 
     return TimeForm(
         space=space,

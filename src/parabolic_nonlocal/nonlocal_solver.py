@@ -92,9 +92,14 @@ def _kernel_cosine_coefficients(kernel, space: GalerkinSpace) -> np.ndarray:
     half = 0.5 * np.diff(edges)
     ys = (mid[:, None] + half[:, None] * q_nodes).ravel()
     ws = (half[:, None] * q_weights).ravel()
-    profile = np.array([kernel.profile(float(y)) for y in ys])
+    profile = np.asarray(kernel.profile(ys), dtype=float)
     k = np.arange(1, space.n_modes + 1)
     return np.cos(np.outer(k, ys) * math.pi / length) @ (ws * profile)
+
+
+def _check_span(span: tuple[float, float] | None, horizon: float) -> None:
+    if span is not None and (span[0] < -1e-12 or span[1] > horizon * (1 + 1e-12)):
+        raise ValueError("intervals must lie inside the trajectory horizon")
 
 
 def g_mollified_integral(kernel, intervals, traj_space: GalerkinSpace) -> NonlocalCondition:
@@ -116,11 +121,10 @@ def g_mollified_integral(kernel, intervals, traj_space: GalerkinSpace) -> Nonloc
     conv = np.diag(_kernel_cosine_coefficients(kernel, traj_space))
     w = traj_space.inv_sqrt_H @ conv.T @ traj_space.gram_V @ conv @ traj_space.inv_sqrt_H
     theta = float(np.linalg.eigvalsh(w).max())
+    span = (ivals[0][0], ivals[-1][1]) if ivals else None
 
     def eval_g(traj: Trajectory) -> Vector:
-        horizon = traj.grid.horizon
-        if ivals and (ivals[0][0] < -1e-12 or ivals[-1][1] > horizon * (1 + 1e-12)):
-            raise ValueError("intervals must lie inside the trajectory horizon")
+        _check_span(span, traj.grid.horizon)
         w = sum((_hat_weights(traj.grid, s, t) for s, t in ivals), np.zeros(traj.grid.n_steps + 1))
         return conv @ (w @ traj.values)
 
@@ -131,6 +135,7 @@ def g_mollified_integral(kernel, intervals, traj_space: GalerkinSpace) -> Nonloc
             "theta": theta,
             "derivative_mass": float(kernel.derivative_mass),
             "interval_length": float(sum(t - s for s, t in ivals)),
+            "interval_span": span,
             "solver_ok": bool(kernel.derivative_mass < 1.0),
         },
     )
@@ -383,13 +388,15 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
     Statuses: ``converged``, ``max_iterations`` (march budget spent, the
     starting step equation unsolved, or no descent), ``boundary_hit`` (an
     iterate's path reached the outer radius, contradicting the standing
-    annulus bound), ``non_finite``.  A condition that cannot be evaluated on
-    the grid at all, such as intervals past the horizon, raises ValueError
-    from the g* estimate.
+    annulus bound), ``non_finite``.  A condition whose recorded
+    ``interval_span`` leaves the grid's horizon raises ValueError before any
+    march; one that fails on the grid otherwise raises it from the g*
+    estimate.
     """
     cfg = cfg or SolverConfig()
     space = prob.form.space
     grid = prob.grid
+    _check_span(prob.g.bound_params.get("interval_span"), grid.horizon)
     prop = build_propagator(prob.form, prob.proj, grid)
     stiff = projected_stiffness_fn(prob.form, prob.proj)
     sqrt_t = math.sqrt(grid.horizon)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from parabolic_nonlocal.galerkin import (
     constant_form,
     project,
 )
+from parabolic_nonlocal.models import divergence_form_assemble, time_power_coefficient
 
 # closed-form values for the scalar decay/source problems (see module tests)
 REG_RATIO_SCALAR = 2.244913202997993  # sqrt(1-e^-2) + 2*sqrt((1-e^-2)/2)
@@ -130,6 +132,50 @@ class TestPropagatorFactors:
         full = prop.compose(2, 14)
         split = prop.compose(9, 14) @ prop.compose(2, 9)
         assert np.allclose(full, split, atol=1e-13)
+
+    @staticmethod
+    def per_step_reference(form, grid, scheme):
+        # independent oracle: one solve per step against [rhs, dt G_H]
+        gh, dt, n = form.space.gram_H, grid.dt, form.space.n_modes
+        c = 0.5 * dt if scheme == "cayley" else dt
+        steps, sources = [], []
+        for j in range(grid.n_steps):
+            s = form.stiffness_at(0.5 * (grid.nodes[j] + grid.nodes[j + 1]))
+            rhs = gh - c * s if scheme == "cayley" else gh
+            sol = np.linalg.solve(gh + c * s, np.hstack([rhs, dt * gh]))
+            steps.append(sol[:, :n])
+            sources.append(sol[:, n:])
+        return np.array(steps), np.array(sources)
+
+    @pytest.mark.parametrize("scheme", ["cayley", "implicit_euler"])
+    @pytest.mark.parametrize("case", ["random_accretive", "time_power_32x512"])
+    def test_stacked_factors_match_per_step_solves(self, scheme, case):
+        if case == "random_accretive":
+            sp = build_sine_space(5, math.pi)
+            form = random_accretive_form(sp, np.random.default_rng(23))
+            grid = TimeGrid(1.0, 40)
+        else:
+            sp = build_sine_space(32, math.pi)
+            form = divergence_form_assemble(time_power_coefficient(1.0, 0.5, 0.6), sp, 6)
+            grid = TimeGrid(1.0, 512)
+        prop = build_propagator(form, None, grid, scheme)
+        shape = (grid.n_steps, sp.n_modes, sp.n_modes)
+        assert prop.step_factors.shape == shape and prop.source_factors.shape == shape
+        steps, sources = self.per_step_reference(form, grid, scheme)
+        assert np.abs(prop.step_factors - steps).max() <= 1e-15
+        assert np.abs(prop.source_factors - sources).max() <= 1e-15
+
+    def test_build_peak_memory_is_two_factor_stacks(self):
+        sp = build_sine_space(32, math.pi)
+        form = divergence_form_assemble(time_power_coefficient(1.0, 0.5, 0.6), sp, 6)
+        grid = TimeGrid(1.0, 512)
+        tracemalloc.start()
+        try:
+            prop = build_propagator(form, None, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (prop.step_factors.nbytes + prop.source_factors.nbytes)
 
     def test_unknown_scheme_rejected(self):
         sp, form = scalar_form()

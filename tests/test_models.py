@@ -52,6 +52,22 @@ class TestCoefficientFields:
         audit = audit_coefficient_field(lying, 1.0, math.pi)
         assert not audit["holder_ok"]
 
+    def test_audit_samples_match_scalar_draws(self):
+        # one (n, 3) uniform draw is the per-sample (x, t1, t2) stream
+        field = CoefficientField(lambda t, x: 1.0 + 0.5 * t**0.4 + 0.1 * np.sin(x), nu=0.9,
+                                 holder_K=0.5, holder_exponent=0.6)
+        rng = np.random.default_rng(3)
+        ell, excess = math.inf, -math.inf
+        for _ in range(400):
+            x = float(rng.uniform(0.0, math.pi))
+            t1, t2 = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1.0))
+            k1, k2 = field.eval(t1, x), field.eval(t2, x)
+            ell = min(ell, k1)
+            excess = max(excess, abs(k1 - k2) - 0.5 * abs(t1 - t2) ** 0.6)
+        audit = audit_coefficient_field(field, 1.0, math.pi, seed=3)
+        assert audit["ellipticity_min"] == pytest.approx(ell, abs=1e-15)
+        assert audit["holder_excess"] == pytest.approx(excess, abs=1e-15)
+
     def test_floors_validated(self):
         with pytest.raises(ValueError):
             CoefficientField(lambda t, x: 1.0, nu=0.0, holder_K=1.0, holder_exponent=0.6)
@@ -102,6 +118,32 @@ class TestDivergenceFormAssembly:
         gap = np.abs(assemble_form_matrix(low, 0.7) - assemble_form_matrix(high, 0.7)).max()
         assert gap <= 1e-8
 
+    def test_non_finite_coefficient_rejected(self):
+        sp = build_sine_space(3, math.pi)
+        holey = CoefficientField(lambda t, x: np.where(x < 1.0, 1.0, np.nan), nu=1.0,
+                                 holder_K=1e-12, holder_exponent=1.0)
+        with pytest.raises(ValueError, match="not finite"):
+            divergence_form_assemble(holey, sp, quad_order=6)
+        with pytest.raises(ValueError, match="not finite"):
+            audit_coefficient_field(holey, 1.0, math.pi)
+
+    def test_wrongly_shaped_coefficient_rejected(self):
+        sp = build_sine_space(3, math.pi)
+        field = CoefficientField(lambda t, x: np.ones(7), nu=1.0,
+                                 holder_K=1e-12, holder_exponent=1.0)
+        with pytest.raises(ValueError, match="shape"):
+            divergence_form_assemble(field, sp, quad_order=6)
+
+    def test_vectorized_scalar_coefficient_matches_array_form(self):
+        sp = build_sine_space(4, math.pi)
+        array_field = time_power_coefficient(1.0, 0.5, 0.6)
+        scalar_field = CoefficientField(np.vectorize(lambda t, x: 1.0 + 0.5 * t**0.6),
+                                        nu=1.0, holder_K=0.5, holder_exponent=0.6)
+        a = divergence_form_assemble(array_field, sp, quad_order=6)
+        b = divergence_form_assemble(scalar_field, sp, quad_order=6)
+        assert a.bound_M == b.bound_M
+        assert np.abs(assemble_form_matrix(a, 0.37) - assemble_form_matrix(b, 0.37)).max() <= 1e-15
+
     def test_order_floor(self):
         sp = build_sine_space(2, math.pi)
         with pytest.raises(ValueError):
@@ -117,6 +159,13 @@ class TestMollifierKernels:
         for width in (2.5, 4.0, 8.0):
             k = cosine_bump_kernel(width)
             assert k.derivative_mass == pytest.approx(2.0 / width, rel=1e-3)
+
+    def test_profile_takes_arrays(self):
+        k = cosine_bump_kernel(2.0)
+        xs = np.array([-3.0, -2.0, -1.0, 0.0, 0.5, 2.0])
+        expected = [0.0 if abs(x) >= 2.0 else (1.0 + math.cos(math.pi * x / 2.0)) / 4.0
+                    for x in xs]
+        assert np.abs(k.profile(xs) - expected).max() <= 1e-16
 
     def test_bad_support_rejected(self):
         from parabolic_nonlocal.models import MollifierKernel

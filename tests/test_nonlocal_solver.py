@@ -431,6 +431,22 @@ class TestShooting:
         with pytest.raises(ValueError, match="horizon"):
             solve_nonlocal(prob)
 
+    def test_condition_past_horizon_rejected_before_any_march(self, monkeypatch):
+        import parabolic_nonlocal.nonlocal_solver as ns
+
+        def no_march(*args, **kwargs):
+            raise AssertionError("marched before the horizon check")
+
+        monkeypatch.setattr(ns, "_march", no_march)
+        monkeypatch.setattr(ns, "build_propagator", no_march)
+        grid = TimeGrid(1.0, 32)
+        g = g_mollified_integral(cosine_bump_kernel(0.1), [(0.5, 2.0)],
+                                 build_sine_space(1, math.pi))
+        assert g.bound_params["interval_span"] == (0.5, 2.0)
+        prob = exp_shift(scalar_problem(grid, zero_nonlinearity(), g), 0.4)
+        with pytest.raises(ValueError, match="horizon"):
+            solve_nonlocal(prob)
+
 
 class TestAuditProblem:
     def test_restoring_problem_passes(self):
