@@ -78,151 +78,172 @@ def _jsonable(obj):
         return obj.item()
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {"type": type(obj).__name__}
     return obj
 
 
-def _seed(value) -> int:
-    """The run seed: an integral JSON number (2.0 counts; 1.5, "7" and true do not)."""
+def _integer(key, value) -> int:
+    """An integral JSON number: 2.0 counts; 2.5, "2" and true do not."""
     if isinstance(value, bool) or not (
             isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ConfigError(f"seed must be an integer, got {value!r}")
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
 
-def _section(config, key):
-    """A nested config object; absent or null reads as empty."""
-    spec = config.get(key)
-    if spec is None:
-        return {}
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{key!r} must be a JSON object")
-    return spec
+def _real(key, value) -> float:
+    """A JSON number that is not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
-def _coefficient_from_config(spec):
-    if spec in (None, "unit"):
-        return constant_coefficient(1.0)
-    if spec == "time_power_06":
-        return time_power_coefficient(1.0, 0.5, 0.6)
-    if isinstance(spec, dict):
-        name = spec.get("name")
-        if name == "constant":
-            return constant_coefficient(float(spec.get("value", 1.0)))
-        if name == "time_power":
-            return time_power_coefficient(
-                float(spec.get("base", 1.0)),
-                float(spec.get("amp", 0.5)),
-                float(spec.get("exponent", 0.6)),
-            )
-    raise ConfigError(f"unknown coefficient preset: {spec!r}")
+def _list_of(kind):
+    def read(key, value):
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return [kind(f"{key}[{i}]", v) for i, v in enumerate(value)]
+    return read
 
 
-def _form_from_config(cfg):
-    n_modes = int(cfg.get("n_modes", 4))
-    length = float(cfg.get("length", math.pi))
-    horizon = float(cfg.get("horizon", 1.0))
-    quad_order = int(cfg.get("quad_order", 6))
+def _pick(what, name, table):
+    if isinstance(name, str) and name in table:
+        return table[name]
+    raise ConfigError(f"unknown {what}: {name!r}")
+
+
+class _Reader:
+    """One JSON object of a config, read key by key.
+
+    ``read`` checks a value with ``kind`` (``_integer``, ``_real``, ...; none
+    for preset names) and records the value used in ``resolved``, nested
+    objects under their key.  Null reads as the default; unknown keys are
+    ignored.
+    """
+
+    def __init__(self, spec, name=""):
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{name or 'top level'} must be a JSON object")
+        self.spec, self.name, self.resolved = spec, name, {}
+
+    def read(self, key, default, kind=None):
+        value = self.spec.get(key)
+        if value is not None and kind is not None:
+            value = kind(f"{self.name}.{key}".lstrip("."), value)
+        self.resolved[key] = default if value is None else value
+        return self.resolved[key]
+
+    def section(self, key) -> _Reader:
+        """The nested object under ``key``; absent or null reads as empty."""
+        spec = self.spec.get(key)
+        child = _Reader({} if spec is None else spec, f"{self.name}.{key}".lstrip("."))
+        self.resolved[key] = child.resolved
+        return child
+
+    def preset(self, key, default):
+        """A preset name, or a reader of the object given instead."""
+        if isinstance(self.spec.get(key), dict):
+            return self.section(key)
+        return self.read(key, default)
+
+
+COEFFICIENTS = {
+    "unit": lambda: constant_coefficient(1.0),
+    "time_power_06": lambda: time_power_coefficient(1.0, 0.5, 0.6),
+}
+INITIAL_DATA = {
+    "smooth": lambda n: np.exp(-np.arange(1, n + 1, dtype=float)),
+    "first_mode": lambda n: np.eye(n)[0],
+}
+NONLINEARITIES = {
+    "zero": lambda n: zero_nonlinearity(),
+    "negated_identity": lambda n: negated_identity(),
+    "saturating_drift": saturating_drift,
+}
+FUNCTIONALS = {"quadratic": quadratic_functional, "pseudo_huber": pseudo_huber_functional}
+
+
+def _coefficient_from_config(form):
+    spec = form.preset("coefficient", "unit")
+    if not isinstance(spec, _Reader):
+        return _pick("coefficient preset", spec, COEFFICIENTS)()
+    name = spec.read("name", None)
+    if name == "constant":
+        return constant_coefficient(spec.read("value", 1.0, _real))
+    if name == "time_power":
+        return time_power_coefficient(spec.read("base", 1.0, _real), spec.read("amp", 0.5, _real),
+                                      spec.read("exponent", 0.6, _real))
+    raise ConfigError(f"unknown coefficient preset: {form.spec['coefficient']!r}")
+
+
+def _form_from_config(form):
+    n_modes = form.read("n_modes", 4, _integer)
+    length = form.read("length", math.pi, _real)
+    horizon = form.read("horizon", 1.0, _real)
     if n_modes < 1 or length <= 0 or horizon <= 0:
         raise ConfigError("n_modes, length, horizon must be positive")
     space = build_sine_space(n_modes, length)
-    field = _coefficient_from_config(cfg.get("coefficient"))
-    form = divergence_form_assemble(field, space, quad_order, horizon)
-    resolved = {
-        "n_modes": n_modes,
-        "length": length,
-        "horizon": horizon,
-        "quad_order": quad_order,
-        "coefficient": cfg.get("coefficient", "unit"),
-    }
-    return space, field, form, resolved
+    field = _coefficient_from_config(form)
+    quad_order = form.read("quad_order", 6, _integer)
+    return space, field, divergence_form_assemble(field, space, quad_order, horizon)
 
 
-def _initial_data(spec, n_modes):
-    if spec in (None, "smooth"):
-        return np.exp(-np.arange(1, n_modes + 1, dtype=float))
-    if spec == "first_mode":
-        x = np.zeros(n_modes)
-        x[0] = 1.0
-        return x
-    if isinstance(spec, list):
-        x = np.asarray(spec, dtype=float)
-        if x.shape != (n_modes,):
-            raise ConfigError(f"x must have {n_modes} entries")
-        return x
-    raise ConfigError(f"unknown initial data preset: {spec!r}")
+def _initial_data(cfg, key, n_modes):
+    spec = cfg.read(key, "smooth", lambda k, v: v if isinstance(v, str) else _list_of(_real)(k, v))
+    if isinstance(spec, str):
+        return _pick("initial data preset", spec, INITIAL_DATA)(n_modes)
+    if len(spec) != n_modes:
+        raise ConfigError(f"{key} must have {n_modes} entries")
+    return np.array(spec)
 
 
-def _nonlinearity_from_config(spec, n_modes):
-    if spec in (None, "zero"):
-        return zero_nonlinearity()
-    if spec == "negated_identity":
-        return negated_identity()
-    if spec == "saturating_drift":
-        return saturating_drift(n_modes)
-    raise ConfigError(f"unknown nonlinearity preset: {spec!r}")
-
-
-def _condition_from_config(spec, space):
-    if spec in (None, "zero"):
+def _condition_from_config(problem, space):
+    spec = problem.preset("g", "zero")
+    if spec == "zero":
         return g_constant(np.zeros(space.n_modes))
-    if isinstance(spec, dict):
-        kind = spec.get("kind")
+    if isinstance(spec, _Reader):
+        kind = spec.read("kind", None)
         if kind == "constant":
-            return g_constant(_initial_data(spec.get("x0", "smooth"), space.n_modes))
+            return g_constant(_initial_data(spec, "x0", space.n_modes))
         if kind == "mollified_integral":
-            kernel = cosine_bump_kernel(float(spec.get("width", 4.0)))
-            intervals = [tuple(p) for p in spec.get("intervals", [[0.0, 0.5]])]
+            kernel = cosine_bump_kernel(spec.read("width", 4.0, _real))
+            intervals = spec.read("intervals", [[0.0, 0.5]], _list_of(_list_of(_real)))
             return g_mollified_integral(kernel, intervals, space)
-    raise ConfigError(f"unknown nonlocal condition preset: {spec!r}")
+    raise ConfigError(f"unknown nonlocal condition preset: {problem.spec['g']!r}")
 
 
-def _problem_from_config(cfg):
-    preset = cfg.get("preset")
-    n_modes = int(cfg.get("n_modes", 4))
-    n_steps = int(cfg.get("n_steps", 64))
+def _problem_from_config(problem):
+    preset = problem.read("preset", None)
+    n_modes = problem.read("n_modes", 4, _integer)
+    n_steps = problem.read("n_steps", 64, _integer)
     if preset == "heat_timevarying":
         return preset_heat_timevarying(n_modes, n_steps)
-    if preset == "evi_quadratic":
-        return preset_evi(n_modes, n_steps, quadratic_functional(n_modes))
-    if preset == "evi_pseudo_huber":
-        return preset_evi(n_modes, n_steps, pseudo_huber_functional(n_modes))
     if preset is not None:
-        raise ConfigError(f"unknown problem preset: {preset!r}")
+        phi = _pick("problem preset", preset, {f"evi_{k}": f for k, f in FUNCTIONALS.items()})
+        return preset_evi(n_modes, n_steps, phi(n_modes))
 
-    space, _, form, _resolved = _form_from_config(cfg)
-    r0 = float(cfg.get("r0", 1.0))
-    r0_cap = cfg.get("R0", "inf")
-    R0 = math.inf if r0_cap in ("inf", None) else float(r0_cap)
+    space, _, form = _form_from_config(problem)
     prob = NonlocalProblem(
         form=form,
-        proj=project(space, int(cfg.get("m", space.n_modes))),
-        f=_nonlinearity_from_config(cfg.get("nonlinearity"), space.n_modes),
-        g=_condition_from_config(cfg.get("g"), space),
+        proj=project(space, problem.read("m", n_modes, _integer)),
+        f=_pick("nonlinearity preset", problem.read("nonlinearity", "zero"),
+                NONLINEARITIES)(n_modes),
+        g=_condition_from_config(problem, space),
         grid=TimeGrid(form.horizon, n_steps),
-        r0=r0,
-        R0=R0,
+        r0=problem.read("r0", 1.0, _real),
+        R0=problem.read("R0", math.inf, lambda k, v: math.inf if v == "inf" else _real(k, v)),
     )
-    mu = float(cfg.get("shift_mu", 0.0))
+    mu = problem.read("shift_mu", 0.0, _real)
     return exp_shift(prob, mu) if mu > 0.0 else prob
 
 
-def _solver_from_config(cfg, seed):
-    return SolverConfig(
-        lambda_steps=int(cfg.get("lambda_steps", 10)),
-        damping=float(cfg.get("damping", 0.5)),
-        inner_tol=float(cfg.get("inner_tol", 1e-8)),
-        max_inner=int(cfg.get("max_inner", 500)),
-        secant_depth=int(cfg.get("secant_depth", 0)),
-        fp_tol=float(cfg["fp_tol"]) if "fp_tol" in cfg else None,
-        g_star_samples=int(cfg.get("g_star_samples", 200)),
-        seed=seed,
-    )
+def _solver_from_config(solver, seed):
+    """Every ``SolverConfig`` setting but the seed, typed by its default."""
+    return SolverConfig(seed=seed, **{
+        f.name: solver.read(f.name, f.default, _integer if type(f.default) is int else _real)
+        for f in dataclasses.fields(SolverConfig) if f.name != "seed"})
 
 
 def cmd_verify_form(config, seed, outdir):
-    space, field, form, resolved = _form_from_config(_section(config, "form"))
+    space, field, form = _form_from_config(config.section("form"))
     grid = default_audit_grid(form.horizon)
     m_hat, alpha_hat = estimate_bounds(form, grid)
     dini = audit_dini(form, np.geomspace(form.horizon * 1e-4, form.horizon * 1e-2, 9))
@@ -243,18 +264,15 @@ def cmd_verify_form(config, seed, outdir):
         "dini_pass": dini.dini_pass,
         "coefficient_audit": coeff_audit,
         "passed": passed,
-        "resolved": resolved,
     }
     return (EXIT_OK if passed else EXIT_AUDIT), results, None
 
 
 def cmd_propagate(config, seed, outdir):
-    space, _, form, resolved = _form_from_config(_section(config, "form"))
-    n_steps = int(config.get("n_steps", 128))
-    scheme = config.get("scheme", "cayley")
-    grid = TimeGrid(form.horizon, n_steps)
-    x = _initial_data(config.get("x"), space.n_modes)
-    prop = build_propagator(form, None, grid, scheme)
+    space, _, form = _form_from_config(config.section("form"))
+    grid = TimeGrid(form.horizon, config.read("n_steps", 128, _integer))
+    x = _initial_data(config, "x", space.n_modes)
+    prop = build_propagator(form, None, grid, config.read("scheme", "cayley"))
     traj = propagate(form, None, grid, x, propagator=prop)
     results = {
         "h_norm_initial": traj.h_norms[0],
@@ -265,15 +283,13 @@ def cmd_propagate(config, seed, outdir):
         "l2_v": traj.l2_v,
         "au_l2": traj.au_l2,
         "weighted_diagnostic": weighted_diagnostic(form, None, grid, x),
-        "resolved": {**resolved, "n_steps": n_steps, "scheme": scheme,
-                     "x": config.get("x", "smooth")},
     }
     return EXIT_OK, results, traj
 
 
 def cmd_solve(config, seed, outdir):
-    prob = _problem_from_config(_section(config, "problem"))
-    cfg = _solver_from_config(_section(config, "solver"), seed)
+    prob = _problem_from_config(config.section("problem"))
+    cfg = _solver_from_config(config.section("solver"), seed)
     audits = audit_problem(prob, seed=seed)
     results = {
         "audits": {
@@ -291,9 +307,6 @@ def cmd_solve(config, seed, outdir):
         results["audits"]["passed"] = False
     if not results["audits"]["passed"]:
         return EXIT_AUDIT, results, None
-    results["resolved"] = {"solver": dataclasses.asdict(cfg),
-                           "n_modes": prob.form.space.n_modes,
-                           "n_steps": prob.grid.n_steps}
     rep = solve_nonlocal(prob, cfg)
     results.update(
         {
@@ -314,46 +327,32 @@ def cmd_solve(config, seed, outdir):
 
 
 def cmd_converge(config, seed, outdir):
-    space, _, form, resolved = _form_from_config(_section(config, "form"))
-    n_steps = int(config.get("n_steps", 64))
-    grid = TimeGrid(form.horizon, n_steps)
-    x = _initial_data(config.get("x"), space.n_modes)
-    m_list = [int(m) for m in config.get("m_list", [2, 4, 8])]
-    m_ref = int(config.get("m_ref", space.n_modes))
+    space, _, form = _form_from_config(config.section("form"))
+    grid = TimeGrid(form.horizon, config.read("n_steps", 64, _integer))
+    x = _initial_data(config, "x", space.n_modes)
+    m_list = config.read("m_list", [2, 4, 8], _list_of(_integer))
+    m_ref = config.read("m_ref", space.n_modes, _integer)
     study = projected_convergence_study(form, grid, x, m_list, m_ref)
     errs = [e for _, e in study]
     results = {
         "m_ref": m_ref,
         "study": [[m, e] for m, e in study],
         "nonincreasing": bool(all(errs[i] >= errs[i + 1] - 1e-10 for i in range(len(errs) - 1))),
-        "resolved": {**resolved, "n_steps": n_steps, "m_list": m_list,
-                     "m_ref": m_ref},
     }
-    csv_path = Path(outdir) / "convergence.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("m,sup_error\n")
-        for m, e in study:
-            fh.write(f"{m},{e!r}\n")
+    with open(Path(outdir) / "convergence.csv", "w") as fh:
+        fh.write("m,sup_error\n" + "".join(f"{m},{e!r}\n" for m, e in study))
     return EXIT_OK, results, None
 
 
 def cmd_evi(config, seed, outdir):
-    n_modes = int(config.get("n_modes", 4))
-    n_steps = int(config.get("n_steps", 256))
-    phi_name = config.get("phi", "quadratic")
-    if phi_name == "quadratic":
-        phi = quadratic_functional(n_modes)
-    elif phi_name == "pseudo_huber":
-        phi = pseudo_huber_functional(n_modes)
-    else:
-        raise ConfigError(f"unknown functional preset: {phi_name!r}")
-    prob = preset_evi(n_modes, n_steps, phi)
-    cfg = _solver_from_config(_section(config, "solver"), seed)
-    rep = solve_nonlocal(prob, cfg)
-    residual = evi_residual(prob.form, phi, rep.solution, int(config.get("n_test", 50)), seed=seed)
+    n_modes = config.read("n_modes", 4, _integer)
+    phi_name = config.read("phi", "quadratic")
+    phi = _pick("functional preset", phi_name, FUNCTIONALS)(n_modes)
+    prob = preset_evi(n_modes, config.read("n_steps", 256, _integer), phi)
+    rep = solve_nonlocal(prob, _solver_from_config(config.section("solver"), seed))
+    residual = evi_residual(prob.form, phi, rep.solution, config.read("n_test", 50, _integer),
+                            seed=seed)
     results = {
-        "resolved": {"n_modes": n_modes, "n_steps": n_steps, "phi": phi_name,
-                     "solver": dataclasses.asdict(cfg)},
         "status": rep.status,
         "converged": rep.converged,
         "fixed_point_residual": rep.fixed_point_residual,
@@ -390,8 +389,7 @@ def run(config_path: str, output: str | None, seed_override: int | None,
     try:
         with open(config_path) as fh:
             config = json.load(fh)
-        if not isinstance(config, dict):
-            raise ConfigError("top level must be a JSON object")
+        reader = _Reader(config)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         write_report(outdir, {"error": f"cannot read config: {exc}", "exit_code": EXIT_CONFIG})
         if not quiet:
@@ -409,21 +407,17 @@ def run(config_path: str, output: str | None, seed_override: int | None,
     }
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        seed = seed_override if seed_override is not None else _seed(config.get("seed", 0))
+        seed = seed_override if seed_override is not None else reader.read("seed", 0, _integer)
         payload["seed"] = seed
         if command not in COMMANDS:
             raise ConfigError(f"unknown command: {command!r}")
-        code, results, traj = COMMANDS[command](config, seed, outdir)
-        payload["results"] = results
-        payload["exit_code"] = code
-    except ConfigError as exc:
-        payload["error"] = str(exc)
-        payload["exit_code"] = EXIT_CONFIG
+        code, results, traj = COMMANDS[command](reader, seed, outdir)
+        payload["results"] = {**results, "resolved": reader.resolved}
+    except (ConfigError, ValueError, TypeError) as exc:
+        payload["error"] = (str(exc) if isinstance(exc, ConfigError)
+                            else f"invalid parameters: {exc}")
         code, traj = EXIT_CONFIG, None
-    except (ValueError, TypeError) as exc:
-        payload["error"] = f"invalid parameters: {exc}"
-        payload["exit_code"] = EXIT_CONFIG
-        code, traj = EXIT_CONFIG, None
+    payload["exit_code"] = code
 
     payload["timestamp_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     if traj is not None:

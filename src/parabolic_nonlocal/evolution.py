@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -68,12 +68,7 @@ class Propagator:
 
     def compose(self, i_from: int, i_to: int) -> Matrix:
         """Matrix of the propagator from node i_from to node i_to >= i_from."""
-        if not 0 <= i_from <= i_to <= self.grid.n_steps:
-            raise ValueError("node indices out of range")
-        out = np.eye(self.space.n_modes)
-        for j in range(i_from, i_to):
-            out = self.step_factors[j] @ out
-        return out
+        return self.apply(np.eye(self.space.n_modes), i_from, i_to)
 
     def apply(self, x: Vector, i_from: int, i_to: int) -> Vector:
         if not 0 <= i_from <= i_to <= self.grid.n_steps:
@@ -312,15 +307,8 @@ def duhamel_direct_sum(form: TimeForm, proj: Projection | None, grid: TimeGrid, 
 def reversed_form(form: TimeForm) -> TimeForm:
     """Time-reversed transposed form: stiffness ``S(horizon - t)^T``."""
     horizon = form.horizon
-    return TimeForm(
-        space=form.space,
-        stiffness_at=lambda t: np.asarray(form.stiffness_at(horizon - t), dtype=float).T,
-        bound_M=form.bound_M,
-        coercivity_alpha=form.coercivity_alpha,
-        horizon=horizon,
-        shift_delta=form.shift_delta,
-        modulus_omega=form.modulus_omega,
-    )
+    return replace(
+        form, stiffness_at=lambda t: np.asarray(form.stiffness_at(horizon - t), dtype=float).T)
 
 
 def adjoint_propagate(form: TimeForm, proj: Projection | None, grid: TimeGrid, x: Vector,

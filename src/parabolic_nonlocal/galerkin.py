@@ -312,10 +312,7 @@ def assemble_projected_form(form: TimeForm, proj: Projection, t: float) -> Matri
     """
     if proj.space is not form.space:
         raise ValueError("form and projection refer to different spaces")
-    s = assemble_form_matrix(form, t)
-    p = proj.matrix
-    q = proj.complement()
-    return p.T @ s @ p + form.coercivity_alpha * (q.T @ form.space.gram_V @ q)
+    return projected_stiffness_fn(form, proj)(t)
 
 
 def projected_stiffness_fn(form: TimeForm, proj: Projection | None) -> Callable[[float], Matrix]:

@@ -146,33 +146,35 @@ class GBoundAudit(NamedTuple):
     margin: float
 
 
-def audit_g_bound(g: NonlocalCondition, r: float, n_samples: int, grid: TimeGrid,
-                  space: GalerkinSpace, seed=0) -> GBoundAudit:
-    """Sample paths of mean pivot radius r and check ``|g(u)|_H < r``."""
+def _sampled_sup(g: NonlocalCondition, norm: Callable[[Vector], float], n_samples: int,
+                 grid: TimeGrid, space: GalerkinSpace, seed,
+                 scale: Callable[[np.random.Generator, float], float]) -> float:
+    """Largest ``norm(g(u))`` over sampled paths: standard normal coordinates times
+    ``scale(rng, l2_h)``, with ``l2_h`` the drawn path's L2-in-time pivot norm."""
     rng = _rng(seed)
-    target = r * math.sqrt(grid.horizon)
     worst = 0.0
     for _ in range(n_samples):
         vals = rng.standard_normal((grid.n_steps + 1, space.n_modes))
-        traj = make_trajectory(space, grid, vals)
-        traj = make_trajectory(space, grid, vals * (target / traj.l2_h))
-        worst = max(worst, space.h_norm(np.asarray(g.eval(traj), dtype=float)))
-    margin = r - worst
+        vals = vals * scale(rng, make_trajectory(space, grid, vals).l2_h)
+        g_u = np.asarray(g.eval(make_trajectory(space, grid, vals)), dtype=float)
+        worst = max(worst, norm(g_u))
+    return worst
+
+
+def audit_g_bound(g: NonlocalCondition, r: float, n_samples: int, grid: TimeGrid,
+                  space: GalerkinSpace, seed=0) -> GBoundAudit:
+    """Sample paths of mean pivot radius r and check ``|g(u)|_H < r``."""
+    target = r * math.sqrt(grid.horizon)
+    margin = r - _sampled_sup(g, space.h_norm, n_samples, grid, space, seed,
+                              lambda rng, l2_h: target / l2_h)
     return GBoundAudit(passed=bool(margin > 0.0), margin=margin)
 
 
 def estimate_g_star(g: NonlocalCondition, radius_cap: float, n_samples: int,
                     grid: TimeGrid, space: GalerkinSpace, seed=0) -> float:
     """Sampled sup of ``|g(u)|_V`` over paths with L2-in-time pivot norm <= cap."""
-    rng = _rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        vals = rng.standard_normal((grid.n_steps + 1, space.n_modes))
-        traj = make_trajectory(space, grid, vals)
-        scale = rng.uniform(0.0, 1.0) * radius_cap / max(traj.l2_h, 1e-300)
-        traj = make_trajectory(space, grid, vals * scale)
-        worst = max(worst, space.v_norm(np.asarray(g.eval(traj), dtype=float)))
-    return worst
+    return _sampled_sup(g, space.v_norm, n_samples, grid, space, seed,
+                        lambda rng, l2_h: rng.uniform(0.0, 1.0) * radius_cap / max(l2_h, 1e-300))
 
 
 @dataclass(frozen=True)
@@ -250,16 +252,12 @@ class SolverConfig:
     """Shooting and continuation settings (see :func:`solve_nonlocal`).
 
     ``inner_tol`` bounds the pivot norm of the shooting residual and
-    ``max_inner`` the forward marches per stage.  ``damping`` and
-    ``secant_depth`` set the damped-Picard and secant iterations of earlier
-    releases; they are still accepted and have no effect.
+    ``max_inner`` the forward marches per stage.
     """
 
     lambda_steps: int = 10
-    damping: float = 0.5
     inner_tol: float = 1e-8
     max_inner: int = 500
-    secant_depth: int = 0
     fp_tol: float | None = None
     g_star_samples: int = 200
     seed: int = 0
@@ -476,15 +474,8 @@ def exp_shift(prob: NonlocalProblem, mu: float) -> NonlocalProblem:
         def shifted_stiff(t: float, _b=base_stiff, _d=delta) -> Matrix:
             return np.asarray(_b(t), dtype=float) + _d * gh
 
-        new_form = TimeForm(
-            space=space,
-            stiffness_at=shifted_stiff,
-            bound_M=form.bound_M + delta * space.embed_const**2,
-            coercivity_alpha=form.coercivity_alpha,
-            horizon=form.horizon,
-            shift_delta=0.0,
-            modulus_omega=form.modulus_omega,
-        )
+        new_form = replace(form, stiffness_at=shifted_stiff,
+                           bound_M=form.bound_M + delta * space.embed_const**2, shift_delta=0.0)
     else:
         new_form = form
 

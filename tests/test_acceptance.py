@@ -156,8 +156,7 @@ def test_c07_nonlocal_fixed_point():
         "multipoint", {})
     prob = pn.NonlocalProblem(form=form, proj=pn.project(space, 1), f=f, g=g,
                               grid=grid, r0=0.31, R0=math.inf)
-    rep = pn.solve_nonlocal(prob, pn.SolverConfig(inner_tol=1e-12, lambda_steps=5,
-                                                  damping=1.0))
+    rep = pn.solve_nonlocal(prob, pn.SolverConfig(inner_tol=1e-12, lambda_steps=5))
     gap = abs(rep.solution.values[0][0] - AFFINE_ORACLE)
     elapsed = time.monotonic() - t0
     ok = (rep.converged and gap <= 1e-6 and rep.fixed_point_residual <= 1e-8
@@ -168,7 +167,7 @@ def test_c07_nonlocal_fixed_point():
 
 
 def test_c08_apriori_bound():
-    cfg = pn.SolverConfig(inner_tol=1e-10, damping=0.8)
+    cfg = pn.SolverConfig(inner_tol=1e-10)
     cases = {
         "heat": [pn.solve_nonlocal(pn.preset_heat_timevarying(4, ns), cfg)
                  for ns in (64, 128)],
@@ -206,7 +205,7 @@ def test_c09_shift_equivalence():
     prob = pn.NonlocalProblem(form=form, proj=pn.project(space, 1), f=f,
                               g=pn.g_constant(np.array([0.2])), grid=grid,
                               r0=1.0, R0=math.inf)
-    cfg = pn.SolverConfig(inner_tol=1e-12, lambda_steps=3, damping=1.0)
+    cfg = pn.SolverConfig(inner_tol=1e-12, lambda_steps=3)
     mu = 0.25
     direct = pn.solve_nonlocal(prob, cfg)
     shifted = pn.solve_nonlocal(pn.exp_shift(prob, mu), cfg)
@@ -221,7 +220,7 @@ def test_c09_shift_equivalence():
     phi = pn.quadratic_functional(4)
     evi = pn.preset_evi(4, 1024, phi)
     mu_evi = evi.form.shift_delta + evi.f.growth_a + 0.2
-    cfg_evi = pn.SolverConfig(inner_tol=inner, lambda_steps=5, damping=0.8)
+    cfg_evi = pn.SolverConfig(inner_tol=inner, lambda_steps=5)
     d2 = pn.solve_nonlocal(evi, cfg_evi)
     s2 = pn.solve_nonlocal(pn.exp_shift(evi, mu_evi), cfg_evi)
     back2 = pn.unshift_trajectory(s2.solution, mu_evi)
@@ -259,7 +258,7 @@ def test_c10_hypothesis_audits():
 def test_c11_evi_residual():
     phi = pn.quadratic_functional(4)
     prob = pn.preset_evi(4, 256, phi)
-    rep = pn.solve_nonlocal(prob, pn.SolverConfig(inner_tol=1e-10, damping=0.8))
+    rep = pn.solve_nonlocal(prob, pn.SolverConfig(inner_tol=1e-10))
     exact = np.exp(-2.0 * rep.solution.grid.nodes)
     traj_err = float(np.abs(rep.solution.values[:, 0] - exact).max())
     residual = pn.evi_residual(prob.form, phi, rep.solution, 60, seed=11)

@@ -1,8 +1,15 @@
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parabolic_nonlocal.cli import main
+from parabolic_nonlocal.cli import COMMANDS, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(tmp_path, name, payload):
@@ -170,6 +177,22 @@ class TestEvi:
         assert res["mode_one_error"] < 1e-4
 
 
+# (key the error must name, config): values the per-key casts once changed
+# silently (3.9 modes ran with 3, true with 1) or accepted as text
+BAD_VALUES = {
+    "fractional_n_modes": ("n_modes", {"command": "propagate", "form": {"n_modes": 3.9},
+                                       "n_steps": 32}),
+    "boolean_n_modes": ("n_modes", {"command": "evi", "n_modes": True, "n_steps": 32}),
+    "text_inner_tol": ("inner_tol", {"command": "solve",
+                                     "problem": {"preset": "heat_timevarying"},
+                                     "solver": {"inner_tol": "1e-10"}}),
+    "fractional_m_list": ("m_list", {"command": "converge", "form": {"n_modes": 8},
+                                     "n_steps": 16, "m_list": [2, 4.5]}),
+    "text_m_ref": ("m_ref", {"command": "converge", "form": {"n_modes": 8}, "n_steps": 16,
+                             "m_list": [2, 4], "m_ref": "8"}),
+}
+
+
 class TestConfigHandling:
     def test_missing_file(self, tmp_path):
         out = tmp_path / "out"
@@ -179,7 +202,6 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("payload", [
         [{"command": "verify-form"}],
-        {"command": "verify-form", "form": {"n_modes": None}},
         {"command": "solve", "problem": {"n_modes": 2, "n_steps": 16,
                                          "g": {"kind": "mollified_integral",
                                                "intervals": 5}}},
@@ -191,14 +213,38 @@ class TestConfigHandling:
         {"command": "verify-form", "form": {"n_modes": 64, "quad_order": 4, "length": 1e-3}},
         {"command": "verify-form", "seed": 1.5, "form": {"n_modes": 2}},
         {"command": "verify-form", "seed": True, "form": {"n_modes": 2}},
-    ], ids=["list_config", "null_n_modes", "scalar_intervals", "list_form", "list_problem",
+        *(payload for _, payload in BAD_VALUES.values()),
+    ], ids=["list_config", "scalar_intervals", "list_form", "list_problem",
             "list_solver", "text_seed", "unconverged_quadrature", "fractional_seed",
-            "boolean_seed"])
+            "boolean_seed", *BAD_VALUES])
     def test_malformed_config_writes_report(self, tmp_path, payload):
         cfg = write_config(tmp_path, "cfg.json", payload)
         out = tmp_path / "out"
         assert main(["--config", cfg, "--output", str(out), "--quiet"]) == 1
         assert "error" in read_report(out)
+
+    @pytest.mark.parametrize("name", list(BAD_VALUES))
+    def test_bad_value_error_names_key(self, tmp_path, name):
+        key, payload = BAD_VALUES[name]
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--output", str(out), "--quiet"]) == 1
+        assert key in read_report(out)["error"]
+
+    @pytest.mark.parametrize("payload, section, key", [
+        ({"command": "solve", "seed": 4, "problem": {"n_modes": 2, "n_steps": 8},
+          "solver": {"fp_tol": 1e-6}}, "solver", "fp_tol"),
+        ({"command": "verify-form", "form": {"n_modes": 2}}, "form", "n_modes"),
+    ], ids=["null_fp_tol", "null_n_modes"])
+    def test_null_reads_as_default(self, tmp_path, payload, section, key):
+        absent = {k: v for k, v in payload[section].items() if k != key}
+        results = []
+        for name, spec in (("absent", absent), ("null", {**payload[section], key: None})):
+            cfg = write_config(tmp_path, f"{name}.json", {**payload, section: spec})
+            out = tmp_path / name
+            assert main(["--config", cfg, "--output", str(out), "--quiet"]) == 0
+            results.append(read_report(out)["results"])
+        assert results[0] == results[1]
 
     def test_unknown_command(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {"command": "meditate"})
@@ -240,3 +286,125 @@ class TestConfigHandling:
                     if "timestamp_utc" not in ln]
 
         assert stripped(out1) == stripped(out2)
+
+
+def readme_cli_examples():
+    """Every ``json`` block of README's "CLI" section."""
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return [json.loads(block) for block in re.findall(r"```json\n(.*?)```", section, re.S)]
+
+
+class TestReadmeExamples:
+    def test_every_command_has_an_example(self):
+        assert sorted(p["command"] for p in readme_cli_examples()) == sorted(COMMANDS)
+
+    @pytest.mark.parametrize("payload", readme_cli_examples(), ids=lambda p: p["command"])
+    def test_example_runs(self, tmp_path, payload):
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--output", str(out), "--quiet"]) == 0
+
+
+# In-range values per key.  Sizes and counts stay at most 8 modes, 64 steps
+# and 8 samples or iterations; keys whose default is larger (NO_NULL) are
+# never drawn as null, and the sections holding them are never replaced.
+IN_RANGE = {
+    "seed": st.integers(0, 100),
+    "n_modes": st.integers(1, 8),
+    "n_steps": st.integers(1, 64),
+    "length": st.floats(0.5, 4.0),
+    "horizon": st.floats(0.25, 2.0),
+    "quad_order": st.integers(4, 8),
+    "coefficient": st.sampled_from(["unit", "time_power_06", {"name": "constant", "value": 2.0},
+                                    {"name": "time_power", "exponent": 0.4}]),
+    "scheme": st.sampled_from(["cayley", "implicit_euler"]),
+    "x": st.sampled_from(["smooth", "first_mode", [1.0, 0.5]]),
+    "m_list": st.lists(st.integers(1, 8), max_size=3),
+    "m_ref": st.integers(1, 8),
+    "m": st.integers(1, 8),
+    "preset": st.sampled_from(["heat_timevarying", "evi_quadratic", "evi_pseudo_huber"]),
+    "nonlinearity": st.sampled_from(["zero", "negated_identity", "saturating_drift"]),
+    "g": st.sampled_from(["zero", {"kind": "constant", "x0": "first_mode"},
+                          {"kind": "mollified_integral", "width": 4.0,
+                           "intervals": [[0.0, 0.5]]}]),
+    "r0": st.floats(0.1, 2.0),
+    "R0": st.one_of(st.floats(1.0, 10.0), st.just("inf")),
+    "shift_mu": st.floats(0.0, 1.0),
+    "phi": st.sampled_from(["quadratic", "pseudo_huber"]),
+    "n_test": st.integers(1, 8),
+    "lambda_steps": st.integers(1, 3),
+    "inner_tol": st.floats(1e-10, 1e-4),
+    "max_inner": st.integers(1, 8),
+    "fp_tol": st.floats(1e-10, 1e-4),
+    "g_star_samples": st.integers(1, 8),
+}
+NO_NULL = {"n_steps", "n_test", "lambda_steps", "max_inner", "g_star_samples", "solver"}
+FORM_KEYS = ("n_modes", "length", "horizon", "quad_order", "coefficient")
+SOLVER_KEYS = ("lambda_steps", "inner_tol", "max_inner", "fp_tol", "g_star_samples")
+SMALL_SOLVER = {"lambda_steps": 2, "max_inner": 4, "g_star_samples": 4}
+# command -> (small valid config, fuzzed key paths)
+FUZZ = {
+    "verify-form": ({"form": {"n_modes": 2}},
+                    [("form",), *(("form", k) for k in FORM_KEYS)]),
+    "propagate": ({"form": {"n_modes": 2}, "n_steps": 8},
+                  [("form",), ("n_steps",), ("scheme",), ("x",),
+                   *(("form", k) for k in FORM_KEYS)]),
+    "solve": ({"problem": {"n_modes": 2, "n_steps": 8}, "solver": SMALL_SOLVER},
+              [("problem",), ("solver",),
+               *(("problem", k) for k in (*FORM_KEYS, "preset", "n_steps", "m", "nonlinearity",
+                                          "g", "r0", "R0", "shift_mu")),
+               *(("solver", k) for k in SOLVER_KEYS)]),
+    "converge": ({"form": {"n_modes": 4}, "n_steps": 8, "m_list": [1, 2], "m_ref": 4},
+                 [("form",), ("n_steps",), ("x",), ("m_list",), ("m_ref",),
+                  *(("form", k) for k in FORM_KEYS)]),
+    "evi": ({"n_modes": 2, "n_steps": 8, "n_test": 4, "solver": SMALL_SOLVER},
+            [("n_modes",), ("n_steps",), ("phi",), ("n_test",), ("solver",),
+             *(("solver", k) for k in SOLVER_KEYS)]),
+}
+SCALARS = st.one_of(st.integers(-2, 8), st.floats(-2.0, 8.0), st.booleans(),
+                    st.text(max_size=4))
+
+
+def fuzzed_value(key):
+    kinds = [IN_RANGE.get(key, st.nothing()),
+             st.floats(-2.0, 8.0).filter(lambda v: not v.is_integer()),
+             st.booleans(),
+             st.one_of(st.text(max_size=4), st.sampled_from(["inf", "8", "1e-10", "smooth"])),
+             st.lists(SCALARS, max_size=3)]
+    if key not in NO_NULL:
+        kinds += [st.none(),
+                  st.dictionaries(st.sampled_from(["kind", "name", "x0", "width", "value"]),
+                                  SCALARS, max_size=2)]
+    return st.one_of(kinds)
+
+
+@st.composite
+def fuzzed_configs(draw, command):
+    base, paths = FUZZ[command]
+    config = json.loads(json.dumps({"command": command, **base}))
+    for path in [("seed",), *draw(st.lists(st.sampled_from(paths), max_size=4))]:
+        parent = config
+        for key in path[:-1]:
+            if not isinstance(parent.get(key), dict):
+                break
+            parent = parent[key]
+        else:
+            parent[path[-1]] = draw(fuzzed_value(path[-1]))
+    return config
+
+
+class TestFuzzedConfigs:
+    """No config crashes the CLI: every run returns 0-3 and writes a report
+    whose ``exit_code`` is that return value."""
+
+    @pytest.mark.parametrize("command", list(FUZZ))
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_exit_code_and_report(self, command, data):
+        config = data.draw(fuzzed_configs(command))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp), "cfg.json", config)
+            out = Path(tmp) / "out"
+            code = main(["--config", cfg, "--output", str(out), "--quiet"])
+            assert code in (0, 1, 2, 3)
+            assert read_report(out)["exit_code"] == code

@@ -223,7 +223,7 @@ class TestEviPreset:
     def test_quadratic_mode_one_closed_form(self):
         phi = quadratic_functional(4)
         prob = preset_evi(4, 256, phi)
-        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-10, damping=0.8))
+        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-10))
         assert rep.converged
         exact = np.exp(-2.0 * rep.solution.grid.nodes)
         assert np.abs(rep.solution.values[:, 0] - exact).max() < 1e-4
@@ -232,7 +232,7 @@ class TestEviPreset:
     def test_zero_functional_reduces_to_homogeneous_flow(self):
         zero_phi = ConvexFunctional(lambda x: 0.0, lambda x: np.zeros_like(x), 4, 0.0)
         prob = preset_evi(4, 64, zero_phi)
-        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12, lambda_steps=2, damping=1.0))
+        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12, lambda_steps=2))
         x0 = np.zeros(4)
         x0[0] = 1.0
         hom = propagate(prob.form, prob.proj, prob.grid, x0)
@@ -241,7 +241,7 @@ class TestEviPreset:
     def test_variational_inequality_residual(self):
         phi = quadratic_functional(4)
         prob = preset_evi(4, 128, phi)
-        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-10, damping=0.8))
+        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-10))
         res = evi_residual(prob.form, phi, rep.solution, 50, seed=4)
         assert res >= -10.0 * prob.grid.dt
 
