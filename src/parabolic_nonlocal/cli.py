@@ -90,9 +90,11 @@ def _integer(key, value) -> int:
 
 
 def _real(key, value) -> float:
-    """A JSON number that is not a boolean."""
+    """A finite JSON number that is not a boolean (``json`` parses NaN and Infinity)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
     return float(value)
 
 

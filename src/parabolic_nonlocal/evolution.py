@@ -209,57 +209,104 @@ class StepNotConverged(RuntimeError):
     """A step's implicit source equation was not solved by fixed-point iteration."""
 
 
-def _solve_step(source: Callable[[float, Vector], Vector], t: float, known: Vector,
-                b: Matrix, v: Vector) -> tuple[Vector, Vector]:
-    """Fixed-point iteration for ``u = known + B s(t, u) / 2`` from ``v``.
+def _narrow(kept: np.ndarray | None, ok: np.ndarray) -> np.ndarray:
+    """Compose a row mask with a mask over the rows it kept (None keeps all)."""
+    if kept is None:
+        return ok
+    kept[np.flatnonzero(kept)] = ok
+    return kept
 
-    Stops once the update is at most ``STEP_TOL * sqrt(1 + |u|^2)``
-    (Euclidean) and returns u with the source value it was computed from.
+
+def _rows(s: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """The kept rows of a source block; a broadcast row stays as it is."""
+    return s[ok] if s.ndim == 2 and len(s) == len(ok) else s
+
+
+def _solve_step(source: Callable[[float, np.ndarray], np.ndarray], t: float, known: np.ndarray,
+                half_bt: Matrix, v: np.ndarray, strict: bool) -> tuple:
+    """Fixed-point iteration for ``U = known + s(t, U) half_bt`` on a ``(k, n)`` block from v.
+
+    ``half_bt`` is ``B^T / 2``.  The whole block iterates until every row's
+    update is at most ``STEP_TOL * sqrt(1 + |u|^2)`` (Euclidean).  A row
+    whose iterate turns non-finite, or that is still unsolved after
+    ``STEP_ITERATIONS``, is dropped; with ``strict`` it raises
+    ``FloatingPointError`` or :class:`StepNotConverged` instead.  Returns the
+    solved rows, the source values they were computed from, and the mask of
+    input rows kept (None when all are).
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # reported as errors below
+    tol_sq, kept = STEP_TOL**2, None
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are handled below
         for _ in range(STEP_ITERATIONS):
             s = np.asarray(source(t, v), dtype=float)
-            new = known + b @ (0.5 * s)
+            new = known + s @ half_bt
             d = new - v
-            update_sq, size_sq = float(d @ d), float(new @ new)
-            if not math.isfinite(update_sq + size_sq):
-                raise FloatingPointError(f"step equation diverged at t={t:g}")
-            if update_sq <= STEP_TOL**2 * (1.0 + size_sq):
-                return new, s
+            excess = np.vecdot(d, d) - tol_sq * np.vecdot(new, new)
+            worst = excess.max()
+            if not math.isfinite(worst):
+                if strict:
+                    raise FloatingPointError(f"step equation diverged at t={t:g}")
+                ok = np.isfinite(excess)
+                kept = _narrow(kept, ok)
+                known, new, s, excess = known[ok], new[ok], _rows(s, ok), excess[ok]
+                worst = excess.max(initial=-math.inf)
+            if worst <= tol_sq:
+                return new, s, kept
             v = new
-    raise StepNotConverged(f"step equation not solved at t={t:g}")
+    if strict:
+        raise StepNotConverged(f"step equation not solved at t={t:g}")
+    ok = excess <= tol_sq
+    return new[ok], _rows(s, ok), _narrow(kept, ok)
 
 
-def _march(prop: Propagator, x: Vector, f_values: np.ndarray | None,
-           source: Callable[[float, Vector], Vector] | None = None) -> np.ndarray:
+def _march(prop: Propagator, x: np.ndarray, f_values: np.ndarray | None,
+           source: Callable[[float, np.ndarray], np.ndarray] | None = None) -> np.ndarray:
     """Roll the one-step scheme with trapezoidal source treatment.
 
     The source is given either as nodal values ``f_values`` or, when those
-    are None, as a state-dependent ``source(t, u)``.  Then each step's
-    trapezoid equation ``u_{j+1} = F_j u_j + B_j (s(t_j, u_j) + s(t_{j+1},
-    u_{j+1})) / 2`` is implicit, and :func:`_solve_step` solves it from the
-    source extrapolated linearly from the last two nodes.  A step still
-    unsolved after ``STEP_ITERATIONS`` raises :class:`StepNotConverged`; a
-    non-finite iterate raises ``FloatingPointError``.
+    are None, as a state-dependent ``source(t, U)``.  Nodal values (or no
+    source) march one vector ``x`` into an ``(N+1, n)`` path.  A state-dependent source marches
+    a ``(k, n)`` block of initial values into a ``(k, N+1, n)`` array, one
+    path per row, with ``source`` called on the whole ``(k, n)`` block (its
+    value may broadcast, e.g. as an ``(n,)`` row).  Each step's trapezoid
+    equation ``u_{j+1} = F_j u_j + B_j (s(t_j, u_j) + s(t_{j+1}, u_{j+1})) / 2``
+    is implicit, and :func:`_solve_step` solves it for every row at once from
+    the source extrapolated linearly from the last two nodes.  A row whose
+    step turns non-finite or stays unsolved after ``STEP_ITERATIONS`` is
+    flagged: its whole path is NaN and the other rows march on.  A 1-D ``x``
+    gives the ``(N+1, n)`` path and raises instead: ``StepNotConverged`` for
+    an unsolved step, ``FloatingPointError`` for a non-finite iterate.
     """
     n = prop.space.n_modes
     nodes = prop.grid.nodes
-    out = np.empty((prop.grid.n_steps + 1, n))
-    out[0] = np.asarray(x, dtype=float)
-    if source is not None:
-        s_prev = s_old = np.asarray(source(float(nodes[0]), out[0]), dtype=float)
+    x = np.asarray(x, dtype=float)
+    if source is None:
+        out = np.empty((prop.grid.n_steps + 1, n))
+        out[0] = x
+        for j in range(prop.grid.n_steps):
+            v = prop.step_factors[j] @ out[j]
+            if f_values is not None:
+                v = v + prop.source_factors[j] @ (0.5 * (f_values[j] + f_values[j + 1]))
+            out[j + 1] = v
+        return out
+    u = np.atleast_2d(x)
+    out = np.empty((len(u), prop.grid.n_steps + 1, n))
+    out[:, 0] = u
+    live = np.arange(len(u))
+    s_prev = s_old = np.asarray(source(float(nodes[0]), u), dtype=float)
     for j in range(prop.grid.n_steps):
-        v = prop.step_factors[j] @ out[j]
-        if f_values is not None:
-            v = v + prop.source_factors[j] @ (0.5 * (f_values[j] + f_values[j + 1]))
-        elif source is not None:
-            b = prop.source_factors[j]
-            known = v + b @ (0.5 * s_prev)
-            guess = known + b @ (0.5 * (2.0 * s_prev - s_old))
-            s_old = s_prev
-            v, s_prev = _solve_step(source, float(nodes[j + 1]), known, b, guess)
-        out[j + 1] = v
-    return out
+        half_bt = 0.5 * prop.source_factors[j].T
+        known = u @ prop.step_factors[j].T + s_prev @ half_bt
+        guess = known + (2.0 * s_prev - s_old) @ half_bt
+        u, s_next, kept = _solve_step(source, float(nodes[j + 1]), known, half_bt, guess,
+                                      strict=x.ndim == 1)
+        if kept is not None:
+            out[live[~kept]] = np.nan
+            live, s_prev = live[kept], _rows(s_prev, kept)
+            if not live.size:
+                break
+        s_old, s_prev = s_prev, s_next
+        out[live, j + 1] = u
+    return out[0] if x.ndim == 1 else out
 
 
 def propagate(form: TimeForm, proj: Projection | None, grid: TimeGrid, x: Vector,

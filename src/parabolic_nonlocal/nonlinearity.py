@@ -28,6 +28,13 @@ def _rng(seed_or_rng) -> np.random.Generator:
 class Nonlinearity:
     """A source term f(t, x) with declared sublinear growth.
 
+    ``eval(t, x)`` takes a vector x of shape ``(n,)`` or a block of row
+    vectors of shape ``(k, n)``, and returns the same shape, or a shape that
+    broadcasts to it (a state-independent f may return one ``(n,)`` row).
+    Rows are independent: the shooting solver marches its Jacobian columns
+    as one block.  Wrap an f written for single rows with
+    ``np.vectorize(f, excluded={0}, signature="(n)->(n)")``.
+
     The declared constants promise ``|f(t,x)|_H <= growth_a |x|_H + growth_b(t)``;
     :func:`growth_audit` spot-checks the promise.
     """
@@ -50,9 +57,8 @@ def saturating_drift(dim: int) -> Nonlinearity:
     """Saturating restoring force plus a bounded oscillation on the first mode."""
 
     def f(t: float, x: Vector) -> Vector:
-        out = -x / (1.0 + np.linalg.norm(x))
-        out = np.asarray(out, dtype=float)
-        out[0] += math.sin(t)
+        out = -x / (1.0 + np.linalg.norm(x, axis=-1, keepdims=True))
+        out[..., 0] += math.sin(t)
         return out
 
     return Nonlinearity(f, 1.0, lambda t: 1.0, "saturating_drift")

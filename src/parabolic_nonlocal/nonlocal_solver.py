@@ -11,6 +11,7 @@ homotopy stages reached.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -285,12 +286,10 @@ class SolveReport:
 _FD_MIN, _FD_MAX, _MIN_STEP = 1.5e-8, 1e-2, 1e-3
 
 
-def _light_s_apply(prob: NonlocalProblem, prop: Propagator, lam: float, x: Vector,
-                   stiff: Callable[[float], Matrix]) -> Trajectory:
-    # one forward march from u(0) = x; the name is what the benchmark tracer counts as stages
-    p, f = prob.proj.matrix, prob.f.eval
-    vals = _march(prop, x, None, lambda t, u: lam * (p @ np.asarray(f(t, u), dtype=float)))
-    return make_trajectory(prob.form.space, prob.grid, vals, stiff)
+def _light_s_apply(prob: NonlocalProblem, prop: Propagator, lam: float, x: Vector) -> np.ndarray:
+    # one pass marching u(0) = x, or every row of a 2-D x (see _march); the tracer counts it by name
+    lam_pt, f = lam * prob.proj.matrix.T, prob.f.eval
+    return _march(prop, x, None, lambda t, u: np.asarray(f(t, u), dtype=float) @ lam_pt)
 
 
 class _Halt(Exception):
@@ -305,34 +304,45 @@ def _solve_stage(prob: NonlocalProblem, prop: Propagator, stiff: Callable[[float
                  lam: float, x: Vector, path: Trajectory, cfg: SolverConfig) -> tuple:
     """Drive ``r(x) = x - lam P g(U(x))`` to zero from ``x``; ``U(x)`` marches from u(0) = x.
 
-    Newton uses a forward-difference Jacobian (n marches, kept while steps
-    halve the residual) and backtracks.  Each marched path must be finite and
-    inside ``R0``; at most ``max_inner`` are marched.  A failed march at a
-    trial point counts as an infinite residual, so the step is halved, and a
-    Jacobian column whose march fails is differenced backwards; only a failed
-    march at the starting point ends the stage with its status.  Returns
-    ``(status, x, path, marches, residual)`` of the last accepted iterate
-    (``path`` if none was).
+    Newton uses a forward-difference Jacobian, kept while steps halve the
+    residual, and backtracks.  The Jacobian's n marches run as one block pass
+    of ``[x + h e_1; ...; x + h e_n]``; a column whose row fails is marched
+    again backwards, also as one block.  Each marched path must be finite and
+    inside ``R0``; at most ``max_inner`` paths are marched.  A failed march at
+    a trial point counts as an infinite residual, so the step is halved; only
+    a failed march at the starting point ends the stage with its status.
+    Returns ``(status, x, path, marches, residual)`` of the last accepted
+    iterate (``path`` if none was).
     """
-    p, marches = prob.proj.matrix, 0
+    p, space, marches = prob.proj.matrix, prob.form.space, 0
 
-    def shoot(x: Vector) -> tuple[Trajectory, Vector, float]:
+    def spend(k: int) -> None:  # k more marched paths, within max_inner
         nonlocal marches
-        if marches >= cfg.max_inner:
+        if marches + k > cfg.max_inner:
             raise _Halt("max_iterations")
-        marches += 1
+        marches += k
+
+    def checked(x: Vector, values: np.ndarray) -> tuple[Trajectory, Vector, float]:
+        if not np.all(np.isfinite(values)):  # a flagged block row is NaN; g never sees it
+            raise _MarchFailed("non_finite")
+        path = make_trajectory(space, prob.grid, values, stiff)
         try:
-            path = _light_s_apply(prob, prop, lam, x, stiff)
             r = x - lam * (p @ np.asarray(prob.g.eval(path), dtype=float))
-        except StepNotConverged:
-            raise _MarchFailed("max_iterations") from None
         except (ValueError, FloatingPointError):
             raise _MarchFailed("non_finite") from None
-        if not (np.all(np.isfinite(path.values)) and np.all(np.isfinite(r))):
+        if not np.all(np.isfinite(r)):
             raise _MarchFailed("non_finite")
         if path.mean_radius >= prob.R0:
             raise _MarchFailed("boundary_hit")
-        return path, r, prob.form.space.h_norm(r)
+        return path, r, space.h_norm(r)
+
+    def shoot(x: Vector) -> tuple[Trajectory, Vector, float]:
+        spend(1)
+        try:
+            return checked(x, _light_s_apply(prob, prop, lam, x))
+        except (StepNotConverged, FloatingPointError) as exc:
+            failed = "max_iterations" if isinstance(exc, StepNotConverged) else "non_finite"
+            raise _MarchFailed(failed) from None
 
     def attempt(x: Vector) -> tuple:
         try:
@@ -340,23 +350,28 @@ def _solve_stage(prob: NonlocalProblem, prop: Propagator, stiff: Callable[[float
         except _MarchFailed:
             return None, None, math.inf
 
-    def column(x: Vector, r: Vector, h: float, e: Vector) -> Vector:
-        for dx in (h, -h):
-            r_dx = attempt(x + dx * e)[1]
-            if r_dx is not None:
-                return (r_dx - r) / dx
+    def jacobian(x: Vector, r: Vector, h: float) -> Matrix:
+        jac, cols = np.empty((x.size, x.size)), list(range(x.size))
+        for dx in (h, -h):  # columns whose forward row failed go again backwards
+            spend(len(cols))
+            xs = x + dx * np.eye(x.size)[cols]
+            for i, x_i, values in zip(list(cols), xs, _light_s_apply(prob, prop, lam, xs)):
+                with suppress(_MarchFailed):
+                    jac[:, i] = (checked(x_i, values)[1] - r) / dx
+                    cols.remove(i)
+            if not cols:
+                return jac
         raise _Halt("max_iterations")
 
-    res = math.inf
+    res, jac = math.inf, None
     try:
         path, r, res = shoot(x)
-        jac = None
         while res > cfg.inner_tol:
             fresh = jac is None
             if fresh:
                 scale = 1.0 + float(np.abs(x).max())
-                h = min(max(float(np.abs(r).max()), _FD_MIN * scale), _FD_MAX * scale)
-                jac = np.column_stack([column(x, r, h, e) for e in np.eye(x.size)])
+                jac = jacobian(x, r, min(max(float(np.abs(r).max()), _FD_MIN * scale),
+                                         _FD_MAX * scale))
             step, t = np.linalg.lstsq(jac, -r, rcond=None)[0], 1.0
             trial = attempt(x + step)
             while trial[2] > (1.0 - 1e-4 * t) * res and t > _MIN_STEP:
@@ -379,10 +394,11 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
 
     The unknown is x = u(0) in R^n: the forward march ``U(x)`` solves every
     step's trapezoid equation, and Newton drives ``r(x) = x - P g(U(x))`` to
-    zero from ``x0 = P g(0)``, so a constant g takes one march.  Only if that
-    fails do the Leray-Schauder stages ``lam = k / lambda_steps`` run, each
-    warm-started from the last (the first from zero if g fails on the zero
-    path).  ``lambda_path`` holds ``(lam, marches, residual)`` per stage.
+    zero from ``x0 = P g(0)``: a constant g takes one march, an affine problem
+    three passes (the start, the Jacobian's n rows as one block, the step).
+    Only if that fails do the Leray-Schauder stages ``lam = k / lambda_steps``
+    run, each warm-started from the last (the first from zero if g fails on the
+    zero path).  ``lambda_path`` holds ``(lam, marches, residual)`` per stage.
     Statuses: ``converged``, ``max_iterations`` (march budget spent, the
     starting step equation unsolved, or no descent), ``boundary_hit`` (an
     iterate's path reached the outer radius, contradicting the standing
@@ -485,12 +501,9 @@ def exp_shift(prob: NonlocalProblem, mu: float) -> NonlocalProblem:
         scale = math.exp(-mu * t)
         return scale * np.asarray(f.eval(t, x / scale), dtype=float) - eps * x
 
-    new_f = Nonlinearity(
-        eval=f_hat,
-        growth_a=f.growth_a + eps,
-        growth_b=lambda t: math.exp(-mu * t) * f.growth_b(t),
-        label=f.label + f"+shift({mu:g})",
-    )
+    new_f = Nonlinearity(eval=f_hat, growth_a=f.growth_a + eps,
+                         growth_b=lambda t: math.exp(-mu * t) * f.growth_b(t),
+                         label=f.label + f"+shift({mu:g})")
 
     g = prob.g
     growth = np.exp(mu * prob.grid.nodes)[:, None]
@@ -498,21 +511,8 @@ def exp_shift(prob: NonlocalProblem, mu: float) -> NonlocalProblem:
     def g_hat(traj: Trajectory) -> Vector:
         return g.eval(make_trajectory(space, traj.grid, traj.values * growth))
 
-    new_g = NonlocalCondition(
-        eval=g_hat,
-        kind=g.kind,
-        bound_params={**g.bound_params, "exp_shift_mu": mu},
-    )
-    return NonlocalProblem(
-        form=new_form,
-        proj=prob.proj,
-        f=new_f,
-        g=new_g,
-        grid=prob.grid,
-        r0=prob.r0,
-        R0=prob.R0,
-        shift_mu=prob.shift_mu + mu,
-    )
+    new_g = replace(g, eval=g_hat, bound_params={**g.bound_params, "exp_shift_mu": mu})
+    return replace(prob, form=new_form, f=new_f, g=new_g, shift_mu=prob.shift_mu + mu)
 
 
 def unshift_trajectory(traj: Trajectory, mu: float,

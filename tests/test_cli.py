@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -190,6 +191,13 @@ BAD_VALUES = {
                                      "n_steps": 16, "m_list": [2, 4.5]}),
     "text_m_ref": ("m_ref", {"command": "converge", "form": {"n_modes": 8}, "n_steps": 16,
                              "m_list": [2, 4], "m_ref": "8"}),
+    # json parses NaN and Infinity; they once ran a solve (exit 3) or failed
+    # without naming the key ("gram_V is not positive definite")
+    "infinite_shift_mu": ("shift_mu", {"command": "solve",
+                                       "problem": {"n_modes": 2, "n_steps": 8,
+                                                   "shift_mu": math.inf}}),
+    "nan_length": ("length", {"command": "solve",
+                              "problem": {"n_modes": 2, "n_steps": 8, "length": math.nan}}),
 }
 
 
@@ -269,6 +277,16 @@ class TestConfigHandling:
         out = tmp_path / "out"
         assert main(["--config", cfg, "--output", str(out), "--quiet"]) == 0
         assert read_report(out)["seed"] == 2
+
+    def test_text_inf_R0_still_accepted(self, tmp_path):
+        # non-finite numbers are rejected, the documented text "inf" is not
+        cfg = write_config(tmp_path, "cfg.json", {
+            "command": "solve", "problem": {"n_modes": 2, "n_steps": 8, "R0": "inf"},
+            "solver": {"g_star_samples": 4},
+        })
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--output", str(out), "--quiet"]) == 0
+        assert read_report(out)["results"]["resolved"]["problem"]["R0"] == "inf"
 
     def test_reports_deterministic_modulo_timestamp(self, tmp_path):
         payload = {
@@ -368,6 +386,7 @@ SCALARS = st.one_of(st.integers(-2, 8), st.floats(-2.0, 8.0), st.booleans(),
 def fuzzed_value(key):
     kinds = [IN_RANGE.get(key, st.nothing()),
              st.floats(-2.0, 8.0).filter(lambda v: not v.is_integer()),
+             st.sampled_from([math.nan, math.inf, -math.inf]),
              st.booleans(),
              st.one_of(st.text(max_size=4), st.sampled_from(["inf", "8", "1e-10", "smooth"])),
              st.lists(SCALARS, max_size=3)]

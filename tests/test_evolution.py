@@ -1,11 +1,15 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parabolic_nonlocal.evolution import (
+    STEP_TOL,
     StepNotConverged,
     TimeGrid,
     _march,
@@ -271,6 +275,52 @@ class TestStateDependentSource:
         prop = build_propagator(form, None, TimeGrid(1.0, 32))
         with pytest.raises(FloatingPointError):
             _march(prop, np.array([1.0]), None, lambda t, u: 1e12 * u)
+
+
+class TestBlockMarch:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 4), k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           saturating=st.booleans())
+    def test_rows_match_single_marches(self, n, k, seed, saturating):
+        rng = np.random.default_rng(seed)
+        sp = build_sine_space(n, math.pi)
+        prop = build_propagator(random_accretive_form(sp, rng), None, TimeGrid(1.0, 32))
+        a, h = rng.standard_normal((n, n)), rng.standard_normal(n)
+        if saturating:
+            def source(t, u):
+                return -u / (1.0 + np.linalg.norm(u, axis=-1, keepdims=True)) + math.sin(t) * h
+        else:
+            def source(t, u):
+                return u @ a.T + math.cos(t) * h
+        xs = rng.standard_normal((k, n))
+        block = _march(prop, xs, None, source)
+        assert block.shape == (k, 33, n)
+        for x, row in zip(xs, block):
+            single = _march(prop, x, None, source)
+            assert np.abs(row - single).max() <= STEP_TOL * (1.0 + np.abs(single).max())
+
+    @pytest.mark.parametrize("gain, single_error", [(1e12, FloatingPointError),
+                                                    (96.0, StepNotConverged)],
+                             ids=["non_finite", "unsolved"])
+    def test_failed_row_flagged_others_unchanged(self, gain, single_error):
+        # the step equation diverges only for |u| > 2: with gain 1e12 the row
+        # started at 5 overflows, with 96 it grows by 1.5 per pass and stays finite
+        sp, form = scalar_form()
+        prop = build_propagator(form, None, TimeGrid(1.0, 32))
+
+        def source(t, u):
+            return np.where(np.abs(u) > 2.0, gain, -1.0) * u
+
+        xs = np.array([[0.5], [5.0], [-0.3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = _march(prop, xs, None, source)
+        assert np.isnan(block[1]).all()
+        for i in (0, 2):
+            single = _march(prop, xs[i], None, source)
+            assert np.abs(block[i] - single).max() <= STEP_TOL * (1.0 + np.abs(single).max())
+        with pytest.raises(single_error):
+            _march(prop, xs[1], None, source)
 
 
 class TestAdjoint:

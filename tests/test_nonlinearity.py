@@ -5,10 +5,12 @@ import pytest
 
 from parabolic_nonlocal.evolution import TimeGrid, duhamel_solve, make_trajectory, propagate
 from parabolic_nonlocal.galerkin import build_sine_space, constant_form
+from parabolic_nonlocal.models import preset_evi, preset_heat_timevarying
 from parabolic_nonlocal.nonlinearity import (
     ConvexFunctional,
     Nonlinearity,
     apply_superposition,
+    bounded_source,
     check_monotone,
     convexity_probe,
     evi_residual,
@@ -61,6 +63,31 @@ class TestSuperposition:
                            1.0, lambda t: 0.0)
         with pytest.raises(ValueError):
             apply_superposition(bad, tr)
+
+
+def bundled_nonlinearities(n):
+    """Every f the package builds: presets, CLI choices and the shifted heat source."""
+    return {
+        "zero": zero_nonlinearity(),
+        "negated_identity": negated_identity(),
+        "saturating_drift": saturating_drift(n),
+        "bounded_source": bounded_source(lambda t: math.sin(t) * np.arange(1.0, n + 1), n),
+        "exp_shift_f_hat": preset_heat_timevarying(n, 64).f,
+        "gradient_flow_quadratic": preset_evi(n, 8, quadratic_functional(n)).f,
+        "gradient_flow_pseudo_huber": preset_evi(n, 8, pseudo_huber_functional(n)).f,
+    }
+
+
+class TestBlockContract:
+    @pytest.mark.parametrize("name", list(bundled_nonlinearities(4)))
+    def test_block_call_equals_row_calls(self, name):
+        # f(t, X) on a (k, n) block is f(t, x) on each row (a broadcast row counts)
+        f = bundled_nonlinearities(4)[name]
+        x = 3.0 * np.random.default_rng(5).standard_normal((6, 4))
+        for t in (0.0, 0.37):
+            block = np.broadcast_to(np.asarray(f.eval(t, x), dtype=float), x.shape)
+            rows = np.array([f.eval(t, row) for row in x])
+            np.testing.assert_allclose(block, rows, rtol=1e-15, atol=1e-15)
 
 
 class TestGrowthAudit:

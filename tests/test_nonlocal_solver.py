@@ -438,6 +438,48 @@ class TestShooting:
             solve_nonlocal(prob)
 
 
+class TestBlockShooting:
+    @staticmethod
+    def count_passes(monkeypatch):
+        import parabolic_nonlocal.nonlocal_solver as ns
+
+        passes, block = [], ns._light_s_apply
+
+        def counted(prob, prop, lam, x):
+            passes.append(np.shape(x))
+            return block(prob, prop, lam, x)
+
+        monkeypatch.setattr(ns, "_light_s_apply", counted)
+        return passes
+
+    def test_affine_solve_is_three_passes(self, monkeypatch):
+        # start, one (n, n) Jacobian block, the Newton step; lambda_path counts rows
+        passes = self.count_passes(monkeypatch)
+        rep = solve_nonlocal(preset_heat_timevarying(4, 64), SolverConfig(inner_tol=1e-12))
+        assert rep.converged
+        assert passes == [(4,), (4, 4), (4,)]
+        assert rep.lambda_path[0][1] == 4 + 2
+
+    def test_only_the_failed_column_is_differenced_backwards(self, monkeypatch):
+        # r(x) = 3 (x - e_1) from x0 = 3 e_1, whose path sits just inside R0:
+        # the forward row along e_1 leaves R0, the one along e_2 does not
+        sp = build_sine_space(2, math.pi)
+        grid = TimeGrid(1.0, 64)
+        form = constant_form(sp, sp.gram_V, 1.0)
+        e1 = np.array([1.0, 0.0])
+        g = NonlocalCondition(lambda tr: tr.values[0] - 3.0 * (tr.values[0] - e1),
+                              "multipoint", {})
+        unit = propagate(form, None, grid, e1).mean_radius
+        prob = NonlocalProblem(form=form, proj=project(sp, 2), f=zero_nonlinearity(), g=g,
+                               grid=grid, r0=1.0, R0=3.02 * unit)
+        passes = self.count_passes(monkeypatch)
+        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12, lambda_steps=1))
+        assert rep.status == "converged" and rep.converged
+        assert passes == [(2,), (2, 2), (1, 2), (2,)]
+        assert rep.lambda_path[0][1] == 5
+        assert np.abs(rep.solution.values[0] - e1).max() <= 1e-12
+
+
 class TestAuditProblem:
     def test_restoring_problem_passes(self):
         grid = TimeGrid(1.0, 32)
