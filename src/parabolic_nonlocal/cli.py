@@ -351,9 +351,9 @@ def cmd_evi(config, seed, outdir):
     phi_name = config.read("phi", "quadratic")
     phi = _pick("functional preset", phi_name, FUNCTIONALS)(n_modes)
     prob = preset_evi(n_modes, config.read("n_steps", 256, _integer), phi)
+    n_test = config.read("n_test", 50, _integer)
     rep = solve_nonlocal(prob, _solver_from_config(config.section("solver"), seed))
-    residual = evi_residual(prob.form, phi, rep.solution, config.read("n_test", 50, _integer),
-                            seed=seed)
+    residual = evi_residual(prob.form, phi, rep.solution, n_test, seed=seed)
     results = {
         "status": rep.status,
         "converged": rep.converged,

@@ -23,6 +23,7 @@ from .galerkin import (
     Projection,
     TimeForm,
     Vector,
+    project,
     projected_stiffness_fn,
 )
 
@@ -142,18 +143,17 @@ class Trajectory:
 
     @cached_property
     def l2_h(self) -> float:
-        return math.sqrt(_trapz(self.h_norms**2, self.grid.dt))
+        return _l2(self.h_norms**2, self.grid.dt)
 
     @property
     def sobolev_h1(self) -> float:
         dt = self.grid.dt
         diffs = np.diff(self.values, axis=0) / dt
-        deriv_sq = float(np.einsum("ij,jk,ik->", diffs, self.space.gram_H, diffs) * dt)
-        return math.sqrt(_trapz(self.h_norms**2, dt) + deriv_sq)
+        return math.sqrt(self.l2_h**2 + float(_node_sq_norms(diffs, self.space.gram_H).sum() * dt))
 
     @property
     def l2_v(self) -> float:
-        return math.sqrt(_trapz(self.v_norms**2, self.grid.dt))
+        return _l2(self.v_norms**2, self.grid.dt)
 
     @cached_property
     def au_l2(self) -> float:
@@ -163,7 +163,7 @@ class Trajectory:
         for j, t in enumerate(self.grid.nodes):
             w = self.space.inv_sqrt_H @ (self.stiffness_fn(float(t)) @ self.values[j])
             ghi_sv[j] = float(w @ w)
-        return math.sqrt(_trapz(ghi_sv, self.grid.dt))
+        return _l2(ghi_sv, self.grid.dt)
 
     @property
     def mean_radius(self) -> float:
@@ -171,12 +171,18 @@ class Trajectory:
         return self.l2_h / math.sqrt(self.grid.horizon)
 
 
-def _trapz(values_sq: np.ndarray, dt: float) -> float:
-    return float(np.trapezoid(values_sq, dx=dt))
+def _l2(sq_norms: np.ndarray, dt: float) -> float:
+    """Trapezoid L2-in-time norm of a path from its squared node norms."""
+    return math.sqrt(max(float(np.trapezoid(sq_norms, dx=dt)), 0.0))
+
+
+def _node_sq_norms(vals: np.ndarray, gram: Matrix) -> np.ndarray:
+    """Squared Gram norm of every row of ``vals``, for any leading shape."""
+    return ((vals @ gram) * vals).sum(-1)
 
 
 def _node_norms(vals: np.ndarray, gram: Matrix) -> np.ndarray:
-    return np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", vals, gram, vals), 0.0))
+    return np.sqrt(np.maximum(_node_sq_norms(vals, gram), 0.0))
 
 
 def make_trajectory(space: GalerkinSpace, grid: TimeGrid, values: np.ndarray,
@@ -196,9 +202,7 @@ def l2h_distance(a: Trajectory, b: Trajectory) -> float:
     """L2-in-time pivot-norm distance between two paths on the same grid."""
     if a.grid.n_steps != b.grid.n_steps or a.grid.horizon != b.grid.horizon:
         raise ValueError("trajectories live on different grids")
-    d = a.values - b.values
-    sq = np.einsum("ij,jk,ik->i", d, a.space.gram_H, d)
-    return math.sqrt(max(_trapz(sq, a.grid.dt), 0.0))
+    return _l2(_node_sq_norms(a.values - b.values, a.space.gram_H), a.grid.dt)
 
 
 STEP_TOL = 1e-14
@@ -240,6 +244,8 @@ def _solve_step(source: Callable[[float, np.ndarray], np.ndarray], t: float, kno
             s = np.asarray(source(t, v), dtype=float)
             new = known + s @ half_bt
             d = new - v
+            if np.vdot(d, d) <= tol_sq:  # implies every row's test below
+                return new, s, kept
             excess = np.vecdot(d, d) - tol_sq * np.vecdot(new, new)
             worst = excess.max()
             if not math.isfinite(worst):
@@ -260,51 +266,46 @@ def _solve_step(source: Callable[[float, np.ndarray], np.ndarray], t: float, kno
 
 def _march(prop: Propagator, x: np.ndarray, f_values: np.ndarray | None,
            source: Callable[[float, np.ndarray], np.ndarray] | None = None) -> np.ndarray:
-    """Roll the one-step scheme with trapezoidal source treatment.
+    """Roll the one-step scheme ``u_{j+1} = F_j u_j + B_j (s_j + s_{j+1}) / 2``.
 
-    The source is given either as nodal values ``f_values`` or, when those
-    are None, as a state-dependent ``source(t, U)``.  Nodal values (or no
-    source) march one vector ``x`` into an ``(N+1, n)`` path.  A state-dependent source marches
-    a ``(k, n)`` block of initial values into a ``(k, N+1, n)`` array, one
-    path per row, with ``source`` called on the whole ``(k, n)`` block (its
-    value may broadcast, e.g. as an ``(n,)`` row).  Each step's trapezoid
-    equation ``u_{j+1} = F_j u_j + B_j (s(t_j, u_j) + s(t_{j+1}, u_{j+1})) / 2``
-    is implicit, and :func:`_solve_step` solves it for every row at once from
-    the source extrapolated linearly from the last two nodes.  A row whose
-    step turns non-finite or stays unsolved after ``STEP_ITERATIONS`` is
-    flagged: its whole path is NaN and the other rows march on.  A 1-D ``x``
-    gives the ``(N+1, n)`` path and raises instead: ``StepNotConverged`` for
-    an unsolved step, ``FloatingPointError`` for a non-finite iterate.
+    One loop body marches a ``(k, n)`` block of initial values into a
+    ``(k, N+1, n)`` array, one path per row, for every kind of source: none,
+    nodal values ``f_values``, or a state-dependent ``source(t, U)`` (which
+    takes precedence).  Only a callable source iterates: it is called on the
+    whole block (its value may broadcast, e.g. as an ``(n,)`` row), and
+    :func:`_solve_step` solves every row's implicit step at once from the
+    source extrapolated linearly from the last two nodes.  A row whose step
+    turns non-finite or stays unsolved is flagged: its whole path is NaN and
+    the other rows march on.  A 1-D ``x`` gives its ``(N+1, n)`` path and
+    raises instead: ``StepNotConverged`` for an unsolved step,
+    ``FloatingPointError`` for a non-finite iterate.
     """
-    n = prop.space.n_modes
-    nodes = prop.grid.nodes
     x = np.asarray(x, dtype=float)
-    if source is None:
-        out = np.empty((prop.grid.n_steps + 1, n))
-        out[0] = x
-        for j in range(prop.grid.n_steps):
-            v = prop.step_factors[j] @ out[j]
-            if f_values is not None:
-                v = v + prop.source_factors[j] @ (0.5 * (f_values[j] + f_values[j + 1]))
-            out[j + 1] = v
-        return out
     u = np.atleast_2d(x)
-    out = np.empty((len(u), prop.grid.n_steps + 1, n))
+    out = np.empty((len(u), prop.grid.n_steps + 1, prop.space.n_modes))
     out[:, 0] = u
-    live = np.arange(len(u))
-    s_prev = s_old = np.asarray(source(float(nodes[0]), u), dtype=float)
+    live = slice(None)  # the rows still marching: all of them until one is flagged
+    if source is not None:
+        s_prev = s_old = np.asarray(source(0.0, u), dtype=float)
+    elif f_values is not None:
+        f_mid = 0.5 * (f_values[:-1] + f_values[1:])
     for j in range(prop.grid.n_steps):
-        half_bt = 0.5 * prop.source_factors[j].T
-        known = u @ prop.step_factors[j].T + s_prev @ half_bt
-        guess = known + (2.0 * s_prev - s_old) @ half_bt
-        u, s_next, kept = _solve_step(source, float(nodes[j + 1]), known, half_bt, guess,
-                                      strict=x.ndim == 1)
-        if kept is not None:
-            out[live[~kept]] = np.nan
-            live, s_prev = live[kept], _rows(s_prev, kept)
-            if not live.size:
-                break
-        s_old, s_prev = s_prev, s_next
+        u = u @ prop.step_factors[j].T
+        if source is not None:
+            half_bt = 0.5 * prop.source_factors[j].T
+            known = u + s_prev @ half_bt
+            guess = known + (2.0 * s_prev - s_old) @ half_bt
+            u, s_next, kept = _solve_step(source, float(prop.grid.nodes[j + 1]), known, half_bt,
+                                          guess, strict=x.ndim == 1)
+            if kept is not None:
+                live = np.arange(len(out))[live]
+                out[live[~kept]] = np.nan
+                live, s_prev = live[kept], _rows(s_prev, kept)
+                if not live.size:
+                    break
+            s_old, s_prev = s_prev, s_next
+        elif f_values is not None:
+            u = u + f_mid[j] @ prop.source_factors[j].T
         out[live, j + 1] = u
     return out[0] if x.ndim == 1 else out
 
@@ -381,35 +382,28 @@ def subspace_invariance_residual(form: TimeForm, proj: Projection, grid: TimeGri
     so data starting in the range of P stays there; the returned residual is
     solver roundoff only.
     """
-    x = np.asarray(x, dtype=float)
-    q = proj.complement()
-    if form.space.h_norm(q @ x) > 1e-12:
+    leak = _node_norms(propagate(form, proj, grid, x).values @ proj.complement().T,
+                       form.space.gram_H)
+    if leak[0] > 1e-12:
         raise ValueError("initial vector is not in the range of the projection")
-    traj = propagate(form, proj, grid, x)
-    return max(form.space.h_norm(q @ v) for v in traj.values)
+    return float(leak.max())
 
 
 def projected_convergence_study(form: TimeForm, grid: TimeGrid, x: Vector,
                                 m_list: Sequence[int], m_ref: int) -> list[tuple[int, float]]:
     """Sup-in-time pivot error of reduced flows against a reference reduction."""
-    from .galerkin import project
-
     if max(m_list) >= m_ref:
         raise ValueError("m_ref must exceed every entry of m_list")
     if m_ref > form.space.n_modes:
         raise ValueError("m_ref exceeds the space dimension")
-    x = np.asarray(x, dtype=float)
     ref_proj = None if m_ref == form.space.n_modes else project(form.space, m_ref)
     ref = propagate(form, ref_proj, grid, x)
     out = []
     for m in m_list:
         pm = project(form.space, m)
-        traj = propagate(form, pm, grid, pm.matrix @ x)
-        err = max(
-            form.space.h_norm(traj.values[j] - ref.values[j])
-            for j in range(grid.n_steps + 1)
-        )
-        out.append((int(m), err))
+        err = _node_norms(propagate(form, pm, grid, pm.matrix @ x).values - ref.values,
+                          form.space.gram_H).max()
+        out.append((int(m), float(err)))
     return out
 
 
@@ -437,9 +431,7 @@ def weighted_diagnostic(form: TimeForm, proj: Projection | None, grid: TimeGrid,
     traj = propagate(form, proj, grid, x)
     weighted = make_trajectory(form.space, grid, traj.values * grid.nodes[:, None],
                                projected_stiffness_fn(form, proj))
-    return (weighted.sobolev_h1 + weighted.l2_v + weighted.au_l2) / (
-        math.sqrt(grid.horizon) * h_norm
-    )
+    return regularity_ratio(weighted, 0.0, math.sqrt(grid.horizon) * h_norm)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

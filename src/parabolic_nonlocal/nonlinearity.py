@@ -241,6 +241,8 @@ def evi_residual(form: TimeForm, phi: ConvexFunctional, traj: Trajectory,
     gradient-flow solution this is nonnegative by convexity, and the discrete
     defect is first order in the step size.
     """
+    if n_test < 1:
+        raise ValueError("n_test must be at least 1")
     rng = _rng(seed)
     gh = traj.space.gram_H
     dt = traj.grid.dt

@@ -22,7 +22,9 @@ from .evolution import (
     StepNotConverged,
     TimeGrid,
     Trajectory,
+    _l2,
     _march,
+    _node_sq_norms,
     build_propagator,
     make_trajectory,
     zero_trajectory,
@@ -152,11 +154,13 @@ def _sampled_sup(g: NonlocalCondition, norm: Callable[[Vector], float], n_sample
                  scale: Callable[[np.random.Generator, float], float]) -> float:
     """Largest ``norm(g(u))`` over sampled paths: standard normal coordinates times
     ``scale(rng, l2_h)``, with ``l2_h`` the drawn path's L2-in-time pivot norm."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
     rng = _rng(seed)
     worst = 0.0
     for _ in range(n_samples):
         vals = rng.standard_normal((grid.n_steps + 1, space.n_modes))
-        vals = vals * scale(rng, make_trajectory(space, grid, vals).l2_h)
+        vals = vals * scale(rng, _l2(_node_sq_norms(vals, space.gram_H), grid.dt))
         g_u = np.asarray(g.eval(make_trajectory(space, grid, vals)), dtype=float)
         worst = max(worst, norm(g_u))
     return worst
@@ -264,8 +268,9 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.lambda_steps < 1 or self.max_inner < 1:
-            raise ValueError("lambda_steps and max_inner must be positive")
+        for name in ("lambda_steps", "max_inner", "g_star_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -443,7 +448,7 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
     g_star = estimate_g_star(prob.g, prob.r0 * sqrt_t, cfg.g_star_samples, grid,
                              space, seed=cfg.seed)
     b_vals = np.array([prob.f.growth_b(float(t)) for t in grid.nodes])
-    b_l2 = math.sqrt(float(np.trapezoid(b_vals**2, dx=grid.dt)))
+    b_l2 = _l2(b_vals**2, grid.dt)
     apriori_rhs = 2.0 * max(prob.f.growth_a * prob.r0 * sqrt_t, b_l2) + g_star
     apriori_lhs = solution.sobolev_h1 + solution.l2_v + solution.au_l2
 

@@ -198,6 +198,12 @@ BAD_VALUES = {
                                                    "shift_mu": math.inf}}),
     "nan_length": ("length", {"command": "solve",
                               "problem": {"n_modes": 2, "n_steps": 8, "length": math.nan}}),
+    # sample counts below 1 once passed vacuously: evi_residual 0.0, g_star 0.0
+    "zero_n_test": ("n_test", {"command": "evi", "n_modes": 2, "n_steps": 16, "n_test": 0}),
+    "zero_g_star_samples": ("g_star_samples", {"command": "solve",
+                                               "problem": {"preset": "heat_timevarying",
+                                                           "n_modes": 4, "n_steps": 64},
+                                               "solver": {"g_star_samples": 0}}),
 }
 
 

@@ -13,6 +13,7 @@ from parabolic_nonlocal.evolution import (
     StepNotConverged,
     TimeGrid,
     _march,
+    _node_norms,
     adjoint_propagate,
     build_propagator,
     duhamel_direct_sum,
@@ -321,6 +322,61 @@ class TestBlockMarch:
             assert np.abs(block[i] - single).max() <= STEP_TOL * (1.0 + np.abs(single).max())
         with pytest.raises(single_error):
             _march(prop, xs[1], None, source)
+
+
+RANDOM_FORM_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+class TestRandomFormProperties:
+    """Properties of the march over random accretive forms and grids."""
+
+    @RANDOM_FORM_SETTINGS
+    @given(n=st.integers(1, 4), n_steps=st.integers(1, 32), k=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_nodal_march_matches_state_independent_source(self, n, n_steps, k, seed):
+        # k = 0 marches one vector, otherwise a (k, n) block
+        rng = np.random.default_rng(seed)
+        sp = build_sine_space(n, math.pi)
+        grid = TimeGrid(1.0, n_steps)
+        prop = build_propagator(random_accretive_form(sp, rng), None, grid)
+        a, b, w = rng.standard_normal(n), rng.standard_normal(n), rng.uniform(0.5, 4.0)
+
+        def source(t, u):
+            return math.sin(w * t) * a + math.cos(t) * b
+
+        x = rng.standard_normal((k, n) if k else n)
+        nodal = _march(prop, x, np.array([source(float(t), None) for t in grid.nodes]))
+        state = _march(prop, x, None, source)
+        assert nodal.shape == state.shape == (*x.shape[:-1], n_steps + 1, n)
+        assert np.abs(nodal - state).max() <= STEP_TOL * (1.0 + np.abs(state).max())
+
+    @RANDOM_FORM_SETTINGS
+    @given(n=st.integers(1, 4), n_steps=st.integers(1, 32), k=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1), nodal=st.booleans())
+    def test_block_rows_match_single_marches(self, n, n_steps, k, seed, nodal):
+        rng = np.random.default_rng(seed)
+        sp = build_sine_space(n, math.pi)
+        prop = build_propagator(random_accretive_form(sp, rng), None, TimeGrid(1.0, n_steps))
+        f_values = rng.standard_normal((n_steps + 1, n)) if nodal else None
+        xs = rng.standard_normal((k, n))
+        block = _march(prop, xs, f_values)
+        assert block.shape == (k, n_steps + 1, n)
+        for x, row in zip(xs, block):
+            single = _march(prop, x, f_values)
+            assert np.abs(row - single).max() <= STEP_TOL * (1.0 + np.abs(single).max())
+
+    @RANDOM_FORM_SETTINGS
+    @given(n=st.integers(1, 4), n_steps=st.integers(1, 32), k=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_homogeneous_pivot_norms_never_rise(self, n, n_steps, k, seed):
+        rng = np.random.default_rng(seed)
+        sp = build_sine_space(n, math.pi)
+        prop = build_propagator(random_accretive_form(sp, rng), None, TimeGrid(1.0, n_steps))
+        xs = rng.standard_normal((k, n))
+        norms = _node_norms(_march(prop, xs, None), sp.gram_H)
+        assert norms.shape == (k, n_steps + 1)
+        assert norms[:, 0] == pytest.approx([sp.h_norm(x) for x in xs], rel=1e-14)
+        assert np.all(np.diff(norms, axis=1) <= 1e-12 * norms[:, :1])
 
 
 class TestAdjoint:

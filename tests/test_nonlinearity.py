@@ -235,6 +235,15 @@ class TestEviResidual:
         res = evi_residual(form, quadratic_functional(1), tr, n_test=200, seed=3)
         assert res < -10.0 * grid.dt
 
+    @pytest.mark.parametrize("n_test", [0, -3])
+    def test_no_test_points_rejected(self, n_test):
+        # without test points the residual would read 0.0 and pass vacuously
+        sp = build_sine_space(1, math.pi)
+        form = constant_form(sp, np.array([[1.0]]), 1.0)
+        tr = propagate(form, None, TimeGrid(1.0, 16), np.array([1.0]))
+        with pytest.raises(ValueError, match="n_test"):
+            evi_residual(form, quadratic_functional(1), tr, n_test=n_test)
+
 
 class TestShiftedTransversality:
     def test_monotone_plus_shift_points_inward(self):

@@ -190,6 +190,16 @@ class TestAuditGBound:
         audit = audit_g_bound(g, 1.0, 60, grid, sp, seed=3)
         assert not audit.passed
 
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_no_samples_rejected(self, n_samples):
+        # an empty sample would pass with the full margin without testing a path
+        sp = build_sine_space(2, math.pi)
+        g = NonlocalCondition(lambda tr: 2.0 * tr.values[0], "multipoint", {})
+        with pytest.raises(ValueError, match="n_samples"):
+            audit_g_bound(g, 1.0, n_samples, TimeGrid(1.0, 16), sp)
+        with pytest.raises(ValueError, match="n_samples"):
+            estimate_g_star(g, 1.0, n_samples, TimeGrid(1.0, 16), sp)
+
 
 class TestHomotopyMap:
     def test_stage_zero_returns_zero_path(self):
@@ -559,6 +569,11 @@ class TestExpShift:
 
 
 class TestGStar:
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_solver_config_rejects_no_samples(self, samples):
+        with pytest.raises(ValueError, match="g_star_samples"):
+            SolverConfig(g_star_samples=samples)
+
     def test_zero_condition(self):
         sp = build_sine_space(2, math.pi)
         grid = TimeGrid(1.0, 8)
