@@ -234,6 +234,8 @@ def _problem_from_config(problem):
         R0=problem.read("R0", math.inf, lambda k, v: math.inf if v == "inf" else _real(k, v)),
     )
     mu = problem.read("shift_mu", 0.0, _real)
+    if mu < 0.0:
+        raise ConfigError(f"problem.shift_mu must be nonnegative, got {mu!r}")
     return exp_shift(prob, mu) if mu > 0.0 else prob
 
 
@@ -300,14 +302,11 @@ def cmd_solve(config, seed, outdir):
             "transversality_violations": audits["transversality"].violations,
             "g_bound_ok": audits["g_bound_ok"],
             "g_bound_margins": audits["g_bound_margins"],
+            "g_solver_ok": audits["g_solver_ok"],
             "passed": audits["passed"],
         }
     }
-    if prob.g.bound_params.get("solver_ok") is False:
-        # the kernel's derivative mass reaches 1: g is not admissible for solves
-        results["audits"]["g_solver_ok"] = False
-        results["audits"]["passed"] = False
-    if not results["audits"]["passed"]:
+    if not audits["passed"]:
         return EXIT_AUDIT, results, None
     rep = solve_nonlocal(prob, cfg)
     results.update(

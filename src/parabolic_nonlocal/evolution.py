@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from .galerkin import (
     TimeForm,
     Vector,
     project,
-    projected_stiffness_fn,
+    stiffness_stack,
 )
 
 SCHEMES = ("cayley", "implicit_euler")
@@ -81,7 +81,8 @@ class Propagator:
 
     def step_norms_h(self) -> np.ndarray:
         """Pivot-weighted operator norm of every one-step factor."""
-        return np.array([self.space.h_op_norm(f) for f in self.step_factors])
+        weighted = self.space.sqrt_H @ self.step_factors @ self.space.inv_sqrt_H
+        return np.linalg.norm(weighted, 2, axis=(1, 2))
 
 
 def build_propagator(form: TimeForm, proj: Projection | None, grid: TimeGrid,
@@ -91,19 +92,16 @@ def build_propagator(form: TimeForm, proj: Projection | None, grid: TimeGrid,
     With ``c = dt/2`` (Cayley) or ``dt`` (implicit Euler), one batched solve
     gives ``X_j = (G_H + c S(t_{j+1/2}))^(-1) G_H`` for every step; the step
     factor is ``2 X - I`` (Cayley) or ``X``, the source factor ``dt X``.  The
-    stiffness is still evaluated once per step through ``stiffness_at``.
+    midpoint stiffnesses come as one :func:`stiffness_stack`.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if grid.horizon > form.horizon * (1.0 + 1e-12):
         raise ValueError("grid horizon exceeds the form's horizon")
-    stiff = projected_stiffness_fn(form, proj)
     gh = form.space.gram_H
     dt = grid.dt
-    c = 0.5 * dt if scheme == "cayley" else dt
-    lhs = np.empty((grid.n_steps, *gh.shape))
-    for j, t_mid in enumerate(0.5 * (grid.nodes[:-1] + grid.nodes[1:])):
-        np.multiply(c, stiff(t_mid), out=lhs[j])
+    lhs = stiffness_stack(form, proj, 0.5 * (grid.nodes[:-1] + grid.nodes[1:]))
+    lhs *= 0.5 * dt if scheme == "cayley" else dt
     lhs += gh
     x = np.linalg.solve(lhs, np.broadcast_to(gh, lhs.shape))
     del lhs  # keep the peak at two stacks
@@ -123,15 +121,17 @@ class Trajectory:
 
     ``sobolev_h1`` combines the trapezoid pivot-norm quadrature with the
     forward-difference derivative quadrature; ``l2_v`` and ``au_l2`` are the
-    trapezoid energy-norm and operator-image quadratures.  ``au_l2`` is zero
-    when no stiffness evaluator was associated with the path.
+    trapezoid energy-norm and operator-image quadratures.  ``stiffness_fn``
+    maps an array of times to the ``(k, n, n)`` stiffness stack there, e.g.
+    ``partial(stiffness_stack, form, proj)``; ``au_l2`` is zero when the path
+    has none.
     """
 
     space: GalerkinSpace
     grid: TimeGrid
     values: np.ndarray
-    stiffness_fn: Callable[[float], Matrix] | None = field(default=None, repr=False,
-                                                           compare=False)
+    stiffness_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False,
+                                                                    compare=False)
 
     @cached_property
     def h_norms(self) -> np.ndarray:
@@ -159,11 +159,9 @@ class Trajectory:
     def au_l2(self) -> float:
         if self.stiffness_fn is None:
             return 0.0
-        ghi_sv = np.empty(self.grid.n_steps + 1)
-        for j, t in enumerate(self.grid.nodes):
-            w = self.space.inv_sqrt_H @ (self.stiffness_fn(float(t)) @ self.values[j])
-            ghi_sv[j] = float(w @ w)
-        return _l2(ghi_sv, self.grid.dt)
+        sv = self.stiffness_fn(self.grid.nodes) @ self.values[:, :, None]
+        w = (self.space.inv_sqrt_H @ sv)[:, :, 0]
+        return _l2(np.vecdot(w, w), self.grid.dt)
 
     @property
     def mean_radius(self) -> float:
@@ -186,8 +184,9 @@ def _node_norms(vals: np.ndarray, gram: Matrix) -> np.ndarray:
 
 
 def make_trajectory(space: GalerkinSpace, grid: TimeGrid, values: np.ndarray,
-                    stiffness_fn: Callable[[float], Matrix] | None = None) -> Trajectory:
-    """Wrap nodal values as a Trajectory after checking their shape."""
+                    stiffness_fn: Callable[[np.ndarray], np.ndarray] | None = None) -> Trajectory:
+    """Wrap nodal values as a Trajectory after checking their shape; ``stiffness_fn``
+    maps times to a stiffness stack (see :class:`Trajectory`)."""
     vals = np.asarray(values, dtype=float)
     if vals.shape != (grid.n_steps + 1, space.n_modes):
         raise ValueError("values must have shape (n_steps+1, n_modes)")
@@ -213,55 +212,43 @@ class StepNotConverged(RuntimeError):
     """A step's implicit source equation was not solved by fixed-point iteration."""
 
 
-def _narrow(kept: np.ndarray | None, ok: np.ndarray) -> np.ndarray:
-    """Compose a row mask with a mask over the rows it kept (None keeps all)."""
-    if kept is None:
-        return ok
-    kept[np.flatnonzero(kept)] = ok
-    return kept
-
-
-def _rows(s: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """The kept rows of a source block; a broadcast row stays as it is."""
-    return s[ok] if s.ndim == 2 and len(s) == len(ok) else s
-
-
 def _solve_step(source: Callable[[float, np.ndarray], np.ndarray], t: float, known: np.ndarray,
-                half_bt: Matrix, v: np.ndarray, strict: bool) -> tuple:
+                half_bt: Matrix, v: np.ndarray, strict: bool) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-point iteration for ``U = known + s(t, U) half_bt`` on a ``(k, n)`` block from v.
 
     ``half_bt`` is ``B^T / 2``.  The whole block iterates until every row's
-    update is at most ``STEP_TOL * sqrt(1 + |u|^2)`` (Euclidean).  A row
-    whose iterate turns non-finite, or that is still unsolved after
-    ``STEP_ITERATIONS``, is dropped; with ``strict`` it raises
-    ``FloatingPointError`` or :class:`StepNotConverged` instead.  Returns the
-    solved rows, the source values they were computed from, and the mask of
-    input rows kept (None when all are).
+    update is at most ``STEP_TOL * sqrt(1 + |u|^2)`` (Euclidean); a NaN row
+    counts as done.  A row whose iterate turns non-finite, or that is still
+    unsolved after ``STEP_ITERATIONS``, is set to NaN in place, together with
+    its known part and its source row, so it stays NaN; with ``strict`` it
+    raises ``FloatingPointError`` or :class:`StepNotConverged` instead.
+    Returns the solved block and the source values it was computed from.
     """
-    tol_sq, kept = STEP_TOL**2, None
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are handled below
+    tol_sq = STEP_TOL**2
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are flagged below
         for _ in range(STEP_ITERATIONS):
             s = np.asarray(source(t, v), dtype=float)
             new = known + s @ half_bt
             d = new - v
             if np.vdot(d, d) <= tol_sq:  # implies every row's test below
-                return new, s, kept
+                return new, s
             excess = np.vecdot(d, d) - tol_sq * np.vecdot(new, new)
             worst = excess.max()
             if not math.isfinite(worst):
                 if strict:
                     raise FloatingPointError(f"step equation diverged at t={t:g}")
-                ok = np.isfinite(excess)
-                kept = _narrow(kept, ok)
-                known, new, s, excess = known[ok], new[ok], _rows(s, ok), excess[ok]
-                worst = excess.max(initial=-math.inf)
+                bad = ~np.isfinite(excess)
+                new[bad] = known[bad] = np.nan
+                s = np.where(bad[:, None], np.nan, s)
+                worst = excess.max(where=~bad, initial=-math.inf)
             if worst <= tol_sq:
-                return new, s, kept
+                return new, s
             v = new
     if strict:
         raise StepNotConverged(f"step equation not solved at t={t:g}")
-    ok = excess <= tol_sq
-    return new[ok], _rows(s, ok), _narrow(kept, ok)
+    bad = ~(excess <= tol_sq)
+    new[bad] = np.nan
+    return new, np.where(bad[:, None], np.nan, s)
 
 
 def _march(prop: Propagator, x: np.ndarray, f_values: np.ndarray | None,
@@ -275,16 +262,16 @@ def _march(prop: Propagator, x: np.ndarray, f_values: np.ndarray | None,
     whole block (its value may broadcast, e.g. as an ``(n,)`` row), and
     :func:`_solve_step` solves every row's implicit step at once from the
     source extrapolated linearly from the last two nodes.  A row whose step
-    turns non-finite or stays unsolved is flagged: its whole path is NaN and
-    the other rows march on.  A 1-D ``x`` gives its ``(N+1, n)`` path and
-    raises instead: ``StepNotConverged`` for an unsolved step,
-    ``FloatingPointError`` for a non-finite iterate.
+    turns non-finite or stays unsolved is flagged NaN in place and marches on
+    as NaN; every row that ends non-finite is NaN along its whole path.  A
+    1-D ``x`` gives its ``(N+1, n)`` path and raises instead:
+    ``StepNotConverged`` for an unsolved step, ``FloatingPointError`` for a
+    non-finite iterate.
     """
     x = np.asarray(x, dtype=float)
     u = np.atleast_2d(x)
     out = np.empty((len(u), prop.grid.n_steps + 1, prop.space.n_modes))
     out[:, 0] = u
-    live = slice(None)  # the rows still marching: all of them until one is flagged
     if source is not None:
         s_prev = s_old = np.asarray(source(0.0, u), dtype=float)
     elif f_values is not None:
@@ -295,18 +282,13 @@ def _march(prop: Propagator, x: np.ndarray, f_values: np.ndarray | None,
             half_bt = 0.5 * prop.source_factors[j].T
             known = u + s_prev @ half_bt
             guess = known + (2.0 * s_prev - s_old) @ half_bt
-            u, s_next, kept = _solve_step(source, float(prop.grid.nodes[j + 1]), known, half_bt,
-                                          guess, strict=x.ndim == 1)
-            if kept is not None:
-                live = np.arange(len(out))[live]
-                out[live[~kept]] = np.nan
-                live, s_prev = live[kept], _rows(s_prev, kept)
-                if not live.size:
-                    break
+            u, s_next = _solve_step(source, float(prop.grid.nodes[j + 1]), known, half_bt, guess,
+                                    strict=x.ndim == 1)
             s_old, s_prev = s_prev, s_next
         elif f_values is not None:
             u = u + f_mid[j] @ prop.source_factors[j].T
-        out[live, j + 1] = u
+        out[:, j + 1] = u
+    out[~np.isfinite(out[:, -1]).all(-1)] = np.nan
     return out[0] if x.ndim == 1 else out
 
 
@@ -318,7 +300,7 @@ def propagate(form: TimeForm, proj: Projection | None, grid: TimeGrid, x: Vector
         raise ValueError("initial vector must be finite")
     prop = propagator if propagator is not None else build_propagator(form, proj, grid, scheme)
     values = _march(prop, x, None)
-    return make_trajectory(form.space, grid, values, projected_stiffness_fn(form, proj))
+    return make_trajectory(form.space, grid, values, partial(stiffness_stack, form, proj))
 
 
 def duhamel_solve(form: TimeForm, proj: Projection | None, grid: TimeGrid, x: Vector,
@@ -330,7 +312,7 @@ def duhamel_solve(form: TimeForm, proj: Projection | None, grid: TimeGrid, x: Ve
         raise ValueError("f_values must be given at every grid node")
     prop = propagator if propagator is not None else build_propagator(form, proj, grid, scheme)
     values = _march(prop, np.asarray(x, dtype=float), f_values)
-    return make_trajectory(form.space, grid, values, projected_stiffness_fn(form, proj))
+    return make_trajectory(form.space, grid, values, partial(stiffness_stack, form, proj))
 
 
 def duhamel_direct_sum(form: TimeForm, proj: Projection | None, grid: TimeGrid, x: Vector,
@@ -392,8 +374,8 @@ def subspace_invariance_residual(form: TimeForm, proj: Projection, grid: TimeGri
 def projected_convergence_study(form: TimeForm, grid: TimeGrid, x: Vector,
                                 m_list: Sequence[int], m_ref: int) -> list[tuple[int, float]]:
     """Sup-in-time pivot error of reduced flows against a reference reduction."""
-    if max(m_list) >= m_ref:
-        raise ValueError("m_ref must exceed every entry of m_list")
+    if not len(m_list) or max(m_list) >= m_ref:
+        raise ValueError("m_list must be nonempty and m_ref must exceed each of its entries")
     if m_ref > form.space.n_modes:
         raise ValueError("m_ref exceeds the space dimension")
     ref_proj = None if m_ref == form.space.n_modes else project(form.space, m_ref)
@@ -430,7 +412,7 @@ def weighted_diagnostic(form: TimeForm, proj: Projection | None, grid: TimeGrid,
         raise ValueError("data must be nonzero")
     traj = propagate(form, proj, grid, x)
     weighted = make_trajectory(form.space, grid, traj.values * grid.nodes[:, None],
-                               projected_stiffness_fn(form, proj))
+                               partial(stiffness_stack, form, proj))
     return regularity_ratio(weighted, 0.0, math.sqrt(grid.horizon) * h_norm)
 
 

@@ -206,14 +206,14 @@ def estimate_bounds(form: TimeForm, t_grid: np.ndarray) -> tuple[float, float]:
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
-    irv = form.space.inv_sqrt_V
-    m_hat = -math.inf
-    alpha_hat = math.inf
-    for t in t_grid:
-        s = assemble_form_matrix(form, float(t))
-        w = irv @ s @ irv
-        m_hat = max(m_hat, float(np.linalg.norm(w, 2)))
-        alpha_hat = min(alpha_hat, float(np.linalg.eigvalsh(0.5 * (w + w.T)).min()))
+    return _stack_bounds(form.space, stiffness_stack(form, None, t_grid))
+
+
+def _stack_bounds(space: GalerkinSpace, stack: np.ndarray) -> tuple[float, float]:
+    """``(M_hat, alpha_hat)`` of a ``(k, n, n)`` stiffness stack (see :func:`estimate_bounds`)."""
+    w = space.inv_sqrt_V @ stack @ space.inv_sqrt_V
+    m_hat = float(np.linalg.norm(w, 2, axis=(1, 2)).max())
+    alpha_hat = float(np.linalg.eigvalsh(0.5 * (w + w.transpose(0, 2, 1))).min())
     return m_hat, alpha_hat
 
 
@@ -246,30 +246,25 @@ def audit_dini(form: TimeForm, h_grid: np.ndarray, n_time_samples: int = 17) -> 
         raise ValueError("smallest gap must not exceed horizon/100")
 
     irv = form.space.inv_sqrt_V
-    omegas = np.empty_like(h_grid)
     t_samples = np.linspace(0.0, form.horizon, n_time_samples)
+    stack = stiffness_stack(form, None, t_samples)
+    omegas = np.empty_like(h_grid)
     for i, h in enumerate(h_grid):
-        worst = 0.0
-        for t in t_samples:
-            if t + h > form.horizon:
-                break
-            ds = assemble_form_matrix(form, t + h) - assemble_form_matrix(form, t)
-            worst = max(worst, float(np.linalg.norm(irv @ ds @ irv, 2)))
-        omegas[i] = worst
+        fits = t_samples + h <= form.horizon
+        ds = stiffness_stack(form, None, t_samples[fits] + h) - stack[fits]
+        omegas[i] = np.linalg.norm(irv @ ds @ irv, 2, axis=(1, 2)).max(initial=0.0)
 
     floor = 1e-14
     in_decade = h_grid <= h_grid[0] * 10.0 * (1.0 + 1e-12)
     hs = h_grid[in_decade]
     ws = omegas[in_decade]
     positive = ws > floor
-    if not positive.any():
-        exponent = math.inf
-    elif positive.sum() < 2:
+    if positive.sum() < 2:
         exponent = math.inf
     else:
         exponent = float(np.polyfit(np.log(hs[positive]), np.log(ws[positive]), 1)[0])
 
-    m_hat, alpha_hat = estimate_bounds(form, t_samples)
+    m_hat, alpha_hat = _stack_bounds(form.space, stack)
     return FormAuditReport(
         M_hat=m_hat,
         alpha_hat=alpha_hat,
@@ -312,14 +307,24 @@ def assemble_projected_form(form: TimeForm, proj: Projection, t: float) -> Matri
     """
     if proj.space is not form.space:
         raise ValueError("form and projection refer to different spaces")
-    return projected_stiffness_fn(form, proj)(t)
+    return stiffness_stack(form, proj, [t])[0]
 
 
-def projected_stiffness_fn(form: TimeForm, proj: Projection | None) -> Callable[[float], Matrix]:
-    """Stiffness evaluator of the (optionally projected) form."""
-    if proj is None:
-        return lambda t: assemble_form_matrix(form, t)
-    p = proj.matrix
-    q = proj.complement()
-    penalty = form.coercivity_alpha * (q.T @ form.space.gram_V @ q)
-    return lambda t: p.T @ assemble_form_matrix(form, t) @ p + penalty
+def stiffness_stack(form: TimeForm, proj: Projection | None, times: np.ndarray) -> np.ndarray:
+    """Stiffness of the (optionally projected) form at every time, as a ``(k, n, n)`` stack.
+
+    This is the one place the stiffness is evaluated on a set of times:
+    ``stiffness_at`` is called once per time.  With a projection, the
+    whole stack becomes ``P^T S P + alpha Q^T G_V Q`` in place (see
+    :func:`assemble_projected_form`).
+    """
+    times = np.asarray(times, dtype=float)
+    stack = np.empty((times.size, form.space.n_modes, form.space.n_modes))
+    for i, t in enumerate(times):
+        stack[i] = assemble_form_matrix(form, float(t))
+    if proj is not None:
+        q = proj.complement()
+        np.matmul(proj.matrix.T, stack, out=stack)
+        np.matmul(stack, proj.matrix, out=stack)
+        stack += form.coercivity_alpha * (q.T @ form.space.gram_V @ q)
+    return stack

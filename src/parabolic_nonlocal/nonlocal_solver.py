@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -35,7 +36,7 @@ from .galerkin import (
     Projection,
     TimeForm,
     Vector,
-    projected_stiffness_fn,
+    stiffness_stack,
 )
 from .nonlinearity import Nonlinearity, _rng, apply_superposition
 
@@ -208,7 +209,7 @@ class NonlocalProblem:
 
 
 def audit_problem(prob: NonlocalProblem, n_samples: int = 300, seed=0) -> dict:
-    """Run the standing audits: inward-pointing scan and g-bound sampling."""
+    """Run the standing audits: inward-pointing scan, g-bound sampling and g's admissibility."""
     from .nonlinearity import scan_transversality
 
     space = prob.form.space
@@ -224,12 +225,15 @@ def audit_problem(prob: NonlocalProblem, n_samples: int = 300, seed=0) -> dict:
         for r in radii
     ]
     g_ok = all(a.passed for a in g_audits)
+    # a kernel whose derivative mass reaches 1 makes g inadmissible for solves
+    solver_ok = prob.g.bound_params.get("solver_ok") is not False
     return {
         "transversality": scan,
         "transversality_ok": scan.passed,
         "g_bound_margins": [a.margin for a in g_audits],
         "g_bound_ok": g_ok,
-        "passed": bool(scan.passed and g_ok),
+        "g_solver_ok": solver_ok,
+        "passed": bool(scan.passed and g_ok and solver_ok),
     }
 
 
@@ -249,7 +253,7 @@ def homotopy_map(prob: NonlocalProblem, lam: float, w: Trajectory,
     vals = _march(prop, lam * (p @ np.asarray(prob.g.eval(w), dtype=float)),
                   lam * (apply_superposition(prob.f, w) @ p.T))
     return make_trajectory(prob.form.space, prob.grid, vals,
-                           projected_stiffness_fn(prob.form, prob.proj))
+                           partial(stiffness_stack, prob.form, prob.proj))
 
 
 @dataclass(frozen=True)
@@ -268,9 +272,11 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("lambda_steps", "max_inner", "g_star_samples"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        for name, low in (("lambda_steps", 1), ("max_inner", 1), ("g_star_samples", 1),
+                          ("inner_tol", 0.0), ("fp_tol", 0.0)):
+            value = getattr(self, name)
+            if value is not None and not value >= low:  # NaN fails too
+                raise ValueError(f"{name} must be at least {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -305,7 +311,7 @@ class _MarchFailed(_Halt):
     """A march left ``R0``, turned non-finite or had an unsolved step equation."""
 
 
-def _solve_stage(prob: NonlocalProblem, prop: Propagator, stiff: Callable[[float], Matrix],
+def _solve_stage(prob: NonlocalProblem, prop: Propagator, stiff: Callable[[np.ndarray], np.ndarray],
                  lam: float, x: Vector, path: Trajectory, cfg: SolverConfig) -> tuple:
     """Drive ``r(x) = x - lam P g(U(x))`` to zero from ``x``; ``U(x)`` marches from u(0) = x.
 
@@ -417,7 +423,7 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
     grid = prob.grid
     _check_span(prob.g.bound_params.get("interval_span"), grid.horizon)
     prop = build_propagator(prob.form, prob.proj, grid)
-    stiff = projected_stiffness_fn(prob.form, prob.proj)
+    stiff = partial(stiffness_stack, prob.form, prob.proj)
     sqrt_t = math.sqrt(grid.horizon)
 
     zero = zero_trajectory(space, grid)
@@ -521,8 +527,12 @@ def exp_shift(prob: NonlocalProblem, mu: float) -> NonlocalProblem:
 
 
 def unshift_trajectory(traj: Trajectory, mu: float,
-                       stiffness_fn: Callable[[float], Matrix] | None = None) -> Trajectory:
-    """Map a substituted path back to the user frame: u(t) = exp(mu t) v(t)."""
+                       stiffness_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+                       ) -> Trajectory:
+    """Map a substituted path back to the user frame: u(t) = exp(mu t) v(t).
+
+    ``stiffness_fn`` maps times to the user frame's stiffness stack (see :class:`Trajectory`).
+    """
     if mu < 0.0:
         raise ValueError("mu must be nonnegative")
     scaled = traj.values * np.exp(mu * traj.grid.nodes)[:, None]

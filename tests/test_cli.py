@@ -204,6 +204,23 @@ BAD_VALUES = {
                                                "problem": {"preset": "heat_timevarying",
                                                            "n_modes": 4, "n_steps": 64},
                                                "solver": {"g_star_samples": 0}}),
+    # negative tolerances once marched 1,000 paths (inner_tol) or reported
+    # status converged with converged false (fp_tol)
+    "negative_inner_tol": ("inner_tol", {"command": "solve",
+                                         "problem": {"preset": "heat_timevarying",
+                                                     "n_modes": 4, "n_steps": 64},
+                                         "solver": {"inner_tol": -1}}),
+    "negative_fp_tol": ("fp_tol", {"command": "solve",
+                                   "problem": {"preset": "heat_timevarying",
+                                               "n_modes": 4, "n_steps": 64},
+                                   "solver": {"fp_tol": -1}}),
+    # a negative shift was once skipped silently; an empty m_list failed
+    # without naming the key
+    "negative_shift_mu": ("shift_mu", {"command": "solve",
+                                       "problem": {"n_modes": 2, "n_steps": 8,
+                                                   "shift_mu": -0.5}}),
+    "empty_m_list": ("m_list", {"command": "converge", "form": {"n_modes": 8},
+                                "n_steps": 16, "m_list": []}),
 }
 
 

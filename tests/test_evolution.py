@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from parabolic_nonlocal.galerkin import (
     build_sine_space,
     constant_form,
     project,
+    stiffness_stack,
 )
 from parabolic_nonlocal.models import divergence_form_assemble, time_power_coefficient
 
@@ -323,6 +325,28 @@ class TestBlockMarch:
         with pytest.raises(single_error):
             _march(prop, xs[1], None, source)
 
+    def test_flagged_row_costs_no_extra_source_calls(self):
+        # the row started at 5 is NaN from its first iterate on; flagged rows
+        # count as done, so the good rows alone set the number of iterations
+        sp, form = scalar_form()
+        prop = build_propagator(form, None, TimeGrid(1.0, 32))
+
+        def counted(calls):
+            def source(t, u):
+                calls.append(t)
+                return np.where(np.abs(u) > 2.0, np.nan, -u + math.sin(t))
+            return source
+
+        xs = np.array([[0.5], [5.0], [-0.3]])
+        block_calls, good_calls = [], []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = _march(prop, xs, None, counted(block_calls))
+            good = _march(prop, xs[[0, 2]], None, counted(good_calls))
+        assert np.isnan(block[1]).all()
+        assert np.array_equal(block[[0, 2]], good)
+        assert len(block_calls) <= len(good_calls)
+
 
 RANDOM_FORM_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -529,7 +553,7 @@ class TestTrajectoryNorms:
         grid = TimeGrid(1.0, 16)
         tr = propagate(form, None, grid, rng.standard_normal(3))
         rebuilt = make_trajectory(sp, grid, tr.values,
-                                  lambda t: form.stiffness_at(t))
+                                  lambda ts: np.array([form.stiffness_at(t) for t in ts]))
         assert rebuilt.sobolev_h1 == pytest.approx(tr.sobolev_h1, rel=1e-12)
         assert rebuilt.l2_v == pytest.approx(tr.l2_v, rel=1e-12)
         assert rebuilt.au_l2 == pytest.approx(tr.au_l2, rel=1e-12)
@@ -545,7 +569,8 @@ class TestTrajectoryNorms:
             calls.append(t)
             return form.stiffness_at(t)
 
-        tr = make_trajectory(sp, grid, rng.standard_normal((17, 3)), counted)
+        tr = make_trajectory(sp, grid, rng.standard_normal((17, 3)),
+                             partial(stiffness_stack, replace(form, stiffness_at=counted), None))
         assert len(calls) == 0
         first = tr.au_l2
         assert len(calls) == grid.n_steps + 1

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from parabolic_nonlocal.galerkin import (
     FormAuditReport,
+    GalerkinSpace,
     TimeForm,
     assemble_form_matrix,
     assemble_projected_form,
@@ -14,6 +16,7 @@ from parabolic_nonlocal.galerkin import (
     default_audit_grid,
     estimate_bounds,
     project,
+    stiffness_stack,
 )
 
 
@@ -26,6 +29,21 @@ def scaled_form(space, kappa, horizon=1.0, bound_M=None, alpha=None):
         coercivity_alpha=alpha if alpha is not None else min(kappa(0.0), kappa(horizon)),
         horizon=horizon,
     )
+
+
+def random_gram_form(n, rng):
+    """A time-varying form on a space whose pivot and energy Grams are both non-diagonal."""
+    a, b = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    gh = np.eye(n) + 0.2 * a @ a.T / n
+    gv = np.diag((np.arange(1.0, n + 1)) ** 2) + 0.3 * b @ b.T / n
+    w, q = np.linalg.eigh(gv)
+    irv = q @ np.diag(w**-0.5) @ q.T
+    embed = math.sqrt(np.linalg.eigvalsh(irv @ gh @ irv).max()) * (1.0 + 1e-9)
+    sp = GalerkinSpace(n, 1.0, gh, gv, embed)
+    skew = rng.standard_normal((n, n))
+    skew = 0.5 * (skew - skew.T)
+    return TimeForm(sp, lambda t: (1.0 + 0.5 * math.sin(3.0 * t)) * gv + skew * t,
+                    bound_M=10.0, coercivity_alpha=0.5, horizon=1.0)
 
 
 class TestSineSpace:
@@ -126,6 +144,17 @@ class TestEstimateBounds:
         assert m <= form.bound_M * (1 + 1e-6)
         assert a >= form.coercivity_alpha * (1 - 1e-6)
 
+    def test_batched_bounds_equal_per_time_loop(self):
+        form = random_gram_form(6, np.random.default_rng(63))
+        grid = np.linspace(0.0, 1.0, 21)
+        irv = form.space.inv_sqrt_V
+        m_ref, a_ref = -math.inf, math.inf
+        for t in grid:
+            w = irv @ form.stiffness_at(float(t)) @ irv
+            m_ref = max(m_ref, float(np.linalg.norm(w, 2)))
+            a_ref = min(a_ref, float(np.linalg.eigvalsh(0.5 * (w + w.T)).min()))
+        assert estimate_bounds(form, grid) == (m_ref, a_ref)
+
     def test_accretivity_of_sampled_quadratic_forms(self):
         rng = np.random.default_rng(3)
         sp = build_sine_space(5, math.pi)
@@ -136,6 +165,37 @@ class TestEstimateBounds:
             u = rng.standard_normal(5)
             s = assemble_form_matrix(form, rng.uniform(0.0, 1.0))
             assert u @ (0.5 * (s + s.T)) @ u >= 0.0
+
+
+class TestStiffnessStack:
+    @pytest.mark.parametrize("m", [None, 1, 3, 5], ids=["unprojected", "m1", "m3", "full"])
+    def test_matches_per_time_evaluation_bit_for_bit(self, m):
+        form = random_gram_form(5, np.random.default_rng(61))
+        times = np.linspace(0.0, 1.0, 13)
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return form.stiffness_at(t)
+
+        proj = None if m is None else project(form.space, m)
+        stack = stiffness_stack(replace(form, stiffness_at=counted), proj, times)
+        assert calls == list(times)
+        assert stack.shape == (13, 5, 5)
+        for t, s in zip(times, stack):
+            if proj is None:
+                assert np.array_equal(s, form.stiffness_at(t))
+                assert np.array_equal(s, assemble_form_matrix(form, t))
+            else:
+                p, q = proj.matrix, proj.complement()
+                ref = p.T @ form.stiffness_at(t) @ p + form.coercivity_alpha * (
+                    q.T @ form.space.gram_V @ q)
+                assert np.array_equal(s, ref)
+                assert np.array_equal(s, assemble_projected_form(form, proj, t))
+
+    def test_empty_times_give_empty_stack(self):
+        form = random_gram_form(3, np.random.default_rng(62))
+        assert stiffness_stack(form, project(form.space, 2), []).shape == (0, 3, 3)
 
 
 class TestDiniAudit:
@@ -160,6 +220,17 @@ class TestDiniAudit:
         rep = audit_dini(form, np.geomspace(1e-4, 1e-2, 9))
         assert rep.dini_exponent == pytest.approx(0.4, abs=0.05)
         assert not rep.dini_pass
+
+    def test_samples_evaluated_once_and_bounds_read_from_them(self):
+        # S(t) at the 17 samples once, then S(t + h) for every sample that fits
+        form = random_gram_form(4, np.random.default_rng(64))
+        calls = []
+        counted = replace(form, stiffness_at=lambda t: calls.append(t) or form.stiffness_at(t))
+        h = np.geomspace(1e-4, 1e-2, 9)
+        rep = audit_dini(counted, h)
+        fits = sum(int((rep.sample_grid + gap <= form.horizon).sum()) for gap in h)
+        assert len(calls) == rep.sample_grid.size + fits
+        assert (rep.M_hat, rep.alpha_hat) == estimate_bounds(form, rep.sample_grid)
 
     def test_refuses_short_gap_grids(self):
         sp = build_sine_space(2, math.pi)

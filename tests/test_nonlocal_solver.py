@@ -498,6 +498,20 @@ class TestAuditProblem:
         audit = audit_problem(prob, seed=0)
         assert audit["passed"]
 
+    @pytest.mark.parametrize("width, admissible", [(4.0, True), (1.5, False)])
+    def test_kernel_admissibility_folded_into_passed(self, width, admissible):
+        # a width-1.5 cosine bump has derivative mass >= 1: the sampled audits
+        # pass, but g is not admissible for solves
+        sp = build_sine_space(4, math.pi)
+        grid = TimeGrid(1.0, 32)
+        g = g_mollified_integral(cosine_bump_kernel(width), [(0.0, 0.5)], sp)
+        prob = NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, 4),
+                               f=zero_nonlinearity(), g=g, grid=grid, r0=0.5, R0=math.inf)
+        audit = audit_problem(prob, seed=0)
+        assert audit["transversality_ok"] and audit["g_bound_ok"]
+        assert audit["g_solver_ok"] is admissible
+        assert audit["passed"] is admissible
+
     def test_outward_nonlinearity_caught(self):
         grid = TimeGrid(1.0, 32)
         f = Nonlinearity(lambda t, x: +x, 1.0, lambda t: 0.0)
