@@ -24,6 +24,7 @@ from .galerkin import (
     TimeForm,
     Vector,
     project,
+    project_stack,
     stiffness_stack,
 )
 
@@ -48,6 +49,10 @@ class TimeGrid:
     @property
     def dt(self) -> float:
         return self.horizon / self.n_steps
+
+    @property
+    def midpoints(self) -> np.ndarray:
+        return 0.5 * (self.nodes[:-1] + self.nodes[1:])
 
 
 @dataclass(frozen=True)
@@ -86,13 +91,16 @@ class Propagator:
 
 
 def build_propagator(form: TimeForm, proj: Projection | None, grid: TimeGrid,
-                     scheme: str = "cayley") -> Propagator:
+                     scheme: str = "cayley", stack: np.ndarray | None = None) -> Propagator:
     """Materialize the one-step factors for the (optionally reduced) form.
 
     With ``c = dt/2`` (Cayley) or ``dt`` (implicit Euler), one batched solve
     gives ``X_j = (G_H + c S(t_{j+1/2}))^(-1) G_H`` for every step; the step
     factor is ``2 X - I`` (Cayley) or ``X``, the source factor ``dt X``.  The
-    midpoint stiffnesses come as one :func:`stiffness_stack`.
+    midpoint stiffnesses come as one :func:`stiffness_stack`, unless ``stack``
+    already holds the form's stiffness at ``grid.midpoints`` (unprojected); it
+    is then projected and overwritten in place.  The solved system's buffer
+    takes one factor stack, so a build holds at most two stacks.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -100,19 +108,25 @@ def build_propagator(form: TimeForm, proj: Projection | None, grid: TimeGrid,
         raise ValueError("grid horizon exceeds the form's horizon")
     gh = form.space.gram_H
     dt = grid.dt
-    lhs = stiffness_stack(form, proj, 0.5 * (grid.nodes[:-1] + grid.nodes[1:]))
+    if stack is None:
+        lhs = stiffness_stack(form, proj, grid.midpoints)
+    elif stack.shape != (grid.n_steps, *gh.shape):
+        raise ValueError("stack must have shape (n_steps, n_modes, n_modes)")
+    else:
+        lhs = stack if proj is None else project_stack(form, proj, stack)
     lhs *= 0.5 * dt if scheme == "cayley" else dt
     lhs += gh
     x = np.linalg.solve(lhs, np.broadcast_to(gh, lhs.shape))
-    del lhs  # keep the peak at two stacks
     if scheme == "cayley":
-        steps = np.multiply(x, 2.0)
+        steps = np.multiply(x, 2.0, out=lhs)
         steps -= np.eye(gh.shape[0])
+        sources = x
+        sources *= dt
     else:
-        steps = x.copy()
-    x *= dt
+        steps = x
+        sources = np.multiply(x, dt, out=lhs)
     return Propagator(space=form.space, grid=grid, step_factors=steps,
-                      source_factors=x, scheme=scheme)
+                      source_factors=sources, scheme=scheme)
 
 
 @dataclass(frozen=True)
@@ -212,11 +226,14 @@ class StepNotConverged(RuntimeError):
     """A step's implicit source equation was not solved by fixed-point iteration."""
 
 
-def _solve_step(source: Callable[[float, np.ndarray], np.ndarray], t: float, known: np.ndarray,
-                half_bt: Matrix, v: np.ndarray, strict: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-point iteration for ``U = known + s(t, U) half_bt`` on a ``(k, n)`` block from v.
+def _solve_step(source: Callable[[float, np.ndarray], np.ndarray], t: float, u: np.ndarray,
+                s_prev: np.ndarray, s_old: np.ndarray, half_bt: Matrix,
+                strict: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-point iteration for ``U = u + (s_prev + s(t, U)) half_bt`` on a ``(k, n)`` block.
 
-    ``half_bt`` is ``B^T / 2``.  The whole block iterates until every row's
+    ``half_bt`` is ``B^T / 2``; ``s_prev`` and ``s_old`` are the source at the
+    last two nodes, and the iteration starts from their linear extrapolation
+    ``2 s_prev - s_old``.  The whole block iterates until every row's
     update is at most ``STEP_TOL * sqrt(1 + |u|^2)`` (Euclidean); a NaN row
     counts as done.  A row whose iterate turns non-finite, or that is still
     unsolved after ``STEP_ITERATIONS``, is set to NaN in place, together with
@@ -226,6 +243,8 @@ def _solve_step(source: Callable[[float, np.ndarray], np.ndarray], t: float, kno
     """
     tol_sq = STEP_TOL**2
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are flagged below
+        known = u + s_prev @ half_bt
+        v = known + (2.0 * s_prev - s_old) @ half_bt
         for _ in range(STEP_ITERATIONS):
             s = np.asarray(source(t, v), dtype=float)
             new = known + s @ half_bt
@@ -279,11 +298,8 @@ def _march(prop: Propagator, x: np.ndarray, f_values: np.ndarray | None,
     for j in range(prop.grid.n_steps):
         u = u @ prop.step_factors[j].T
         if source is not None:
-            half_bt = 0.5 * prop.source_factors[j].T
-            known = u + s_prev @ half_bt
-            guess = known + (2.0 * s_prev - s_old) @ half_bt
-            u, s_next = _solve_step(source, float(prop.grid.nodes[j + 1]), known, half_bt, guess,
-                                    strict=x.ndim == 1)
+            u, s_next = _solve_step(source, float(prop.grid.nodes[j + 1]), u, s_prev, s_old,
+                                    0.5 * prop.source_factors[j].T, strict=x.ndim == 1)
             s_old, s_prev = s_prev, s_next
         elif f_values is not None:
             u = u + f_mid[j] @ prop.source_factors[j].T
@@ -373,20 +389,54 @@ def subspace_invariance_residual(form: TimeForm, proj: Projection, grid: TimeGri
 
 def projected_convergence_study(form: TimeForm, grid: TimeGrid, x: Vector,
                                 m_list: Sequence[int], m_ref: int) -> list[tuple[int, float]]:
-    """Sup-in-time pivot error of reduced flows against a reference reduction."""
+    """Sup-in-time pivot error of reduced flows against a reference reduction.
+
+    The stiffness is evaluated once, at the grid's midpoints, and every
+    propagator of the study is built from that stack.  The reduced flow onto
+    the leading m modes, started from ``P x``, stays in their span, where it
+    is the Galerkin flow of the leading blocks ``G_H[:m, :m]`` and
+    ``S[:, :m, :m]`` (the complement penalty never acts on it), so each
+    reduction is marched in m dimensions.  The reductions are marched first,
+    and the reference build then consumes the shared stack in place.
+    """
+    space = form.space
+    x = np.asarray(x, dtype=float)
+    if x.shape != (space.n_modes,) or not np.all(np.isfinite(x)):
+        raise ValueError("initial vector must be finite, with one coordinate per mode")
     if not len(m_list) or max(m_list) >= m_ref:
         raise ValueError("m_list must be nonempty and m_ref must exceed each of its entries")
-    if m_ref > form.space.n_modes:
+    if m_ref > space.n_modes:
         raise ValueError("m_ref exceeds the space dimension")
-    ref_proj = None if m_ref == form.space.n_modes else project(form.space, m_ref)
-    ref = propagate(form, ref_proj, grid, x)
+    stack = stiffness_stack(form, None, grid.midpoints)
+    reduced = [_reduced_path(form, m, grid, stack, x) for m in m_list]
+    ref_proj = None if m_ref == space.n_modes else project(space, m_ref)
+    ref = _march(build_propagator(form, ref_proj, grid, stack=stack), x, None)
+    del stack  # now the reference's step factors; freed before the error paths
     out = []
-    for m in m_list:
-        pm = project(form.space, m)
-        err = _node_norms(propagate(form, pm, grid, pm.matrix @ x).values - ref.values,
-                          form.space.gram_H).max()
-        out.append((int(m), float(err)))
+    for m, vals in zip(m_list, reduced):
+        diff = -ref  # a block path's absent coordinates are zero
+        diff[:, :vals.shape[1]] += vals
+        out.append((int(m), float(_node_norms(diff, space.gram_H).max())))
     return out
+
+
+def _reduced_path(form: TimeForm, m: int, grid: TimeGrid, stack: np.ndarray,
+                  x: np.ndarray) -> np.ndarray:
+    """Leading m coordinates of the reduced flow onto the first m modes from
+    ``P x``, marched from a copy of the leading block of the form's midpoint
+    stack ``stack``; its coordinates past m are zero."""
+    x0 = project(form.space, m).matrix[:m] @ x
+    prop = build_propagator(_leading_mode_form(form, m), None, grid,
+                            stack=stack[:, :m, :m].copy())
+    return _march(prop, x0, None)
+
+
+def _leading_mode_form(form: TimeForm, m: int) -> TimeForm:
+    """The form restricted to the span of the first m basis modes."""
+    sp = form.space
+    sub = GalerkinSpace(m, sp.domain_length, sp.gram_H[:m, :m], sp.gram_V[:m, :m],
+                        sp.embed_const)
+    return replace(form, space=sub, stiffness_at=lambda t: form.stiffness_at(t)[:m, :m])
 
 
 def regularity_ratio(traj: Trajectory, f_l2: float, x_vnorm: float) -> float:

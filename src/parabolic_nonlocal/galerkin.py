@@ -97,14 +97,6 @@ class GalerkinSpace:
     def h_inner(self, u: Vector, v: Vector) -> float:
         return float(u @ self.gram_H @ v)
 
-    def v_op_norm(self, mat: Matrix) -> float:
-        """Operator norm of ``mat`` as a map V -> V' (energy weighting)."""
-        return float(np.linalg.norm(self.inv_sqrt_V @ mat @ self.inv_sqrt_V, 2))
-
-    def h_op_norm(self, mat: Matrix) -> float:
-        """Operator norm of ``mat`` as a map H -> H (pivot weighting)."""
-        return float(np.linalg.norm(self.sqrt_H @ mat @ self.inv_sqrt_H, 2))
-
 
 def build_sine_space(n_modes: int, length: float) -> GalerkinSpace:
     """Dirichlet sine modes on (0, length), orthonormal in the pivot norm.
@@ -315,16 +307,21 @@ def stiffness_stack(form: TimeForm, proj: Projection | None, times: np.ndarray) 
 
     This is the one place the stiffness is evaluated on a set of times:
     ``stiffness_at`` is called once per time.  With a projection, the
-    whole stack becomes ``P^T S P + alpha Q^T G_V Q`` in place (see
-    :func:`assemble_projected_form`).
+    whole stack is then reduced in place by :func:`project_stack`.
     """
     times = np.asarray(times, dtype=float)
     stack = np.empty((times.size, form.space.n_modes, form.space.n_modes))
     for i, t in enumerate(times):
         stack[i] = assemble_form_matrix(form, float(t))
-    if proj is not None:
-        q = proj.complement()
-        np.matmul(proj.matrix.T, stack, out=stack)
-        np.matmul(stack, proj.matrix, out=stack)
-        stack += form.coercivity_alpha * (q.T @ form.space.gram_V @ q)
+    return stack if proj is None else project_stack(form, proj, stack)
+
+
+def project_stack(form: TimeForm, proj: Projection, stack: np.ndarray) -> np.ndarray:
+    """Turn a ``(k, n, n)`` stiffness stack of ``form`` into the reduced form's
+    ``P^T S P + alpha Q^T G_V Q`` in place (see :func:`assemble_projected_form`)
+    and return it."""
+    q = proj.complement()
+    np.matmul(proj.matrix.T, stack, out=stack)
+    np.matmul(stack, proj.matrix, out=stack)
+    stack += form.coercivity_alpha * (q.T @ form.space.gram_V @ q)
     return stack

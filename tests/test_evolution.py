@@ -30,6 +30,7 @@ from parabolic_nonlocal.evolution import (
     weighted_diagnostic,
 )
 from parabolic_nonlocal.galerkin import (
+    GalerkinSpace,
     TimeForm,
     build_sine_space,
     constant_form,
@@ -347,6 +348,23 @@ class TestBlockMarch:
         assert np.array_equal(block[[0, 2]], good)
         assert len(block_calls) <= len(good_calls)
 
+    def test_source_infinite_at_start_flags_row_without_warning(self):
+        # the row started at 5 has an infinite source at t = 0, so its first
+        # extrapolated guess is 2 inf - inf
+        sp = build_sine_space(1, math.pi)
+        prop = build_propagator(constant_form(sp, sp.gram_V, 1.0), None, TimeGrid(1.0, 8))
+
+        def source(t, u):
+            return np.where(np.abs(u) > 2.0, np.inf, -u)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = _march(prop, np.array([[0.5], [5.0]]), None, source)
+            with pytest.raises(FloatingPointError):
+                _march(prop, np.array([5.0]), None, source)
+        assert np.isnan(block[1]).all()
+        assert np.isfinite(block[0]).all()
+
 
 RANDOM_FORM_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -401,6 +419,32 @@ class TestRandomFormProperties:
         assert norms.shape == (k, n_steps + 1)
         assert norms[:, 0] == pytest.approx([sp.h_norm(x) for x in xs], rel=1e-14)
         assert np.all(np.diff(norms, axis=1) <= 1e-12 * norms[:, :1])
+
+    @RANDOM_FORM_SETTINGS
+    @given(n=st.integers(1, 4), n_steps=st.integers(1, 32), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_composition_law(self, n, n_steps, seed, data):
+        i, j, k = sorted(data.draw(st.lists(st.integers(0, n_steps), min_size=3, max_size=3)))
+        rng = np.random.default_rng(seed)
+        sp = build_sine_space(n, math.pi)
+        prop = build_propagator(random_accretive_form(sp, rng), None, TimeGrid(1.0, n_steps))
+        # factors are pivot contractions: 32 products in dimension 4 stay far below 1e-13
+        assert np.abs(prop.compose(i, k) - prop.compose(j, k) @ prop.compose(i, j)).max() <= 1e-13
+
+    @RANDOM_FORM_SETTINGS
+    @given(n=st.integers(1, 4), n_steps=st.integers(1, 32), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_adjoint_identity(self, n, n_steps, seed, data):
+        i_s, i_t = sorted(data.draw(st.lists(st.integers(0, n_steps), min_size=2, max_size=2,
+                                             unique=True)))
+        rng = np.random.default_rng(seed)
+        sp = build_sine_space(n, math.pi)
+        form = random_accretive_form(sp, rng)
+        grid = TimeGrid(1.0, n_steps)
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        lhs = sp.h_inner(build_propagator(form, None, grid).apply(x, i_s, i_t), y)
+        rhs = sp.h_inner(x, adjoint_propagate(form, None, grid, y, i_t, i_s))
+        assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)
 
 
 class TestAdjoint:
@@ -521,7 +565,7 @@ class TestProjectedConvergence:
             assert err <= 1e-8
 
     def test_reference_flow_built_once(self):
-        # one stiffness evaluation per step for the reference and for each
+        # one stiffness evaluation per step, shared by the reference and every
         # reduction; no path norm is read, so none is computed
         rng = np.random.default_rng(31)
         sp = build_sine_space(16, math.pi)
@@ -536,7 +580,68 @@ class TestProjectedConvergence:
         x = np.array([math.exp(-k) for k in range(1, 17)])
         projected_convergence_study(replace(form, stiffness_at=counted), grid, x,
                                     [2, 4, 8], 16)
-        assert len(calls) == 4 * grid.n_steps
+        assert len(calls) == grid.n_steps
+        assert calls == list(grid.midpoints)
+
+    def test_peak_memory_is_two_stacks(self):
+        # reductions march while only the shared stack is alive; the reference
+        # build then consumes it, so the study peaks like one build
+        sp = build_sine_space(32, math.pi)
+        form = divergence_form_assemble(time_power_coefficient(1.0, 0.5, 0.6), sp, 6)
+        grid = TimeGrid(1.0, 512)
+        stack_bytes = grid.n_steps * sp.n_modes**2 * 8
+        tracemalloc.start()
+        try:
+            projected_convergence_study(form, grid, 1.0 / np.arange(1, 33) ** 2, [2, 4, 8, 16], 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2 * stack_bytes
+
+    @staticmethod
+    def per_reduction_study(form, grid, x, m_list, m_ref):
+        # the study written out: one full-space propagate per reduction
+        sp = form.space
+        ref_proj = None if m_ref == sp.n_modes else project(sp, m_ref)
+        ref = propagate(form, ref_proj, grid, x).values
+        out = []
+        for m in m_list:
+            pm = project(sp, m)
+            vals = propagate(form, pm, grid, pm.matrix @ x).values
+            out.append((m, float(_node_norms(vals - ref, sp.gram_H).max())))
+        return out
+
+    @staticmethod
+    def coupled_gram_space(n, rng):
+        # non-diagonal pivot and energy Grams: no projection is diag(1..1, 0..0)
+        b = rng.standard_normal((n, n))
+        gram_h = np.eye(n) + 0.3 * (b @ b.T) / n
+        gram_v = np.diag(np.arange(1.0, n + 1) ** 2) + 0.2 * gram_h
+        irv = np.linalg.inv(np.linalg.cholesky(gram_v))
+        lam = np.linalg.eigvalsh(irv @ gram_h @ irv.T).max()
+        return GalerkinSpace(n, math.pi, gram_h, gram_v, 1.01 * math.sqrt(lam))
+
+    @pytest.mark.parametrize("case", ["sine_full_reference", "sine_reduced_reference",
+                                      "coupled_gram"])
+    def test_matches_per_reduction_propagation(self, case):
+        rng = np.random.default_rng(34)
+        if case == "coupled_gram":
+            sp = self.coupled_gram_space(10, rng)
+        else:
+            sp = build_sine_space(10, math.pi)
+        m_ref = 10 if case == "sine_full_reference" else 7
+        form = random_accretive_form(sp, rng)
+        grid = TimeGrid(1.0, 48)
+        x = np.eye(10)[0]  # in every reduction's range: each error is zero at t = 0
+        m_list = [1, 2, 4, 6]
+        study = projected_convergence_study(form, grid, x, m_list, m_ref)
+        loop = self.per_reduction_study(form, grid, x, m_list, m_ref)
+        assert [m for m, _ in study] == m_list
+        # a coupled Gram pair solves m x m systems where the loop solves the
+        # projected n x n ones: the same flow, equal up to rounding
+        rel = 1e-13 if case == "coupled_gram" else 1e-15
+        for (_, err), (_, want) in zip(study, loop):
+            assert want > 0.0 and abs(err - want) <= rel * want
 
     def test_reference_must_dominate(self):
         sp = build_sine_space(4, math.pi)
