@@ -61,7 +61,6 @@ class GalerkinSpace:
     # derived factors, filled in __post_init__
     sqrt_H: Matrix = field(init=False, repr=False)
     inv_sqrt_H: Matrix = field(init=False, repr=False)
-    sqrt_V: Matrix = field(init=False, repr=False)
     inv_sqrt_V: Matrix = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -78,10 +77,9 @@ class GalerkinSpace:
         object.__setattr__(self, "gram_H", gh)
         object.__setattr__(self, "gram_V", gv)
         rh, irh = _sym_sqrt(gh)
-        rv, irv = _sym_sqrt(gv)
+        irv = _sym_sqrt(gv)[1]
         object.__setattr__(self, "sqrt_H", rh)
         object.__setattr__(self, "inv_sqrt_H", irh)
-        object.__setattr__(self, "sqrt_V", rv)
         object.__setattr__(self, "inv_sqrt_V", irv)
         # sharpest admissible constant: largest eigenvalue of (gram_H, gram_V)
         lam = np.linalg.eigvalsh(irv @ gh @ irv).max()
@@ -162,7 +160,7 @@ def constant_form(space: GalerkinSpace, stiffness: Matrix, horizon: float,
     a_sharp = float(np.linalg.eigvalsh(0.5 * (w + w.T)).min())
     if coercivity_alpha is None:
         if a_sharp <= 0.0:
-            raise ValueError("stiffness is not coercive; pass coercivity_alpha and shift_delta explicitly")
+            raise ValueError("stiffness is not coercive; build a TimeForm declaring its shift_delta")
         coercivity_alpha = a_sharp
     return TimeForm(
         space=space,

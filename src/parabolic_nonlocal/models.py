@@ -15,7 +15,8 @@ import numpy as np
 
 from .evolution import TimeGrid
 from .galerkin import GalerkinSpace, Matrix, TimeForm, build_sine_space, project
-from .nonlinearity import ConvexFunctional, Nonlinearity, bounded_source, check_monotone, gradient_consistency
+from .nonlinearity import (ConvexFunctional, Nonlinearity, bounded_source, check_monotone,
+                           check_row_contract, gradient_consistency)
 from .nonlocal_solver import (
     NonlocalProblem,
     exp_shift,
@@ -251,13 +252,15 @@ def preset_heat_timevarying(n_modes: int, n_steps: int) -> NonlocalProblem:
 def preset_evi(n_modes: int, n_steps: int, phi: ConvexFunctional) -> NonlocalProblem:
     """Gradient-flow problem u' + A u = -grad phi(u) with classical data.
 
-    The functional must pass the monotonicity and gradient-consistency
-    audits; its gradient growth comes from the declared Lipschitz constant.
+    The functional must follow the row contract of :class:`ConvexFunctional`
+    and pass the monotonicity and gradient-consistency audits; its gradient
+    growth comes from the declared Lipschitz constant.
     """
     if n_modes < 1 or n_steps < 8:
         raise ValueError("need n_modes >= 1 and n_steps >= 8")
     if phi.lipschitz_grad is None:
         raise ValueError("phi must declare a gradient Lipschitz constant")
+    check_row_contract(phi)
     if check_monotone(phi, 200) < -1e-10:
         raise ValueError("phi failed the monotonicity audit")
     if gradient_consistency(phi, 100, 1e-5) > 1e-5:

@@ -133,36 +133,28 @@ def scan_transversality(f: Nonlinearity, r0: float, R0: float, n_samples: int,
         raise ValueError("need 0 < r0 < R0")
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
-    rng = _rng(seed)
     gh = np.eye(dim) if gram_H is None else gram_H
-    cap = min(R0, 10.0 * r0)
-    n_radii = 16
-    radii = np.geomspace(r0, cap, n_radii)
-    n_dirs = max(1, math.ceil(n_samples / (n_radii * len(t_grid))))
-    worst = -math.inf
-    violations = 0
-    total = 0
-    for radius in radii:
-        for _ in range(n_dirs):
-            direction = rng.standard_normal(dim)
-            direction /= math.sqrt(direction @ gh @ direction)
-            x = radius * direction
-            for t in t_grid:
-                val = float(np.asarray(f.eval(float(t), x)) @ gh @ x)
-                worst = max(worst, val)
-                if val > 0.0:
-                    violations += 1
-                total += 1
-    return TransversalityReport(r0=r0, R0=R0, violations=violations,
-                                worst_value=worst, samples=total)
+    radii = np.geomspace(r0, min(R0, 10.0 * r0), 16)
+    n_dirs = max(1, math.ceil(n_samples / (len(radii) * len(t_grid))))
+    directions = _rng(seed).standard_normal((len(radii) * n_dirs, dim))
+    directions /= np.sqrt(np.vecdot(directions @ gh, directions))[:, None]
+    x = np.repeat(radii, n_dirs)[:, None] * directions
+    vals = np.array([np.vecdot(np.asarray(f.eval(float(t), x)) @ gh, x) for t in t_grid])
+    return TransversalityReport(r0=r0, R0=R0, violations=int((vals > 0.0).sum()),
+                                worst_value=float(vals.max()), samples=vals.size)
 
 
 @dataclass(frozen=True)
 class ConvexFunctional:
-    """A convex, differentiable functional with a user-supplied gradient."""
+    """A convex, differentiable functional with a user-supplied gradient.
 
-    value: Callable[[Vector], float]
-    gradient: Callable[[Vector], Vector]
+    Row contract: ``value`` maps ``(..., n)`` rows to ``(...)``, ``gradient``
+    maps them to ``(..., n)``.  Wrap a one-row function in ``np.vectorize``
+    with signature ``"(n)->()"`` or ``"(n)->(n)"``.
+    """
+
+    value: Callable[[np.ndarray], np.ndarray]
+    gradient: Callable[[np.ndarray], np.ndarray]
     dim: int
     lipschitz_grad: float | None = None
 
@@ -170,7 +162,7 @@ class ConvexFunctional:
 def quadratic_functional(dim: int) -> ConvexFunctional:
     """phi(x) = |x|^2 / 2; gradient is the identity."""
     return ConvexFunctional(
-        value=lambda x: 0.5 * float(x @ x),
+        value=lambda x: 0.5 * np.vecdot(x, x),
         gradient=lambda x: np.asarray(x, dtype=float),
         dim=dim,
         lipschitz_grad=1.0,
@@ -180,11 +172,26 @@ def quadratic_functional(dim: int) -> ConvexFunctional:
 def pseudo_huber_functional(dim: int) -> ConvexFunctional:
     """phi(x) = sum sqrt(1 + x_k^2); smooth, gradient bounded by 1 per component."""
     return ConvexFunctional(
-        value=lambda x: float(np.sum(np.sqrt(1.0 + np.asarray(x) ** 2))),
+        value=lambda x: np.sum(np.sqrt(1.0 + np.asarray(x) ** 2), axis=-1),
         gradient=lambda x: np.asarray(x) / np.sqrt(1.0 + np.asarray(x) ** 2),
         dim=dim,
         lipschitz_grad=1.0,
     )
+
+
+def check_row_contract(phi: ConvexFunctional, seed=0) -> None:
+    """Raise ``ValueError`` unless phi on a block of rows equals phi row by row."""
+    block = _rng(seed).uniform(-2.0, 2.0, (2, phi.dim + 1, phi.dim))  # last axis alone has length n
+    for name, sig in (("value", "(n)->()"), ("gradient", "(n)->(n)")):
+        fn = getattr(phi, name)
+        rows = np.vectorize(fn, signature=sig)(block)
+        try:
+            out = np.asarray(fn(block), dtype=float)
+        except (IndexError, TypeError, ValueError):
+            out = None
+        if out is None or out.shape != rows.shape or not np.allclose(out, rows, 1e-12, 1e-12):
+            raise ValueError(f"phi.{name} breaks the row contract: on (..., n) rows it must equal "
+                             f"np.vectorize(phi.{name}, signature='{sig}')")
 
 
 def check_monotone(phi: ConvexFunctional, n_pairs: int, seed=0,
@@ -192,14 +199,9 @@ def check_monotone(phi: ConvexFunctional, n_pairs: int, seed=0,
     """Smallest sampled value of <grad(x) - grad(y), x - y>; monotone means >= 0."""
     if n_pairs < 100:
         raise ValueError("n_pairs must be at least 100")
-    rng = _rng(seed)
-    worst = math.inf
-    for _ in range(n_pairs):
-        x = rng.uniform(-radius, radius, phi.dim)
-        y = rng.uniform(-radius, radius, phi.dim)
-        gap = float((phi.gradient(x) - phi.gradient(y)) @ (x - y))
-        worst = min(worst, gap)
-    return worst
+    xy = _rng(seed).uniform(-radius, radius, (n_pairs, 2, phi.dim))
+    grad = phi.gradient(xy)
+    return float(np.vecdot(grad[:, 0] - grad[:, 1], xy[:, 0] - xy[:, 1]).min())
 
 
 def gradient_consistency(phi: ConvexFunctional, n_points: int, h: float,
@@ -208,28 +210,20 @@ def gradient_consistency(phi: ConvexFunctional, n_points: int, h: float,
     if not 1e-7 <= h <= 1e-3:
         raise ValueError("h must lie in [1e-7, 1e-3]")
     rng = _rng(seed)
-    worst = 0.0
-    for _ in range(n_points):
-        x = rng.uniform(-radius, radius, phi.dim)
-        d = rng.standard_normal(phi.dim)
-        d /= np.linalg.norm(d)
-        fd = (phi.value(x + h * d) - phi.value(x - h * d)) / (2.0 * h)
-        gd = float(phi.gradient(x) @ d)
-        worst = max(worst, abs(fd - gd) / (1.0 + abs(gd)))
-    return worst
+    x = rng.uniform(-radius, radius, (n_points, phi.dim))
+    d = rng.standard_normal((n_points, phi.dim))
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    fd = (phi.value(x + h * d) - phi.value(x - h * d)) / (2.0 * h)
+    gd = np.vecdot(phi.gradient(x), d)
+    return float((np.abs(fd - gd) / (1.0 + np.abs(gd))).max())
 
 
 def convexity_probe(phi: ConvexFunctional, n_segments: int = 200, seed=0,
                     radius: float = 5.0) -> float:
     """Worst midpoint-convexity defect over sampled segments (<= 0 for convex phi)."""
-    rng = _rng(seed)
-    worst = -math.inf
-    for _ in range(n_segments):
-        x = rng.uniform(-radius, radius, phi.dim)
-        y = rng.uniform(-radius, radius, phi.dim)
-        defect = phi.value(0.5 * (x + y)) - 0.5 * (phi.value(x) + phi.value(y))
-        worst = max(worst, defect)
-    return worst
+    xy = _rng(seed).uniform(-radius, radius, (n_segments, 2, phi.dim))
+    ends = phi.value(xy)
+    return float((phi.value(xy.mean(axis=1)) - 0.5 * (ends[:, 0] + ends[:, 1])).max())
 
 
 def evi_residual(form: TimeForm, phi: ConvexFunctional, traj: Trajectory,
@@ -239,10 +233,13 @@ def evi_residual(form: TimeForm, phi: ConvexFunctional, traj: Trajectory,
     For interior nodes (derivative by central differences) and random test
     points v, evaluates ``<u' + A u, v - u>_H - phi(u) + phi(v)``; on an exact
     gradient-flow solution this is nonnegative by convexity, and the discrete
-    defect is first order in the step size.
+    defect is first order in the step size.  Test points are drawn node by
+    node as one generator stream, in chunks of fixed size.
     """
     if n_test < 1:
         raise ValueError("n_test must be at least 1")
+    if traj.grid.n_steps < 2:
+        raise ValueError("the grid has no interior node to test")
     rng = _rng(seed)
     gh = traj.space.gram_H
     dt = traj.grid.dt
@@ -252,13 +249,13 @@ def evi_residual(form: TimeForm, phi: ConvexFunctional, traj: Trajectory,
     vals = traj.values[:, :, None]
     du = (vals[2:] - vals[:-2]) / (2.0 * dt)
     lin = (gh @ du + stiffness_stack(form, None, traj.grid.nodes[1:-1]) @ vals[1:-1])[:, :, 0]
-    worst = math.inf
-    for u, lin_j in zip(traj.values[1:-1], lin):
-        phi_u = phi.value(u)
-        for _ in range(n_test):
-            v = rng.uniform(-test_radius, test_radius, phi.dim)
-            res = float(lin_j @ (v - u)) - phi_u + phi.value(v)
-            worst = min(worst, res)
-        # v = u contributes exactly zero; keep it in the scan
-        worst = min(worst, 0.0)
+    u = traj.values[1:-1]
+    phi_u = phi.value(u)
+    n_points, chunk = len(u) * n_test, 4096  # a fixed chunk bounds memory for any n_test
+    worst = 0.0  # v = u contributes exactly zero
+    for start in range(0, n_points, chunk):
+        node = np.arange(start, min(start + chunk, n_points)) // n_test
+        v = rng.uniform(-test_radius, test_radius, (len(node), phi.dim))
+        res = np.vecdot(lin[node], v - u[node]) - phi_u[node] + phi.value(v)
+        worst = min(worst, float(res.min()))
     return worst

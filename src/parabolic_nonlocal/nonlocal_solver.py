@@ -38,7 +38,7 @@ from .galerkin import (
     Vector,
     stiffness_stack,
 )
-from .nonlinearity import Nonlinearity, _rng, apply_superposition
+from .nonlinearity import Nonlinearity, _rng, apply_superposition, scan_transversality
 
 
 @dataclass(frozen=True)
@@ -210,8 +210,6 @@ class NonlocalProblem:
 
 def audit_problem(prob: NonlocalProblem, n_samples: int = 300, seed=0) -> dict:
     """Run the standing audits: inward-pointing scan, g-bound sampling and g's admissibility."""
-    from .nonlinearity import scan_transversality
-
     space = prob.form.space
     t_grid = np.linspace(0.0, prob.grid.horizon, 9)
     scan = scan_transversality(
@@ -502,7 +500,8 @@ def exp_shift(prob: NonlocalProblem, mu: float) -> NonlocalProblem:
             return np.asarray(_b(t), dtype=float) + _d * gh
 
         new_form = replace(form, stiffness_at=shifted_stiff,
-                           bound_M=form.bound_M + delta * space.embed_const**2, shift_delta=0.0)
+                           bound_M=form.bound_M + delta * space.embed_const**2,
+                           shift_delta=form.shift_delta - delta)
     else:
         new_form = form
 

@@ -75,6 +75,11 @@ class TestSineSpace:
 
 
 class TestFormAssembly:
+    def test_non_coercive_constant_form_points_to_time_form(self):
+        sp = build_sine_space(2, math.pi)
+        with pytest.raises(ValueError, match="build a TimeForm declaring its shift_delta"):
+            constant_form(sp, sp.gram_V - sp.gram_H, 1.0)
+
     def test_energy_form_equals_v_gram(self):
         sp = build_sine_space(3, math.pi)
         form = scaled_form(sp, lambda t: 1.0)

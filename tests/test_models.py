@@ -230,7 +230,8 @@ class TestEviPreset:
         assert np.abs(rep.solution.values[:, 1:]).max() < 1e-12
 
     def test_zero_functional_reduces_to_homogeneous_flow(self):
-        zero_phi = ConvexFunctional(lambda x: 0.0, lambda x: np.zeros_like(x), 4, 0.0)
+        zero_phi = ConvexFunctional(np.vectorize(lambda x: 0.0, signature="(n)->()"),
+                                    lambda x: np.zeros_like(x), 4, 0.0)
         prob = preset_evi(4, 64, zero_phi)
         rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12, lambda_steps=2))
         x0 = np.zeros(4)
@@ -246,11 +247,11 @@ class TestEviPreset:
         assert res >= -10.0 * prob.grid.dt
 
     def test_audit_gate(self):
-        concave = ConvexFunctional(lambda x: -0.5 * float(x @ x),
+        concave = ConvexFunctional(np.vectorize(lambda x: -0.5 * float(x @ x), signature="(n)->()"),
                                    lambda x: -np.asarray(x), 4, 1.0)
         with pytest.raises(ValueError):
             preset_evi(4, 64, concave)
-        no_lip = ConvexFunctional(lambda x: 0.5 * float(x @ x),
+        no_lip = ConvexFunctional(np.vectorize(lambda x: 0.5 * float(x @ x), signature="(n)->()"),
                                   lambda x: np.asarray(x), 4, None)
         with pytest.raises(ValueError):
             preset_evi(4, 64, no_lip)

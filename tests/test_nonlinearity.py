@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from parabolic_nonlocal.nonlinearity import (
     apply_superposition,
     bounded_source,
     check_monotone,
+    check_row_contract,
     convexity_probe,
     evi_residual,
     gradient_consistency,
@@ -23,6 +25,7 @@ from parabolic_nonlocal.nonlinearity import (
     scan_transversality,
     zero_nonlinearity,
 )
+from parabolic_nonlocal.nonlocal_solver import SolverConfig, solve_nonlocal
 
 
 def random_trajectory(space, grid, seed=0, scale=1.0):
@@ -154,7 +157,8 @@ class TestMonotone:
         assert ok
 
     def test_concave_fails(self):
-        bad = ConvexFunctional(lambda x: -0.5 * float(x @ x), lambda x: -np.asarray(x), 3)
+        bad = ConvexFunctional(np.vectorize(lambda x: -0.5 * float(x @ x), signature="(n)->()"),
+                               lambda x: -np.asarray(x), 3)
         assert check_monotone(bad, 500) < -1e-10
         assert convexity_probe(bad) > 1e-10
 
@@ -245,6 +249,15 @@ class TestEviResidual:
             evi_residual(form, quadratic_functional(1), tr, n_test=n_test)
 
 
+    def test_grid_without_interior_node_rejected(self):
+        # one step leaves no interior node: the residual read inf and passed vacuously
+        sp = build_sine_space(1, math.pi)
+        form = constant_form(sp, np.array([[1.0]]), 1.0)
+        tr = propagate(form, None, TimeGrid(1.0, 1), np.array([1.0]))
+        with pytest.raises(ValueError, match="interior node"):
+            evi_residual(form, quadratic_functional(1), tr, n_test=5)
+
+
 class TestShiftedTransversality:
     def test_monotone_plus_shift_points_inward(self):
         # f_hat(x) = -grad phi(x) - eps x passes the scan once the radius
@@ -257,3 +270,124 @@ class TestShiftedTransversality:
         r0 = b_inf / (eps - a) * 1.05
         rep = scan_transversality(f_hat, r0, math.inf, 500, np.linspace(0, 1, 3), dim=3)
         assert rep.passed
+
+
+def coordinate_quartic(dim):
+    """phi = sum x_k^4 / 4 with a gradient written coordinate by coordinate for one row."""
+    return ConvexFunctional(lambda x: 0.25 * np.sum(np.asarray(x) ** 4, axis=-1),
+                            lambda x: np.array([x[k] ** 3 for k in range(dim)]), dim, 3.0)
+
+
+class TestRowContract:
+    @pytest.mark.parametrize("make", [quadratic_functional, pseudo_huber_functional])
+    def test_bundled_functionals_follow_contract(self, make):
+        phi = make(3)
+        check_row_contract(phi)
+        block = np.random.default_rng(2).uniform(-3.0, 3.0, (4, 5, 3))
+        assert phi.value(block).shape == (4, 5)
+        assert phi.gradient(block).shape == (4, 5, 3)
+
+    def test_coordinate_gradient_rejected_before_any_march(self):
+        with pytest.raises(ValueError, match="phi.gradient breaks the row contract"):
+            preset_evi(4, 64, coordinate_quartic(4))
+
+    def test_scalar_value_rejected(self):
+        flat = ConvexFunctional(lambda x: 0.0, lambda x: np.zeros_like(x), 3, 0.0)
+        with pytest.raises(ValueError, match="phi.value breaks the row contract"):
+            check_row_contract(flat)
+
+    def test_vectorized_wrapper_accepted(self):
+        rowwise = coordinate_quartic(4)
+        wrapped = ConvexFunctional(rowwise.value, np.vectorize(rowwise.gradient, signature="(n)->(n)"),
+                                   4, 3.0)
+        direct = ConvexFunctional(rowwise.value, lambda x: np.asarray(x) ** 3, 4, 3.0)
+        cfg = SolverConfig(inner_tol=1e-10)
+        rep = solve_nonlocal(preset_evi(4, 64, wrapped), cfg)
+        assert rep.converged
+        assert np.array_equal(rep.solution.values,
+                              solve_nonlocal(preset_evi(4, 64, direct), cfg).solution.values)
+
+
+def counted(fn, calls):
+    def wrapper(*args):
+        calls.append(np.shape(args[-1]))
+        return fn(*args)
+    return wrapper
+
+
+class TestBlockAudits:
+    """Each audit evaluates whole blocks, on the draws of a per-sample loop."""
+
+    def test_monotone_and_convexity_match_pair_loops(self):
+        phi = pseudo_huber_functional(5)
+        rng = np.random.default_rng(3)
+        pairs = [(rng.uniform(-10.0, 10.0, 5), rng.uniform(-10.0, 10.0, 5)) for _ in range(300)]
+        gaps = [float((phi.gradient(x) - phi.gradient(y)) @ (x - y)) for x, y in pairs]
+        rng = np.random.default_rng(4)
+        segs = [(rng.uniform(-5.0, 5.0, 5), rng.uniform(-5.0, 5.0, 5)) for _ in range(250)]
+        defects = [phi.value(0.5 * (x + y)) - 0.5 * (phi.value(x) + phi.value(y)) for x, y in segs]
+        calls = []
+        spy = ConvexFunctional(counted(phi.value, calls), counted(phi.gradient, calls), 5)
+        assert check_monotone(spy, 300, seed=3) == min(gaps)
+        assert convexity_probe(spy, 250, seed=4) == max(defects)
+        assert calls == [(300, 2, 5), (250, 2, 5), (250, 5)]
+
+    def test_scan_matches_direction_loop(self):
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal((4, 4))
+        gh = b @ b.T + 4.0 * np.eye(4)
+        f = saturating_drift(4)
+        t_grid = np.linspace(0.0, 1.0, 7)
+        rng = np.random.default_rng(3)
+        vals = []
+        for radius in np.geomspace(0.5, 5.0, 16):
+            for _ in range(5):  # ceil(500 / (16 * 7)) directions per radius
+                d = rng.standard_normal(4)
+                x = radius * (d / math.sqrt(d @ gh @ d))
+                vals += [float(f.eval(float(t), x) @ gh @ x) for t in t_grid]
+        calls = []
+        spy = Nonlinearity(counted(f.eval, calls), f.growth_a, f.growth_b)
+        rep = scan_transversality(spy, 0.5, 7.0, 500, t_grid, 4, seed=3, gram_H=gh)
+        # G_H X^T is one matrix product where the loop multiplies row by row
+        assert rep.worst_value == pytest.approx(max(vals), rel=1e-14)
+        assert rep.violations == sum(v > 0.0 for v in vals) > 0
+        assert rep.samples == len(vals)
+        assert calls == [(80, 4)] * len(t_grid)
+
+    def test_evi_residual_matches_node_loop(self):
+        sp = build_sine_space(3, math.pi)
+        form = constant_form(sp, np.diag([1.0, 2.0, 3.0]), 1.0)
+        grid = TimeGrid(1.0, 64)
+        tr = propagate(form, None, grid, np.array([1.0, -0.5, 0.2]))
+        phi = pseudo_huber_functional(3)
+        rng = np.random.default_rng(9)
+        s = form.stiffness_at(0.0)
+        worst = 0.0
+        for j in range(1, grid.n_steps):
+            u = tr.values[j]
+            lin = (tr.values[j + 1] - tr.values[j - 1]) / (2.0 * grid.dt) + s @ u
+            for _ in range(200):
+                v = rng.uniform(-0.3, 0.3, 3)
+                worst = min(worst, float(lin @ (v - u)) - phi.value(u) + phi.value(v))
+        calls = []
+        spy = ConvexFunctional(counted(phi.value, calls), phi.gradient, 3)
+        assert evi_residual(form, spy, tr, 200, seed=9, test_radius=0.3) == worst < 0.0
+        # u at every interior node, then 63 * 200 test points in chunks of 4096
+        assert calls == [(63, 3), (4096, 3), (4096, 3), (4096, 3), (312, 3)]
+
+    def test_evi_residual_memory_bounded_in_n_test(self):
+        sp = build_sine_space(8, math.pi)
+        form = constant_form(sp, sp.gram_V, 1.0)
+        grid = TimeGrid(1.0, 64)
+        tr = propagate(form, None, grid, np.linspace(1.0, 0.1, 8))
+        n_test = 2**15
+        unchunked = (grid.n_steps - 1) * n_test * sp.n_modes * 8
+        assert unchunked > 100 * 2**20
+        tracemalloc.start()
+        try:
+            res = evi_residual(form, pseudo_huber_functional(8), tr, n_test, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res <= 0.0
+        assert peak < 4 * 2**20

@@ -13,9 +13,14 @@ from parabolic_nonlocal.evolution import (
     propagate,
     zero_trajectory,
 )
-from parabolic_nonlocal.galerkin import build_sine_space, constant_form, project
+from parabolic_nonlocal.galerkin import TimeForm, build_sine_space, constant_form, project
 from parabolic_nonlocal.models import cosine_bump_kernel, preset_heat_timevarying
-from parabolic_nonlocal.nonlinearity import Nonlinearity, scan_transversality, zero_nonlinearity
+from parabolic_nonlocal.nonlinearity import (
+    Nonlinearity,
+    saturating_drift,
+    scan_transversality,
+    zero_nonlinearity,
+)
 from parabolic_nonlocal.nonlocal_solver import (
     NonlocalCondition,
     NonlocalProblem,
@@ -561,6 +566,34 @@ class TestExpShift:
         gap = np.abs(back.values - direct.solution.values).max()
         assert direct.converged and shifted.converged
         assert gap <= 1e-8
+
+    @pytest.mark.parametrize("mu, tol", [(0.5, 2e-6), (2.0, 1.5e-5)])
+    def test_partial_shift_absorbs_declared_delta(self, mu, tol):
+        # S(t) = (1 + t/2) G_V - G_H is coercive only after the declared shift delta = 1.5
+        sp = build_sine_space(3, math.pi)
+        form = TimeForm(sp, lambda t: (1.0 + 0.5 * t) * sp.gram_V - sp.gram_H, bound_M=1.5,
+                        coercivity_alpha=1.0, horizon=1.0, shift_delta=1.5)
+        x0 = np.array([0.4, -0.2, 0.1])
+        g = NonlocalCondition(
+            lambda tr: x0 + 0.5 * np.trapezoid(tr.values, dx=tr.grid.dt, axis=0), "average", {})
+        prob = NonlocalProblem(form=form, proj=project(sp, 3), f=saturating_drift(3), g=g,
+                               grid=TimeGrid(1.0, 512), r0=1.0, R0=math.inf)
+        shifted = exp_shift(prob, mu)
+        absorbed = min(1.5, mu)
+        for t in (0.0, 0.3, 1.0):
+            assert np.array_equal(shifted.form.stiffness_at(t),
+                                  form.stiffness_at(t) + absorbed * sp.gram_H)
+        assert shifted.form.bound_M == pytest.approx(1.5 + absorbed * sp.embed_const**2)
+        assert shifted.form.shift_delta == pytest.approx(1.5 - absorbed)
+        assert shifted.f.growth_a == pytest.approx(1.0 + mu - absorbed)
+        # unshifted, the path is the direct solve's up to the second-order scheme
+        # mismatch: 4.2e-7 (mu = 0.5) and 3.2e-6 (mu = 2) measured at 512 steps
+        cfg = SolverConfig(inner_tol=1e-12)
+        direct = solve_nonlocal(prob, cfg)
+        rep = solve_nonlocal(shifted, cfg)
+        assert direct.converged and rep.converged
+        back = unshift_trajectory(rep.solution, mu)
+        assert np.abs(back.values - direct.solution.values).max() <= tol
 
     def test_shifted_bounded_source_points_inward(self):
         # after the shift, the source term satisfies the annulus condition
