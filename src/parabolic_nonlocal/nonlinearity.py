@@ -179,9 +179,10 @@ def pseudo_huber_functional(dim: int) -> ConvexFunctional:
     )
 
 
-def check_row_contract(phi: ConvexFunctional, seed=0) -> None:
+def check_row_contract(phi: ConvexFunctional) -> None:
     """Raise ``ValueError`` unless phi on a block of rows equals phi row by row."""
-    block = _rng(seed).uniform(-2.0, 2.0, (2, phi.dim + 1, phi.dim))  # last axis alone has length n
+    n = phi.dim  # leading axes n + 1 and n + 2 never equal n, so x[k] cannot pass for a row
+    block = np.linspace(-2.0, 2.0, (n + 1) * (n + 2) * n).reshape(n + 1, n + 2, n)
     for name, sig in (("value", "(n)->()"), ("gradient", "(n)->(n)")):
         fn = getattr(phi, name)
         rows = np.vectorize(fn, signature=sig)(block)

@@ -38,14 +38,6 @@ from parabolic_nonlocal.galerkin import (
     stiffness_stack,
 )
 from parabolic_nonlocal.models import divergence_form_assemble, time_power_coefficient
-from parabolic_nonlocal.nonlinearity import Nonlinearity
-from parabolic_nonlocal.nonlocal_solver import (
-    NonlocalCondition,
-    NonlocalProblem,
-    SolverConfig,
-    homotopy_map,
-    solve_nonlocal,
-)
 
 # closed-form values for the scalar decay/source problems (see module tests)
 REG_RATIO_SCALAR = 2.244913202997993  # sqrt(1-e^-2) + 2*sqrt((1-e^-2)/2)
@@ -453,35 +445,6 @@ class TestRandomFormProperties:
         lhs = sp.h_inner(build_propagator(form, None, grid).apply(x, i_s, i_t), y)
         rhs = sp.h_inner(x, adjoint_propagate(form, None, grid, y, i_t, i_s))
         assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)
-
-    @RANDOM_FORM_SETTINGS
-    @given(n=st.integers(1, 4), n_steps=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
-    def test_shooting_matches_dense_affine_solve(self, n, n_steps, seed):
-        # with affine f and g the discrete fixed point solves (I - L) w = c, where
-        # c = S(0) and L w = S(w) - c for the stage map S at lam = 1
-        rng = np.random.default_rng(seed)
-        sp = build_sine_space(n, math.pi)
-        grid = TimeGrid(1.0, n_steps)
-        b, c = 0.5 * rng.uniform(-1.0, 1.0, (2, n, n)) / n  # |b|_2, |c|_2 <= 1/2
-        h, x0 = rng.standard_normal((2, n))
-        j = int(rng.integers(0, n_steps + 1))
-        f = Nonlinearity(lambda t, x: x @ b.T + math.cos(t) * h, 0.5, lambda t: float(np.abs(h).sum()))
-        g = NonlocalCondition(lambda tr: x0 + c @ tr.values[j], "node", {})
-        prob = NonlocalProblem(form=random_accretive_form(sp, rng), proj=project(sp, n), f=f,
-                               g=g, grid=grid, r0=1.0, R0=math.inf)
-        prop = build_propagator(prob.form, prob.proj, grid)
-        shape = (n_steps + 1, n)
-
-        def stage_map(flat):
-            return homotopy_map(prob, 1.0, make_trajectory(sp, grid, flat.reshape(shape)),
-                                prop).values.ravel()
-
-        offset = stage_map(np.zeros(shape[0] * n))
-        lin = np.column_stack([stage_map(e) - offset for e in np.eye(shape[0] * n)])
-        direct = np.linalg.solve(np.eye(shape[0] * n) - lin, offset)
-        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12))
-        assert rep.converged
-        assert np.abs(rep.solution.values.ravel() - direct).max() <= 1e-10
 
 
 class TestAdjoint:

@@ -287,9 +287,10 @@ class TestRowContract:
         assert phi.value(block).shape == (4, 5)
         assert phi.gradient(block).shape == (4, 5, 3)
 
-    def test_coordinate_gradient_rejected_before_any_march(self):
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_coordinate_gradient_rejected_before_any_march(self, dim):
         with pytest.raises(ValueError, match="phi.gradient breaks the row contract"):
-            preset_evi(4, 64, coordinate_quartic(4))
+            preset_evi(dim, 64, coordinate_quartic(dim))
 
     def test_scalar_value_rejected(self):
         flat = ConvexFunctional(lambda x: 0.0, lambda x: np.zeros_like(x), 3, 0.0)

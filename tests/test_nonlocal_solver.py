@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_evolution import RANDOM_FORM_SETTINGS, random_accretive_form
 
 from parabolic_nonlocal.evolution import (
     TimeGrid,
@@ -326,26 +329,47 @@ class TestSolveNonlocal:
         assert abs(ratios[1] - ratios[0]) / ratios[0] < 0.05
 
 
+def dense_affine_solution(prob):
+    """Discrete fixed point of an affine problem as the dense solve of (I - L) w = c.
+
+    c = S(0) and L w = S(w) - c, for S the stage map at lam = 1.
+    """
+    space, grid = prob.form.space, prob.grid
+    prop = build_propagator(prob.form, prob.proj, grid)
+    shape = (grid.n_steps + 1, space.n_modes)
+    size = shape[0] * shape[1]
+
+    def stage_map(flat):
+        w = make_trajectory(space, grid, flat.reshape(shape))
+        return homotopy_map(prob, 1.0, w, prop).values.ravel()
+
+    c = stage_map(np.zeros(size))
+    lin = np.column_stack([stage_map(e) - c for e in np.eye(size)])
+    return np.linalg.solve(np.eye(size) - lin, c)
+
+
 class TestShooting:
     def test_heat_matches_direct_affine_solve(self):
-        # the heat preset is affine: its discrete fixed point solves (I - L) w = c
-        # with c = S(0) and L w = S(w) - c, S the stage map at lam = 1
-        prob = preset_heat_timevarying(4, 64)
-        space, grid = prob.form.space, prob.grid
-        prop = build_propagator(prob.form, prob.proj, grid)
-        shape = (grid.n_steps + 1, space.n_modes)
-        size = shape[0] * shape[1]
-
-        def stage_map(flat):
-            w = make_trajectory(space, grid, flat.reshape(shape))
-            return homotopy_map(prob, 1.0, w, prop).values.ravel()
-
-        c = stage_map(np.zeros(size))
-        lin = np.column_stack([stage_map(e) - c for e in np.eye(size)])
-        direct = np.linalg.solve(np.eye(size) - lin, c)
+        prob = preset_heat_timevarying(4, 64)  # affine f and g
         rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12))
         assert rep.converged
-        assert np.abs(rep.solution.values.ravel() - direct).max() <= 1e-10
+        assert np.abs(rep.solution.values.ravel() - dense_affine_solution(prob)).max() <= 1e-10
+
+    @RANDOM_FORM_SETTINGS
+    @given(n=st.integers(1, 4), n_steps=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+    def test_random_affine_matches_direct_affine_solve(self, n, n_steps, seed):
+        rng = np.random.default_rng(seed)
+        sp = build_sine_space(n, math.pi)
+        b, c = 0.5 * rng.uniform(-1.0, 1.0, (2, n, n)) / n  # |b|_2, |c|_2 <= 1/2
+        h, x0 = rng.standard_normal((2, n))
+        j = int(rng.integers(0, n_steps + 1))
+        f = Nonlinearity(lambda t, x: x @ b.T + math.cos(t) * h, 0.5, lambda t: float(np.abs(h).sum()))
+        g = NonlocalCondition(lambda tr: x0 + c @ tr.values[j], "node", {})
+        prob = NonlocalProblem(form=random_accretive_form(sp, rng), proj=project(sp, n), f=f,
+                               g=g, grid=TimeGrid(1.0, n_steps), r0=1.0, R0=math.inf)
+        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12))
+        assert rep.converged
+        assert np.abs(rep.solution.values.ravel() - dense_affine_solution(prob)).max() <= 1e-10
 
     def test_constant_condition_is_one_march(self):
         grid = TimeGrid(1.0, 64)
