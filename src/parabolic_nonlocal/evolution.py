@@ -353,8 +353,7 @@ def duhamel_direct_sum(form: TimeForm, proj: Projection | None, grid: TimeGrid, 
 def reversed_form(form: TimeForm) -> TimeForm:
     """Time-reversed transposed form: stiffness ``S(horizon - t)^T``."""
     horizon = form.horizon
-    return replace(
-        form, stiffness_at=lambda t: np.asarray(form.stiffness_at(horizon - t), dtype=float).T)
+    return replace(form, stiffness_at=lambda t: form.stiffness_at(horizon - t).transpose(0, 2, 1))
 
 
 def adjoint_propagate(form: TimeForm, proj: Projection | None, grid: TimeGrid, x: Vector,
@@ -436,7 +435,7 @@ def _leading_mode_form(form: TimeForm, m: int) -> TimeForm:
     sp = form.space
     sub = GalerkinSpace(m, sp.domain_length, sp.gram_H[:m, :m], sp.gram_V[:m, :m],
                         sp.embed_const)
-    return replace(form, space=sub, stiffness_at=lambda t: form.stiffness_at(t)[:m, :m])
+    return replace(form, space=sub, stiffness_at=lambda t: form.stiffness_at(t)[:, :m, :m])
 
 
 def regularity_ratio(traj: Trajectory, f_l2: float, x_vnorm: float) -> float:

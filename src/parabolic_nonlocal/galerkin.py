@@ -92,9 +92,6 @@ class GalerkinSpace:
     def v_norm(self, v: Vector) -> float:
         return math.sqrt(max(float(v @ self.gram_V @ v), 0.0))
 
-    def h_inner(self, u: Vector, v: Vector) -> float:
-        return float(u @ self.gram_H @ v)
-
 
 def build_sine_space(n_modes: int, length: float) -> GalerkinSpace:
     """Dirichlet sine modes on (0, length), orthonormal in the pivot norm.
@@ -122,16 +119,20 @@ def build_sine_space(n_modes: int, length: float) -> GalerkinSpace:
 class TimeForm:
     """A time-dependent bilinear form given as a stiffness-matrix field.
 
-    ``stiffness_at(t)[i, j]`` is the form applied to (phi_j, phi_i).  The
-    declared constants are audited against sampled estimates rather than
-    trusted: see :func:`estimate_bounds` and :func:`audit_dini`.
+    ``stiffness_at`` maps a 1-D array of k times to a new ``(k, n, n)``
+    stack, with ``stiffness_at(times)[l, i, j]`` the form at ``times[l]``
+    applied to (phi_j, phi_i); callers of :func:`stiffness_stack` overwrite
+    the stack in place.  Wrap a function of one time in
+    ``np.vectorize(fn, signature="()->(n,n)")``.  The declared constants
+    are audited against sampled estimates rather than trusted: see
+    :func:`estimate_bounds` and :func:`audit_dini`.
 
     ``shift_delta`` is the pivot-norm shift making the form coercive when it
     is only quasi-coercive; 0 means the form is coercive as given.
     """
 
     space: GalerkinSpace
-    stiffness_at: Callable[[float], Matrix]
+    stiffness_at: Callable[[np.ndarray], np.ndarray]
     bound_M: float
     coercivity_alpha: float
     horizon: float
@@ -164,22 +165,11 @@ def constant_form(space: GalerkinSpace, stiffness: Matrix, horizon: float,
         coercivity_alpha = a_sharp
     return TimeForm(
         space=space,
-        stiffness_at=lambda t, _s=s: _s,
+        stiffness_at=lambda t, _s=s: np.repeat(_s[None], len(t), axis=0),
         bound_M=bound_M if bound_M is not None else m_sharp,
         coercivity_alpha=coercivity_alpha,
         horizon=horizon,
     )
-
-
-def assemble_form_matrix(form: TimeForm, t: float) -> Matrix:
-    """Evaluate the coordinate stiffness matrix at time t."""
-    if not 0.0 <= t <= form.horizon * (1.0 + 1e-12):
-        raise ValueError(f"t={t} outside [0, {form.horizon}]")
-    s = np.asarray(form.stiffness_at(t), dtype=float)
-    n = form.space.n_modes
-    if s.shape != (n, n):
-        raise ValueError("stiffness_at returned a matrix of wrong shape")
-    return s
 
 
 def default_audit_grid(horizon: float, n_points: int = 33) -> np.ndarray:
@@ -288,8 +278,35 @@ def project(space: GalerkinSpace, m: int) -> Projection:
     return Projection(space=space, m=m, matrix=p)
 
 
-def assemble_projected_form(form: TimeForm, proj: Projection, t: float) -> Matrix:
-    """Stiffness of the reduced form: projected part plus energy penalty.
+def stiffness_stack(form: TimeForm, proj: Projection | None, times: np.ndarray) -> np.ndarray:
+    """Stiffness of the (optionally projected) form at every time, as a ``(k, n, n)`` stack.
+
+    This is the one place the stiffness is evaluated on a set of times: one
+    ``stiffness_at`` call on the whole array, checked against the horizon
+    and the stack contract of :class:`TimeForm`.  With a projection, the
+    stack is then reduced in place by :func:`project_stack`.
+    """
+    times = np.asarray(times, dtype=float)
+    if not np.all((times >= 0.0) & (times <= form.horizon * (1.0 + 1e-12))):
+        raise ValueError(f"times outside [0, {form.horizon}]")
+    shape = (times.size, form.space.n_modes, form.space.n_modes)
+    if not times.size:  # a np.vectorize wrapper cannot be called on no times
+        return np.empty(shape)
+    try:
+        stack = np.asarray(form.stiffness_at(times), dtype=float)
+        broken = f"got shape {stack.shape}" if stack.shape != shape else ""
+    except (IndexError, TypeError, ValueError) as exc:
+        broken = f"raised {exc!r}"
+    if broken:
+        raise ValueError(f"stiffness_at breaks the stack contract: on {times.size} times it must "
+                         f"return a {shape} stack, {broken}; wrap a function of one time in "
+                         "np.vectorize(fn, signature='()->(n,n)')")
+    return stack if proj is None else project_stack(form, proj, stack)
+
+
+def project_stack(form: TimeForm, proj: Projection, stack: np.ndarray) -> np.ndarray:
+    """Turn a ``(k, n, n)`` stiffness stack of ``form`` into the reduced form's
+    ``P^T S P + alpha Q^T G_V Q`` in place and return it.
 
     The complement is penalised with ``coercivity_alpha`` times the energy
     Gram, which keeps the reduced form coercive (with at least half the
@@ -297,27 +314,6 @@ def assemble_projected_form(form: TimeForm, proj: Projection, t: float) -> Matri
     """
     if proj.space is not form.space:
         raise ValueError("form and projection refer to different spaces")
-    return stiffness_stack(form, proj, [t])[0]
-
-
-def stiffness_stack(form: TimeForm, proj: Projection | None, times: np.ndarray) -> np.ndarray:
-    """Stiffness of the (optionally projected) form at every time, as a ``(k, n, n)`` stack.
-
-    This is the one place the stiffness is evaluated on a set of times:
-    ``stiffness_at`` is called once per time.  With a projection, the
-    whole stack is then reduced in place by :func:`project_stack`.
-    """
-    times = np.asarray(times, dtype=float)
-    stack = np.empty((times.size, form.space.n_modes, form.space.n_modes))
-    for i, t in enumerate(times):
-        stack[i] = assemble_form_matrix(form, float(t))
-    return stack if proj is None else project_stack(form, proj, stack)
-
-
-def project_stack(form: TimeForm, proj: Projection, stack: np.ndarray) -> np.ndarray:
-    """Turn a ``(k, n, n)`` stiffness stack of ``form`` into the reduced form's
-    ``P^T S P + alpha Q^T G_V Q`` in place (see :func:`assemble_projected_form`)
-    and return it."""
     q = proj.complement()
     np.matmul(proj.matrix.T, stack, out=stack)
     np.matmul(stack, proj.matrix, out=stack)

@@ -179,20 +179,21 @@ def pseudo_huber_functional(dim: int) -> ConvexFunctional:
     )
 
 
-def check_row_contract(phi: ConvexFunctional) -> None:
-    """Raise ``ValueError`` unless phi on a block of rows equals phi row by row."""
-    n = phi.dim  # leading axes n + 1 and n + 2 never equal n, so x[k] cannot pass for a row
+def check_row_contract(fn: Callable[[np.ndarray], np.ndarray], dim: int, signature: str,
+                       name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``fn`` on a block of ``(..., dim)``
+    rows equals ``np.vectorize(fn, signature=signature)``, i.e. fn row by row."""
+    n = dim  # leading axes n + 1 and n + 2 never equal n, so x[k] cannot pass for a row
     block = np.linspace(-2.0, 2.0, (n + 1) * (n + 2) * n).reshape(n + 1, n + 2, n)
-    for name, sig in (("value", "(n)->()"), ("gradient", "(n)->(n)")):
-        fn = getattr(phi, name)
-        rows = np.vectorize(fn, signature=sig)(block)
-        try:
-            out = np.asarray(fn(block), dtype=float)
-        except (IndexError, TypeError, ValueError):
-            out = None
-        if out is None or out.shape != rows.shape or not np.allclose(out, rows, 1e-12, 1e-12):
-            raise ValueError(f"phi.{name} breaks the row contract: on (..., n) rows it must equal "
-                             f"np.vectorize(phi.{name}, signature='{sig}')")
+    rows = np.vectorize(fn, signature=signature)(block)
+    try:
+        out = np.asarray(fn(block), dtype=float)
+    except (IndexError, TypeError, ValueError):
+        out = None
+    if out is None or out.shape != rows.shape or not np.allclose(out, rows, 1e-12, 1e-12,
+                                                                 equal_nan=True):
+        raise ValueError(f"{name} breaks the row contract: on (..., n) rows it must equal "
+                         f"np.vectorize({name}, signature='{signature}')")
 
 
 def check_monotone(phi: ConvexFunctional, n_pairs: int, seed=0,
@@ -217,14 +218,6 @@ def gradient_consistency(phi: ConvexFunctional, n_points: int, h: float,
     fd = (phi.value(x + h * d) - phi.value(x - h * d)) / (2.0 * h)
     gd = np.vecdot(phi.gradient(x), d)
     return float((np.abs(fd - gd) / (1.0 + np.abs(gd))).max())
-
-
-def convexity_probe(phi: ConvexFunctional, n_segments: int = 200, seed=0,
-                    radius: float = 5.0) -> float:
-    """Worst midpoint-convexity defect over sampled segments (<= 0 for convex phi)."""
-    xy = _rng(seed).uniform(-radius, radius, (n_segments, 2, phi.dim))
-    ends = phi.value(xy)
-    return float((phi.value(xy.mean(axis=1)) - 0.5 * (ends[:, 0] + ends[:, 1])).max())
 
 
 def evi_residual(form: TimeForm, phi: ConvexFunctional, traj: Trajectory,

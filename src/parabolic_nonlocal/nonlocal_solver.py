@@ -38,7 +38,8 @@ from .galerkin import (
     Vector,
     stiffness_stack,
 )
-from .nonlinearity import Nonlinearity, _rng, apply_superposition, scan_transversality
+from .nonlinearity import (Nonlinearity, _rng, apply_superposition, check_row_contract,
+                           scan_transversality)
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,9 @@ class NonlocalProblem:
 
     ``shift_mu`` records the exponential-substitution rate applied to reach
     this problem (0 when it is stated in the user's frame); trajectories are
-    mapped back with :func:`unshift_trajectory`.
+    mapped back with :func:`unshift_trajectory`.  ``f`` must follow the row
+    contract of :class:`Nonlinearity`; it is checked at t = 0 when the
+    problem is built, before any march.
     """
 
     form: TimeForm
@@ -206,6 +209,9 @@ class NonlocalProblem:
             raise ValueError("need 0 < r0 < R0")
         if self.grid.horizon > self.form.horizon * (1.0 + 1e-12):
             raise ValueError("grid horizon exceeds the form's horizon")
+        # a state-free f may return one (n,) row, so f is compared broadcast to its input
+        check_row_contract(lambda x: np.broadcast_to(self.f.eval(0.0, x), np.shape(x)),
+                           self.form.space.n_modes, "(n)->(n)", "f.eval(t, .)")
 
 
 def audit_problem(prob: NonlocalProblem, n_samples: int = 300, seed=0) -> dict:
@@ -491,15 +497,10 @@ def exp_shift(prob: NonlocalProblem, mu: float) -> NonlocalProblem:
     space = form.space
     delta = min(form.shift_delta, mu)
     eps = mu - delta
-    gh = space.gram_H
 
     if delta > 0.0:
-        base_stiff = form.stiffness_at
-
-        def shifted_stiff(t: float, _b=base_stiff, _d=delta) -> Matrix:
-            return np.asarray(_b(t), dtype=float) + _d * gh
-
-        new_form = replace(form, stiffness_at=shifted_stiff,
+        shift = delta * space.gram_H
+        new_form = replace(form, stiffness_at=lambda t: form.stiffness_at(t) + shift,
                            bound_M=form.bound_M + delta * space.embed_const**2,
                            shift_delta=form.shift_delta - delta)
     else:

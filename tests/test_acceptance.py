@@ -35,8 +35,8 @@ def accretive_form(space, rng, coupling=1.0, horizon=1.0):
         wave = 0.5 * (1.0 + math.sin(osc * t))
         return space.gram_V + psd * (1.0 + wave) + skew
 
-    return pn.TimeForm(space, stiff, bound_M=100.0, coercivity_alpha=1.0,
-                       horizon=horizon)
+    return pn.TimeForm(space, np.vectorize(stiff, signature="()->(n,n)"), bound_M=100.0,
+                       coercivity_alpha=1.0, horizon=horizon)
 
 
 def test_c01_contractivity():

@@ -13,6 +13,7 @@ from parabolic_nonlocal.evolution import (
     STEP_TOL,
     StepNotConverged,
     TimeGrid,
+    _leading_mode_form,
     _march,
     _node_norms,
     adjoint_propagate,
@@ -62,7 +63,13 @@ def random_accretive_form(sp, rng, horizon=1.0, time_varying=True):
         c = 0.5 * (1.0 + math.sin(osc * t)) if time_varying else 0.0
         return sp.gram_V + psd * (1.0 + c) + skew
 
-    return TimeForm(sp, stiff, bound_M=50.0, coercivity_alpha=1.0, horizon=horizon)
+    return TimeForm(sp, np.vectorize(stiff, signature="()->(n,n)"), bound_M=50.0,
+                    coercivity_alpha=1.0, horizon=horizon)
+
+
+def stiffness_at_one(form, t):
+    """The form's stiffness at one time, read straight from its field."""
+    return form.stiffness_at(np.array([t]))[0]
 
 
 class TestTimeGrid:
@@ -76,6 +83,35 @@ class TestTimeGrid:
             TimeGrid(0.0, 4)
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0)
+
+
+class TestStackWrappers:
+    """Each wrapper form's stack is its per-time expression, time by time."""
+
+    times = np.linspace(0.0, 1.0, 7)
+
+    def test_constant_form_repeats_a_fresh_matrix(self):
+        sp = build_sine_space(3, math.pi)
+        s = sp.gram_V + np.triu(np.ones((3, 3)), 1)
+        form = constant_form(sp, s, 1.0, coercivity_alpha=0.5)
+        stack = form.stiffness_at(self.times)
+        assert stack.shape == (7, 3, 3) and all(np.array_equal(m, s) for m in stack)
+        stack[:] = 0.0  # callers overwrite stacks in place
+        assert np.array_equal(form.stiffness_at(self.times[:1])[0], s)
+
+    def test_reversed_form_transposes_the_reversed_time(self):
+        sp = build_sine_space(3, math.pi)
+        form = random_accretive_form(sp, np.random.default_rng(12))
+        per_time = [stiffness_at_one(form, 1.0 - t).T for t in self.times]
+        assert np.array_equal(reversed_form(form).stiffness_at(self.times), per_time)
+
+    def test_leading_mode_form_is_the_leading_block(self):
+        sp = build_sine_space(4, math.pi)
+        form = random_accretive_form(sp, np.random.default_rng(13))
+        sub = _leading_mode_form(form, 2)
+        per_time = [stiffness_at_one(form, t)[:2, :2] for t in self.times]
+        assert sub.space.n_modes == 2
+        assert np.array_equal(stiffness_stack(sub, None, self.times), per_time)
 
 
 class TestPropagate:
@@ -143,12 +179,12 @@ class TestPropagatorFactors:
 
     @staticmethod
     def per_step_reference(form, grid, scheme):
-        # independent oracle: one solve per step against [rhs, dt G_H]
+        # independent oracle: one solve per step against [rhs, dt G_H], on the
+        # midpoint stiffnesses of one stiffness_at call (batch sizes may round apart)
         gh, dt, n = form.space.gram_H, grid.dt, form.space.n_modes
         c = 0.5 * dt if scheme == "cayley" else dt
         steps, sources = [], []
-        for j in range(grid.n_steps):
-            s = form.stiffness_at(0.5 * (grid.nodes[j] + grid.nodes[j + 1]))
+        for s in form.stiffness_at(grid.midpoints):
             rhs = gh - c * s if scheme == "cayley" else gh
             sol = np.linalg.solve(gh + c * s, np.hstack([rhs, dt * gh]))
             steps.append(sol[:, :n])
@@ -442,8 +478,8 @@ class TestRandomFormProperties:
         form = random_accretive_form(sp, rng)
         grid = TimeGrid(1.0, n_steps)
         x, y = rng.standard_normal(n), rng.standard_normal(n)
-        lhs = sp.h_inner(build_propagator(form, None, grid).apply(x, i_s, i_t), y)
-        rhs = sp.h_inner(x, adjoint_propagate(form, None, grid, y, i_t, i_s))
+        lhs = build_propagator(form, None, grid).apply(x, i_s, i_t) @ sp.gram_H @ y
+        rhs = x @ sp.gram_H @ adjoint_propagate(form, None, grid, y, i_t, i_s)
         assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)
 
 
@@ -490,8 +526,8 @@ class TestAdjoint:
         sp = build_sine_space(3, math.pi)
         form = random_accretive_form(sp, rng)
         rr = reversed_form(reversed_form(form))
-        for t in (0.0, 0.4, 1.0):
-            assert np.allclose(rr.stiffness_at(t), form.stiffness_at(t), atol=1e-14)
+        times = np.array([0.0, 0.4, 1.0])
+        assert np.allclose(rr.stiffness_at(times), form.stiffness_at(times), atol=1e-14)
 
     def test_rejects_bad_node_order(self):
         sp, form = self.nonsymmetric_form()
@@ -573,15 +609,15 @@ class TestProjectedConvergence:
         calls = []
 
         def counted(t):
-            calls.append(t)
+            calls.append(t.copy())
             return form.stiffness_at(t)
 
         grid = TimeGrid(1.0, 32)
         x = np.array([math.exp(-k) for k in range(1, 17)])
         projected_convergence_study(replace(form, stiffness_at=counted), grid, x,
                                     [2, 4, 8], 16)
-        assert len(calls) == grid.n_steps
-        assert calls == list(grid.midpoints)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], grid.midpoints)
 
     def test_peak_memory_is_two_stacks(self):
         # reductions march while only the shared stack is alive; the reference
@@ -658,7 +694,7 @@ class TestTrajectoryNorms:
         grid = TimeGrid(1.0, 16)
         tr = propagate(form, None, grid, rng.standard_normal(3))
         rebuilt = make_trajectory(sp, grid, tr.values,
-                                  lambda ts: np.array([form.stiffness_at(t) for t in ts]))
+                                  lambda ts: np.array([stiffness_at_one(form, t) for t in ts]))
         assert rebuilt.sobolev_h1 == pytest.approx(tr.sobolev_h1, rel=1e-12)
         assert rebuilt.l2_v == pytest.approx(tr.l2_v, rel=1e-12)
         assert rebuilt.au_l2 == pytest.approx(tr.au_l2, rel=1e-12)
@@ -671,16 +707,16 @@ class TestTrajectoryNorms:
         calls = []
 
         def counted(t):
-            calls.append(t)
+            calls.append(len(t))
             return form.stiffness_at(t)
 
         tr = make_trajectory(sp, grid, rng.standard_normal((17, 3)),
                              partial(stiffness_stack, replace(form, stiffness_at=counted), None))
-        assert len(calls) == 0
+        assert calls == []
         first = tr.au_l2
-        assert len(calls) == grid.n_steps + 1
+        assert calls == [grid.n_steps + 1]
         assert tr.au_l2 == first
-        assert len(calls) == grid.n_steps + 1
+        assert calls == [grid.n_steps + 1]
 
     def test_regularity_ratio_scalar_closed_form(self):
         sp, form = scalar_form()

@@ -8,8 +8,6 @@ from parabolic_nonlocal.galerkin import (
     FormAuditReport,
     GalerkinSpace,
     TimeForm,
-    assemble_form_matrix,
-    assemble_projected_form,
     audit_dini,
     build_sine_space,
     constant_form,
@@ -20,11 +18,16 @@ from parabolic_nonlocal.galerkin import (
 )
 
 
+def at(form, t, proj=None):
+    """The (optionally projected) stiffness at one time."""
+    return stiffness_stack(form, proj, [t])[0]
+
+
 def scaled_form(space, kappa, horizon=1.0, bound_M=None, alpha=None):
     gv = space.gram_V
     return TimeForm(
         space=space,
-        stiffness_at=lambda t: kappa(t) * gv,
+        stiffness_at=np.vectorize(lambda t: kappa(t) * gv, signature="()->(n,n)"),
         bound_M=bound_M if bound_M is not None else max(kappa(0.0), kappa(horizon)),
         coercivity_alpha=alpha if alpha is not None else min(kappa(0.0), kappa(horizon)),
         horizon=horizon,
@@ -42,7 +45,8 @@ def random_gram_form(n, rng):
     sp = GalerkinSpace(n, 1.0, gh, gv, embed)
     skew = rng.standard_normal((n, n))
     skew = 0.5 * (skew - skew.T)
-    return TimeForm(sp, lambda t: (1.0 + 0.5 * math.sin(3.0 * t)) * gv + skew * t,
+    return TimeForm(sp, np.vectorize(lambda t: (1.0 + 0.5 * math.sin(3.0 * t)) * gv + skew * t,
+                                     signature="()->(n,n)"),
                     bound_M=10.0, coercivity_alpha=0.5, horizon=1.0)
 
 
@@ -84,28 +88,27 @@ class TestFormAssembly:
         sp = build_sine_space(3, math.pi)
         form = scaled_form(sp, lambda t: 1.0)
         for t in (0.0, 0.5, 1.0):
-            assert np.allclose(assemble_form_matrix(form, t), np.diag([1.0, 4.0, 9.0]))
+            assert np.allclose(at(form, t), np.diag([1.0, 4.0, 9.0]))
 
     def test_scalar_coefficient_scales_v_gram(self):
         sp = build_sine_space(3, math.pi)
         form = scaled_form(sp, lambda t: 1.0 + 0.5 * t, bound_M=1.5, alpha=1.0)
-        assert np.allclose(assemble_form_matrix(form, 1.0), np.diag([1.5, 6.0, 13.5]))
+        assert np.allclose(at(form, 1.0), np.diag([1.5, 6.0, 13.5]))
 
     def test_linearity_in_coefficient(self):
         sp = build_sine_space(4, math.pi)
         two = scaled_form(sp, lambda t: 2.0)
         one = scaled_form(sp, lambda t: 1.0)
         assert np.allclose(
-            assemble_form_matrix(two, 0.0), 2.0 * assemble_form_matrix(one, 0.0)
+            at(two, 0.0), 2.0 * at(one, 0.0)
         )
 
     def test_rejects_time_outside_horizon(self):
         sp = build_sine_space(2, math.pi)
         form = scaled_form(sp, lambda t: 1.0)
-        with pytest.raises(ValueError):
-            assemble_form_matrix(form, -0.1)
-        with pytest.raises(ValueError):
-            assemble_form_matrix(form, 1.5)
+        for bad in (-0.1, 1.5, np.nan):
+            with pytest.raises(ValueError, match="outside"):
+                at(form, bad)
 
 
 class TestEstimateBounds:
@@ -155,7 +158,7 @@ class TestEstimateBounds:
         irv = form.space.inv_sqrt_V
         m_ref, a_ref = -math.inf, math.inf
         for t in grid:
-            w = irv @ form.stiffness_at(float(t)) @ irv
+            w = irv @ form.stiffness_at(np.array([t]))[0] @ irv
             m_ref = max(m_ref, float(np.linalg.norm(w, 2)))
             a_ref = min(a_ref, float(np.linalg.eigvalsh(0.5 * (w + w.T)).min()))
         assert estimate_bounds(form, grid) == (m_ref, a_ref)
@@ -168,7 +171,7 @@ class TestEstimateBounds:
         form = constant_form(sp, stiff, 1.0, coercivity_alpha=0.9)
         for _ in range(50):
             u = rng.standard_normal(5)
-            s = assemble_form_matrix(form, rng.uniform(0.0, 1.0))
+            s = at(form, rng.uniform(0.0, 1.0))
             assert u @ (0.5 * (s + s.T)) @ u >= 0.0
 
 
@@ -180,27 +183,37 @@ class TestStiffnessStack:
         calls = []
 
         def counted(t):
-            calls.append(t)
+            calls.append(t.copy())
             return form.stiffness_at(t)
 
         proj = None if m is None else project(form.space, m)
         stack = stiffness_stack(replace(form, stiffness_at=counted), proj, times)
-        assert calls == list(times)
+        assert len(calls) == 1 and np.array_equal(calls[0], times)  # one call on the whole array
         assert stack.shape == (13, 5, 5)
         for t, s in zip(times, stack):
+            one = form.stiffness_at(np.array([t]))[0]
             if proj is None:
-                assert np.array_equal(s, form.stiffness_at(t))
-                assert np.array_equal(s, assemble_form_matrix(form, t))
+                assert np.array_equal(s, one)
             else:
                 p, q = proj.matrix, proj.complement()
-                ref = p.T @ form.stiffness_at(t) @ p + form.coercivity_alpha * (
-                    q.T @ form.space.gram_V @ q)
+                ref = p.T @ one @ p + form.coercivity_alpha * (q.T @ form.space.gram_V @ q)
                 assert np.array_equal(s, ref)
-                assert np.array_equal(s, assemble_projected_form(form, proj, t))
 
     def test_empty_times_give_empty_stack(self):
         form = random_gram_form(3, np.random.default_rng(62))
         assert stiffness_stack(form, project(form.space, 2), []).shape == (0, 3, 3)
+
+    @pytest.mark.parametrize("k", [3, 5], ids=["k_equals_n", "k_differs"])
+    def test_scalar_time_function_rejected_by_name(self, k):
+        # on 3 times, (1 + t/2) * G_V broadcasts to a plausible (3, 3) matrix
+        sp = build_sine_space(3, math.pi)
+        scalar = TimeForm(sp, lambda t: (1.0 + 0.5 * t) * sp.gram_V, bound_M=1.5,
+                          coercivity_alpha=1.0, horizon=1.0)
+        trig = TimeForm(sp, lambda t: math.cos(t) * sp.gram_V, bound_M=1.0,
+                        coercivity_alpha=0.5, horizon=1.0)
+        for form in (scalar, trig):
+            with pytest.raises(ValueError, match="stiffness_at breaks the stack contract"):
+                stiffness_stack(form, None, np.linspace(0.0, 1.0, k))
 
 
 class TestDiniAudit:
@@ -230,11 +243,11 @@ class TestDiniAudit:
         # S(t) at the 17 samples once, then S(t + h) for every sample that fits
         form = random_gram_form(4, np.random.default_rng(64))
         calls = []
-        counted = replace(form, stiffness_at=lambda t: calls.append(t) or form.stiffness_at(t))
+        counted = replace(form, stiffness_at=lambda t: calls.append(len(t)) or form.stiffness_at(t))
         h = np.geomspace(1e-4, 1e-2, 9)
         rep = audit_dini(counted, h)
-        fits = sum(int((rep.sample_grid + gap <= form.horizon).sum()) for gap in h)
-        assert len(calls) == rep.sample_grid.size + fits
+        fits = [int((rep.sample_grid + gap <= form.horizon).sum()) for gap in h]
+        assert calls == [rep.sample_grid.size] + fits
         assert (rep.M_hat, rep.alpha_hat) == estimate_bounds(form, rep.sample_grid)
 
     def test_refuses_short_gap_grids(self):
@@ -276,8 +289,8 @@ class TestProjectedForm:
         p = project(sp, 3)
         for t in (0.0, 0.3, 1.0):
             assert np.allclose(
-                assemble_projected_form(form, p, t),
-                assemble_form_matrix(form, t),
+                at(form, t, p),
+                at(form, t),
                 atol=1e-13,
             )
 
@@ -286,7 +299,7 @@ class TestProjectedForm:
         form = scaled_form(sp, lambda t: 1.0)
         p = project(sp, 1)
         # complement penalty with alpha=1 restores the diagonal V-Gram blocks
-        assert np.allclose(assemble_projected_form(form, p, 0.0), np.diag([1.0, 4.0, 9.0]))
+        assert np.allclose(at(form, 0.0, p), np.diag([1.0, 4.0, 9.0]))
 
     def test_reduced_coercivity_at_least_half(self):
         rng = np.random.default_rng(11)
@@ -299,8 +312,9 @@ class TestProjectedForm:
         form = constant_form(sp, stiff, 1.0, coercivity_alpha=alpha)
         for m in (1, 3, 5):
             proj = project(sp, m)
-            sm = assemble_projected_form(form, proj, 0.0)
-            reduced = TimeForm(sp, lambda t, _sm=sm: _sm, form.bound_M + alpha,
+            sm = at(form, 0.0, proj)
+            reduced = TimeForm(sp, np.vectorize(lambda t, _sm=sm: _sm, signature="()->(n,n)"),
+                               form.bound_M + alpha,
                                alpha / 2.0, 1.0)
             _, a_hat = estimate_bounds(reduced, np.array([0.0]))
             assert a_hat >= alpha / 2.0 - 1e-10
@@ -310,4 +324,4 @@ class TestProjectedForm:
         sp2 = build_sine_space(3, math.pi)
         form = scaled_form(sp1, lambda t: 1.0)
         with pytest.raises(ValueError):
-            assemble_projected_form(form, project(sp2, 2), 0.0)
+            at(form, 0.0, project(sp2, 2))

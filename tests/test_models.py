@@ -5,11 +5,11 @@ import pytest
 
 from parabolic_nonlocal.evolution import l2h_distance, propagate
 from parabolic_nonlocal.galerkin import (
-    assemble_form_matrix,
     audit_dini,
     build_sine_space,
     default_audit_grid,
     estimate_bounds,
+    stiffness_stack,
 )
 from parabolic_nonlocal.models import (
     CoefficientField,
@@ -32,6 +32,10 @@ from parabolic_nonlocal.nonlocal_solver import (
     g_constant,
     solve_nonlocal,
 )
+
+
+def at(form, t):
+    return stiffness_stack(form, None, [t])[0]
 
 
 class TestCoefficientFields:
@@ -79,22 +83,22 @@ class TestDivergenceFormAssembly:
     def test_unit_coefficient_recovers_energy_gram(self):
         sp = build_sine_space(3, math.pi)
         form = divergence_form_assemble(constant_coefficient(1.0), sp, quad_order=6)
-        s = assemble_form_matrix(form, 0.0)
+        s = at(form, 0.0)
         assert np.allclose(s, np.diag([1.0, 4.0, 9.0]), atol=1e-9)
 
     def test_linearity_in_coefficient(self):
         sp = build_sine_space(4, math.pi)
         one = divergence_form_assemble(constant_coefficient(1.0), sp, quad_order=6)
         two = divergence_form_assemble(constant_coefficient(2.0), sp, quad_order=6)
-        assert np.allclose(assemble_form_matrix(two, 0.3),
-                           2.0 * assemble_form_matrix(one, 0.3), atol=1e-13)
+        assert np.allclose(at(two, 0.3),
+                           2.0 * at(one, 0.3), atol=1e-13)
 
     def test_separable_coefficient_scales_and_audits(self):
         sp = build_sine_space(4, math.pi)
         field = time_power_coefficient(1.0, 0.5, 0.6)
         form = divergence_form_assemble(field, sp, quad_order=6)
         t = 1.0
-        assert np.allclose(assemble_form_matrix(form, t),
+        assert np.allclose(at(form, t),
                            1.5 * np.diag([1.0, 4.0, 9.0, 16.0]), atol=1e-8)
         m_hat, a_hat = estimate_bounds(form, default_audit_grid(1.0))
         assert m_hat == pytest.approx(1.5, abs=1e-6)
@@ -115,7 +119,7 @@ class TestDivergenceFormAssembly:
         field = time_power_coefficient(1.0, 0.5, 0.6)
         low = divergence_form_assemble(field, sp, quad_order=6)
         high = divergence_form_assemble(field, sp, quad_order=12)
-        gap = np.abs(assemble_form_matrix(low, 0.7) - assemble_form_matrix(high, 0.7)).max()
+        gap = np.abs(at(low, 0.7) - at(high, 0.7)).max()
         assert gap <= 1e-8
 
     def test_non_finite_coefficient_rejected(self):
@@ -142,7 +146,27 @@ class TestDivergenceFormAssembly:
         a = divergence_form_assemble(array_field, sp, quad_order=6)
         b = divergence_form_assemble(scalar_field, sp, quad_order=6)
         assert a.bound_M == b.bound_M
-        assert np.abs(assemble_form_matrix(a, 0.37) - assemble_form_matrix(b, 0.37)).max() <= 1e-15
+        assert np.abs(at(a, 0.37) - at(b, 0.37)).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [4, 8, 32])
+    def test_stack_equals_per_time_quadrature(self, n):
+        # the written-out rule: entries (D * (w kappa(t))) @ D.T over the same points
+        length = 2.0
+        sp = build_sine_space(n, length)
+        field = CoefficientField(lambda t, x: 1.0 + 0.5 * t**0.6 + 0.3 * np.sin(x) ** 2,
+                                 nu=1.0, holder_K=0.5, holder_exponent=0.6)
+        form = divergence_form_assemble(field, sp, quad_order=6)
+        qn, qw = np.polynomial.legendre.leggauss(6)
+        edges = np.linspace(0.0, length, max(16, 2 * n) + 1)
+        half = 0.5 * np.diff(edges)
+        xs = (0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * qn).ravel()
+        ws = (half[:, None] * qw).ravel()
+        k = np.arange(1, n + 1)[:, None]
+        d = math.sqrt(2.0 / length) * (k * math.pi / length) * np.cos(k * math.pi * xs / length)
+        times = np.linspace(0.0, 1.0, 7)
+        ref = np.array([(d * (ws * field.eval(t, xs))) @ d.T for t in times])
+        stack = stiffness_stack(form, None, times)
+        assert np.abs(stack - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_order_floor(self):
         sp = build_sine_space(2, math.pi)

@@ -14,7 +14,6 @@ from parabolic_nonlocal.nonlinearity import (
     bounded_source,
     check_monotone,
     check_row_contract,
-    convexity_probe,
     evi_residual,
     gradient_consistency,
     growth_audit,
@@ -160,7 +159,6 @@ class TestMonotone:
         bad = ConvexFunctional(np.vectorize(lambda x: -0.5 * float(x @ x), signature="(n)->()"),
                                lambda x: -np.asarray(x), 3)
         assert check_monotone(bad, 500) < -1e-10
-        assert convexity_probe(bad) > 1e-10
 
 
 class TestGradientConsistency:
@@ -223,7 +221,7 @@ class TestEviResidual:
         for j in range(1, grid.n_steps):
             u = tr.values[j]
             du = (tr.values[j + 1] - tr.values[j - 1]) / (2 * grid.dt)
-            s = form.stiffness_at(0.0)
+            s = form.stiffness_at(np.array([0.0]))[0]
             v = u + np.array([50.0])
             vals.append(float((gh @ du + s @ u) @ (v - u)) - phi.value(u) + phi.value(v))
         # convexity gap dominates for distant test points
@@ -282,7 +280,8 @@ class TestRowContract:
     @pytest.mark.parametrize("make", [quadratic_functional, pseudo_huber_functional])
     def test_bundled_functionals_follow_contract(self, make):
         phi = make(3)
-        check_row_contract(phi)
+        check_row_contract(phi.value, 3, "(n)->()", "phi.value")
+        check_row_contract(phi.gradient, 3, "(n)->(n)", "phi.gradient")
         block = np.random.default_rng(2).uniform(-3.0, 3.0, (4, 5, 3))
         assert phi.value(block).shape == (4, 5)
         assert phi.gradient(block).shape == (4, 5, 3)
@@ -295,7 +294,7 @@ class TestRowContract:
     def test_scalar_value_rejected(self):
         flat = ConvexFunctional(lambda x: 0.0, lambda x: np.zeros_like(x), 3, 0.0)
         with pytest.raises(ValueError, match="phi.value breaks the row contract"):
-            check_row_contract(flat)
+            check_row_contract(flat.value, 3, "(n)->()", "phi.value")
 
     def test_vectorized_wrapper_accepted(self):
         rowwise = coordinate_quartic(4)
@@ -319,19 +318,15 @@ def counted(fn, calls):
 class TestBlockAudits:
     """Each audit evaluates whole blocks, on the draws of a per-sample loop."""
 
-    def test_monotone_and_convexity_match_pair_loops(self):
+    def test_monotone_matches_pair_loop(self):
         phi = pseudo_huber_functional(5)
         rng = np.random.default_rng(3)
         pairs = [(rng.uniform(-10.0, 10.0, 5), rng.uniform(-10.0, 10.0, 5)) for _ in range(300)]
         gaps = [float((phi.gradient(x) - phi.gradient(y)) @ (x - y)) for x, y in pairs]
-        rng = np.random.default_rng(4)
-        segs = [(rng.uniform(-5.0, 5.0, 5), rng.uniform(-5.0, 5.0, 5)) for _ in range(250)]
-        defects = [phi.value(0.5 * (x + y)) - 0.5 * (phi.value(x) + phi.value(y)) for x, y in segs]
         calls = []
         spy = ConvexFunctional(counted(phi.value, calls), counted(phi.gradient, calls), 5)
         assert check_monotone(spy, 300, seed=3) == min(gaps)
-        assert convexity_probe(spy, 250, seed=4) == max(defects)
-        assert calls == [(300, 2, 5), (250, 2, 5), (250, 5)]
+        assert calls == [(300, 2, 5)]
 
     def test_scan_matches_direction_loop(self):
         rng = np.random.default_rng(5)
@@ -362,7 +357,7 @@ class TestBlockAudits:
         tr = propagate(form, None, grid, np.array([1.0, -0.5, 0.2]))
         phi = pseudo_huber_functional(3)
         rng = np.random.default_rng(9)
-        s = form.stiffness_at(0.0)
+        s = form.stiffness_at(np.array([0.0]))[0]
         worst = 0.0
         for j in range(1, grid.n_steps):
             u = tr.values[j]

@@ -595,8 +595,9 @@ class TestExpShift:
     def test_partial_shift_absorbs_declared_delta(self, mu, tol):
         # S(t) = (1 + t/2) G_V - G_H is coercive only after the declared shift delta = 1.5
         sp = build_sine_space(3, math.pi)
-        form = TimeForm(sp, lambda t: (1.0 + 0.5 * t) * sp.gram_V - sp.gram_H, bound_M=1.5,
-                        coercivity_alpha=1.0, horizon=1.0, shift_delta=1.5)
+        form = TimeForm(sp, np.vectorize(lambda t: (1.0 + 0.5 * t) * sp.gram_V - sp.gram_H,
+                                         signature="()->(n,n)"),
+                        bound_M=1.5, coercivity_alpha=1.0, horizon=1.0, shift_delta=1.5)
         x0 = np.array([0.4, -0.2, 0.1])
         g = NonlocalCondition(
             lambda tr: x0 + 0.5 * np.trapezoid(tr.values, dx=tr.grid.dt, axis=0), "average", {})
@@ -604,9 +605,9 @@ class TestExpShift:
                                grid=TimeGrid(1.0, 512), r0=1.0, R0=math.inf)
         shifted = exp_shift(prob, mu)
         absorbed = min(1.5, mu)
-        for t in (0.0, 0.3, 1.0):
-            assert np.array_equal(shifted.form.stiffness_at(t),
-                                  form.stiffness_at(t) + absorbed * sp.gram_H)
+        times = np.array([0.0, 0.3, 1.0])
+        per_time = [form.stiffness_at(np.array([t]))[0] + absorbed * sp.gram_H for t in times]
+        assert np.array_equal(shifted.form.stiffness_at(times), per_time)
         assert shifted.form.bound_M == pytest.approx(1.5 + absorbed * sp.embed_const**2)
         assert shifted.form.shift_delta == pytest.approx(1.5 - absorbed)
         assert shifted.f.growth_a == pytest.approx(1.0 + mu - absorbed)
@@ -657,6 +658,45 @@ class TestGStar:
         x0 = np.array([0.5, 0.1])
         g = g_constant(x0)
         assert estimate_g_star(g, 1.0, 50, grid, sp, seed=0) == pytest.approx(sp.v_norm(x0))
+
+
+def coordinate_rotation(n):
+    """f(t, x) = 0.1 R x for the cyclic coordinate shift R, written for one row."""
+    return lambda t, x: 0.1 * np.array([-x[(k + 1) % n] for k in range(n)])
+
+
+class TestRowContractGate:
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_row_only_f_rejected_when_built(self, n):
+        sp = build_sine_space(n, math.pi)
+        f = Nonlinearity(coordinate_rotation(n), 0.1, lambda t: 0.0, "rotation")
+        with pytest.raises(ValueError, match=r"f.eval\(t, .\) breaks the row contract"):
+            NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, n), f=f,
+                            g=g_constant(np.ones(n)), grid=TimeGrid(1.0, 16), r0=1.0, R0=math.inf)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_vectorized_f_accepted_and_solved(self, n):
+        # the wrapped f is the block f x -> 0.1 R x, so both solves agree to rounding
+        sp = build_sine_space(n, math.pi)
+        rows = np.vectorize(coordinate_rotation(n), excluded={0}, signature="(n)->(n)")
+        shift = np.roll(np.eye(n), 1, axis=1)
+        solutions = []
+        for fn in (rows, lambda t, x: -0.1 * x @ shift.T):
+            prob = NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, n),
+                                   f=Nonlinearity(fn, 0.1, lambda t: 0.0, "rotation"),
+                                   g=g_constant(np.ones(n)), grid=TimeGrid(1.0, 16), r0=1.0,
+                                   R0=math.inf)
+            rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12))
+            assert rep.converged
+            solutions.append(rep.solution.values)
+        assert np.abs(solutions[0] - solutions[1]).max() <= 1e-14
+
+    def test_state_free_row_accepted(self):
+        sp = build_sine_space(3, math.pi)
+        f = Nonlinearity(lambda t, x: np.array([1.0, 0.0, -1.0]) * math.cos(t), 0.0,
+                         lambda t: math.sqrt(2.0), "state_free")
+        NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, 3), f=f,
+                        g=g_constant(np.ones(3)), grid=TimeGrid(1.0, 16), r0=1.0, R0=math.inf)
 
 
 class TestAnnulusEnergyCheck:
