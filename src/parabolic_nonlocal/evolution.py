@@ -133,9 +133,11 @@ def build_propagator(form: TimeForm, proj: Projection | None, grid: TimeGrid,
 class Trajectory:
     """A discrete path in the trial space; its norms are computed on first read.
 
-    ``sobolev_h1`` combines the trapezoid pivot-norm quadrature with the
-    forward-difference derivative quadrature; ``l2_v`` and ``au_l2`` are the
-    trapezoid energy-norm and operator-image quadratures.  ``stiffness_fn``
+    ``values`` are ``(..., N+1, n)``: one path, or a block of paths along the
+    leading axes, whose norms then carry those axes.  ``sobolev_h1`` combines
+    the trapezoid pivot-norm quadrature with the forward-difference derivative
+    quadrature; ``l2_v`` and ``au_l2`` are the trapezoid energy-norm and
+    operator-image quadratures.  ``stiffness_fn``
     maps an array of times to the ``(k, n, n)`` stiffness stack there, e.g.
     ``partial(stiffness_stack, form, proj)``; ``au_l2`` is zero when the path
     has none.
@@ -156,41 +158,42 @@ class Trajectory:
         return _node_norms(self.values, self.space.gram_V)
 
     @cached_property
-    def l2_h(self) -> float:
+    def l2_h(self) -> float | np.ndarray:
         return _l2(self.h_norms**2, self.grid.dt)
 
     @property
-    def sobolev_h1(self) -> float:
+    def sobolev_h1(self) -> float | np.ndarray:
         dt = self.grid.dt
-        diffs = np.diff(self.values, axis=0) / dt
-        return math.sqrt(self.l2_h**2 + float(_node_sq_norms(diffs, self.space.gram_H).sum() * dt))
+        diffs = np.diff(self.values, axis=-2) / dt
+        return np.sqrt(self.l2_h**2 + _node_sq_norms(diffs, self.space.gram_H).sum(-1) * dt)
 
     @property
-    def l2_v(self) -> float:
+    def l2_v(self) -> float | np.ndarray:
         return _l2(self.v_norms**2, self.grid.dt)
 
     @cached_property
-    def au_l2(self) -> float:
+    def au_l2(self) -> float | np.ndarray:
         if self.stiffness_fn is None:
             return 0.0
-        sv = self.stiffness_fn(self.grid.nodes) @ self.values[:, :, None]
-        w = (self.space.inv_sqrt_H @ sv)[:, :, 0]
+        sv = self.stiffness_fn(self.grid.nodes) @ self.values[..., None]
+        w = (self.space.inv_sqrt_H @ sv)[..., 0]
         return _l2(np.vecdot(w, w), self.grid.dt)
 
     @property
-    def mean_radius(self) -> float:
+    def mean_radius(self) -> float | np.ndarray:
         """L2-in-time pivot norm divided by sqrt(horizon)."""
         return self.l2_h / math.sqrt(self.grid.horizon)
 
 
-def _l2(sq_norms: np.ndarray, dt: float) -> float:
-    """Trapezoid L2-in-time norm of a path from its squared node norms."""
-    return math.sqrt(max(float(np.trapezoid(sq_norms, dx=dt)), 0.0))
+def _l2(sq_norms: np.ndarray, dt: float) -> float | np.ndarray:
+    """Trapezoid L2-in-time norm of paths from their squared node norms (last axis)."""
+    return np.sqrt(np.maximum(np.trapezoid(sq_norms, dx=dt, axis=-1), 0.0))
 
 
 def _node_sq_norms(vals: np.ndarray, gram: Matrix) -> np.ndarray:
     """Squared Gram norm of every row of ``vals``, for any leading shape."""
-    return ((vals @ gram) * vals).sum(-1)
+    sq = vals @ gram
+    return np.multiply(sq, vals, out=sq).sum(-1)  # in place: a block holds one temporary
 
 
 def _node_norms(vals: np.ndarray, gram: Matrix) -> np.ndarray:
@@ -199,11 +202,11 @@ def _node_norms(vals: np.ndarray, gram: Matrix) -> np.ndarray:
 
 def make_trajectory(space: GalerkinSpace, grid: TimeGrid, values: np.ndarray,
                     stiffness_fn: Callable[[np.ndarray], np.ndarray] | None = None) -> Trajectory:
-    """Wrap nodal values as a Trajectory after checking their shape; ``stiffness_fn``
-    maps times to a stiffness stack (see :class:`Trajectory`)."""
+    """Wrap nodal values, one path or a block of them, as a Trajectory after checking
+    their shape; ``stiffness_fn`` maps times to a stiffness stack (see :class:`Trajectory`)."""
     vals = np.asarray(values, dtype=float)
-    if vals.shape != (grid.n_steps + 1, space.n_modes):
-        raise ValueError("values must have shape (n_steps+1, n_modes)")
+    if vals.shape[-2:] != (grid.n_steps + 1, space.n_modes):
+        raise ValueError("values must have shape (..., n_steps+1, n_modes)")
     return Trajectory(space=space, grid=grid, values=vals, stiffness_fn=stiffness_fn)
 
 
@@ -471,9 +474,5 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"c{i}" for i in range(n)] + ["h_norm", "v_norm"])
-        for j, t in enumerate(traj.grid.nodes):
-            writer.writerow(
-                [repr(float(t))]
-                + [repr(float(v)) for v in traj.values[j]]
-                + [repr(float(traj.h_norms[j])), repr(float(traj.v_norms[j]))]
-            )
+        for t, row, h, v in zip(traj.grid.nodes, traj.values, traj.h_norms, traj.v_norms):
+            writer.writerow([repr(float(x)) for x in (t, *row, h, v)])

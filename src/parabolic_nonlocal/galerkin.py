@@ -86,11 +86,12 @@ class GalerkinSpace:
         if self.embed_const**2 < lam * (1.0 - 1e-10):
             raise ValueError("embed_const is below the sharp embedding constant")
 
-    def h_norm(self, v: Vector) -> float:
-        return math.sqrt(max(float(v @ self.gram_H @ v), 0.0))
+    def h_norm(self, v: Vector) -> float | np.ndarray:
+        """Pivot norm of every row of ``v``, for any leading shape."""
+        return np.sqrt(np.maximum(np.vecdot(v @ self.gram_H, v), 0.0))
 
-    def v_norm(self, v: Vector) -> float:
-        return math.sqrt(max(float(v @ self.gram_V @ v), 0.0))
+    def v_norm(self, v: Vector) -> float | np.ndarray:
+        return np.sqrt(np.maximum(np.vecdot(v @ self.gram_V, v), 0.0))
 
 
 def build_sine_space(n_modes: int, length: float) -> GalerkinSpace:

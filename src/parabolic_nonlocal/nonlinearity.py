@@ -18,6 +18,9 @@ from .evolution import Trajectory
 from .galerkin import Matrix, TimeForm, Vector, stiffness_stack
 
 
+ROW_CHUNK = 4096  # rows per block of the sampled audits: memory stays fixed for any sample count
+
+
 def _rng(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
@@ -179,12 +182,14 @@ def pseudo_huber_functional(dim: int) -> ConvexFunctional:
     )
 
 
-def check_row_contract(fn: Callable[[np.ndarray], np.ndarray], dim: int, signature: str,
-                       name: str) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``fn`` on a block of ``(..., dim)``
-    rows equals ``np.vectorize(fn, signature=signature)``, i.e. fn row by row."""
-    n = dim  # leading axes n + 1 and n + 2 never equal n, so x[k] cannot pass for a row
-    block = np.linspace(-2.0, 2.0, (n + 1) * (n + 2) * n).reshape(n + 1, n + 2, n)
+def check_row_contract(fn: Callable[[np.ndarray], np.ndarray], core: int | tuple[int, ...],
+                       signature: str, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``fn`` on a block of rows of shape
+    ``core`` (an int n means ``(n,)``) equals ``np.vectorize(fn, signature=signature)``,
+    i.e. fn row by row."""
+    core = (core,) if np.isscalar(core) else tuple(core)
+    lead = [k for k in range(2, 6) if k not in core][:2]  # unequal to all core axes: x[k] fails
+    block = np.linspace(-2.0, 2.0, math.prod(lead + list(core))).reshape(*lead, *core)
     rows = np.vectorize(fn, signature=signature)(block)
     try:
         out = np.asarray(fn(block), dtype=float)
@@ -192,8 +197,8 @@ def check_row_contract(fn: Callable[[np.ndarray], np.ndarray], dim: int, signatu
         out = None
     if out is None or out.shape != rows.shape or not np.allclose(out, rows, 1e-12, 1e-12,
                                                                  equal_nan=True):
-        raise ValueError(f"{name} breaks the row contract: on (..., n) rows it must equal "
-                         f"np.vectorize({name}, signature='{signature}')")
+        raise ValueError(f"{name} breaks the row contract: on a block of rows of shape {core} "
+                         f"it must equal np.vectorize({name}, signature='{signature}')")
 
 
 def check_monotone(phi: ConvexFunctional, n_pairs: int, seed=0,
@@ -228,7 +233,7 @@ def evi_residual(form: TimeForm, phi: ConvexFunctional, traj: Trajectory,
     points v, evaluates ``<u' + A u, v - u>_H - phi(u) + phi(v)``; on an exact
     gradient-flow solution this is nonnegative by convexity, and the discrete
     defect is first order in the step size.  Test points are drawn node by
-    node as one generator stream, in chunks of fixed size.
+    node as one generator stream, in chunks of ``ROW_CHUNK`` points.
     """
     if n_test < 1:
         raise ValueError("n_test must be at least 1")
@@ -245,10 +250,10 @@ def evi_residual(form: TimeForm, phi: ConvexFunctional, traj: Trajectory,
     lin = (gh @ du + stiffness_stack(form, None, traj.grid.nodes[1:-1]) @ vals[1:-1])[:, :, 0]
     u = traj.values[1:-1]
     phi_u = phi.value(u)
-    n_points, chunk = len(u) * n_test, 4096  # a fixed chunk bounds memory for any n_test
+    n_points = len(u) * n_test
     worst = 0.0  # v = u contributes exactly zero
-    for start in range(0, n_points, chunk):
-        node = np.arange(start, min(start + chunk, n_points)) // n_test
+    for start in range(0, n_points, ROW_CHUNK):
+        node = np.arange(start, min(start + ROW_CHUNK, n_points)) // n_test
         v = rng.uniform(-test_radius, test_radius, (len(node), phi.dim))
         res = np.vecdot(lin[node], v - u[node]) - phi_u[node] + phi.value(v)
         worst = min(worst, float(res.min()))

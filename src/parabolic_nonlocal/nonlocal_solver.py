@@ -38,13 +38,20 @@ from .galerkin import (
     Vector,
     stiffness_stack,
 )
-from .nonlinearity import (Nonlinearity, _rng, apply_superposition, check_row_contract,
-                           scan_transversality)
+from .nonlinearity import (ROW_CHUNK, Nonlinearity, _rng, apply_superposition,
+                           check_row_contract, scan_transversality)
 
 
 @dataclass(frozen=True)
 class NonlocalCondition:
-    """An initial condition depending on the whole path: u(0) = g(u)."""
+    """An initial condition depending on the whole path: u(0) = g(u).
+
+    Block contract: ``eval`` maps a :class:`Trajectory` with ``(..., N+1, n)``
+    values (one path per leading index; a single path has none) to
+    ``(..., n)``, or to one ``(n,)`` row that broadcasts, as a state-free g
+    may.  So g reads node j as ``values[..., j, :]`` and integrates in time
+    along ``axis=-2``.
+    """
 
     eval: Callable[[Trajectory], Vector]
     kind: str
@@ -56,11 +63,8 @@ def g_constant(x0: Vector) -> NonlocalCondition:
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
-    return NonlocalCondition(
-        eval=lambda traj: x0.copy(),
-        kind="constant",
-        bound_params={"h_norm_cap": float(np.linalg.norm(x0))},
-    )
+    return NonlocalCondition(eval=lambda traj: x0.copy(), kind="constant",
+                             bound_params={"h_norm_cap": float(np.linalg.norm(x0))})
 
 
 def _hat_weights(grid: TimeGrid, a: float, b: float) -> np.ndarray:
@@ -116,14 +120,13 @@ def g_mollified_integral(kernel, intervals, traj_space: GalerkinSpace) -> Nonloc
     Kernels whose derivative mass reaches 1 are flagged unusable for solves.
     """
     ivals = sorted((float(s), float(t)) for s, t in intervals)
-    for (s1, t1), (s2, t2) in zip(ivals, ivals[1:]):
-        if t1 > s2:
-            raise ValueError("intervals must be disjoint")
-    for s, t in ivals:
-        if t < s:
-            raise ValueError("intervals must be ordered pairs (s, t) with s <= t")
+    if any(t1 > s2 for (_, t1), (s2, _) in zip(ivals, ivals[1:])):
+        raise ValueError("intervals must be disjoint")
+    if any(t < s for s, t in ivals):
+        raise ValueError("intervals must be ordered pairs (s, t) with s <= t")
 
-    conv = np.diag(_kernel_cosine_coefficients(kernel, traj_space))
+    coeffs = _kernel_cosine_coefficients(kernel, traj_space)
+    conv = np.diag(coeffs)
     w = traj_space.inv_sqrt_H @ conv.T @ traj_space.gram_V @ conv @ traj_space.inv_sqrt_H
     theta = float(np.linalg.eigvalsh(w).max())
     span = (ivals[0][0], ivals[-1][1]) if ivals else None
@@ -131,7 +134,7 @@ def g_mollified_integral(kernel, intervals, traj_space: GalerkinSpace) -> Nonloc
     def eval_g(traj: Trajectory) -> Vector:
         _check_span(span, traj.grid.horizon)
         w = sum((_hat_weights(traj.grid, s, t) for s, t in ivals), np.zeros(traj.grid.n_steps + 1))
-        return conv @ (w @ traj.values)
+        return (w @ traj.values) * coeffs  # conv is diagonal
 
     return NonlocalCondition(
         eval=eval_g,
@@ -151,37 +154,48 @@ class GBoundAudit(NamedTuple):
     margin: float
 
 
-def _sampled_sup(g: NonlocalCondition, norm: Callable[[Vector], float], n_samples: int,
+def _sampled_sup(g: NonlocalCondition, norm: Callable[[np.ndarray], np.ndarray], n_samples: int,
                  grid: TimeGrid, space: GalerkinSpace, seed,
-                 scale: Callable[[np.random.Generator, float], float]) -> float:
-    """Largest ``norm(g(u))`` over sampled paths: standard normal coordinates times
-    ``scale(rng, l2_h)``, with ``l2_h`` the drawn path's L2-in-time pivot norm."""
+                 targets: Callable[[np.random.Generator], np.ndarray]) -> np.ndarray:
+    """Largest ``norm(g(u))`` over sampled paths u (NaN skipped), per row of ``targets(rng)``.
+
+    The targets are drawn first, as ``(m, 1)`` or ``(m, n_samples)`` L2-in-time
+    pivot norms: path i has standard normal coordinates scaled to norm
+    ``targets[:, i]``.  Paths are drawn and passed to g in blocks of at most
+    ``ROW_CHUNK`` nodes; the draws equal drawing one path at a time.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     rng = _rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        vals = rng.standard_normal((grid.n_steps + 1, space.n_modes))
-        vals = vals * scale(rng, _l2(_node_sq_norms(vals, space.gram_H), grid.dt))
-        g_u = np.asarray(g.eval(make_trajectory(space, grid, vals)), dtype=float)
-        worst = max(worst, norm(g_u))
+    targets = targets(rng)
+    targets = np.broadcast_to(targets, (len(targets), n_samples))
+    per, worst = max(1, ROW_CHUNK // (grid.n_steps + 1)), np.zeros(len(targets))
+    for start in range(0, n_samples, per):
+        vals = rng.standard_normal((min(per, n_samples - start), grid.n_steps + 1, space.n_modes))
+        l2_h = np.maximum(_l2(_node_sq_norms(vals, space.gram_H), grid.dt), 1e-300)
+        for i, target in enumerate(targets[:, start:start + len(vals)]):
+            # the last target scales the draw in place, so a block holds one fewer copy
+            scaled = np.multiply(vals, (target / l2_h)[:, None, None],
+                                 out=vals if i == len(targets) - 1 else None)
+            g_u = g.eval(make_trajectory(space, grid, scaled))
+            worst[i] = np.fmax.reduce(norm(np.asarray(g_u, dtype=float)), None, initial=worst[i])
     return worst
 
 
 def audit_g_bound(g: NonlocalCondition, r: float, n_samples: int, grid: TimeGrid,
                   space: GalerkinSpace, seed=0) -> GBoundAudit:
     """Sample paths of mean pivot radius r and check ``|g(u)|_H < r``."""
-    target = r * math.sqrt(grid.horizon)
-    margin = r - _sampled_sup(g, space.h_norm, n_samples, grid, space, seed,
-                              lambda rng, l2_h: target / l2_h)
+    margin = r - float(_sampled_sup(g, space.h_norm, n_samples, grid, space, seed,
+                                    lambda rng: np.array([[r * math.sqrt(grid.horizon)]]))[0])
     return GBoundAudit(passed=bool(margin > 0.0), margin=margin)
 
 
 def estimate_g_star(g: NonlocalCondition, radius_cap: float, n_samples: int,
                     grid: TimeGrid, space: GalerkinSpace, seed=0) -> float:
-    """Sampled sup of ``|g(u)|_V`` over paths with L2-in-time pivot norm <= cap."""
-    return _sampled_sup(g, space.v_norm, n_samples, grid, space, seed,
-                        lambda rng, l2_h: rng.uniform(0.0, 1.0) * radius_cap / max(l2_h, 1e-300))
+    """Sampled sup of ``|g(u)|_V`` over paths with L2-in-time pivot norm <= cap; the
+    paths' norms are drawn uniformly from [0, cap], before the paths."""
+    return float(_sampled_sup(g, space.v_norm, n_samples, grid, space, seed,
+                              lambda rng: rng.uniform(0.0, radius_cap, (1, n_samples)))[0])
 
 
 @dataclass(frozen=True)
@@ -190,9 +204,10 @@ class NonlocalProblem:
 
     ``shift_mu`` records the exponential-substitution rate applied to reach
     this problem (0 when it is stated in the user's frame); trajectories are
-    mapped back with :func:`unshift_trajectory`.  ``f`` must follow the row
-    contract of :class:`Nonlinearity`; it is checked at t = 0 when the
-    problem is built, before any march.
+    mapped back with :func:`unshift_trajectory`.  When the problem is built,
+    before any march, g's recorded ``interval_span`` must lie in the grid's
+    horizon, ``f`` must follow the row contract of :class:`Nonlinearity` (it
+    is checked at t = 0) and g the block contract of :class:`NonlocalCondition`.
     """
 
     form: TimeForm
@@ -207,34 +222,36 @@ class NonlocalProblem:
     def __post_init__(self) -> None:
         if not 0.0 < self.r0 < self.R0:
             raise ValueError("need 0 < r0 < R0")
-        if self.grid.horizon > self.form.horizon * (1.0 + 1e-12):
+        space, grid, n = self.form.space, self.grid, self.form.space.n_modes
+        if grid.horizon > self.form.horizon * (1.0 + 1e-12):
             raise ValueError("grid horizon exceeds the form's horizon")
-        # a state-free f may return one (n,) row, so f is compared broadcast to its input
+        _check_span(self.g.bound_params.get("interval_span"), grid.horizon)
+        # a state-free f or g may return one (n,) row, so each is compared broadcast
         check_row_contract(lambda x: np.broadcast_to(self.f.eval(0.0, x), np.shape(x)),
-                           self.form.space.n_modes, "(n)->(n)", "f.eval(t, .)")
+                           n, "(n)->(n)", "f.eval(t, .)")
+        check_row_contract(lambda v: np.broadcast_to(self.g.eval(make_trajectory(space, grid, v)),
+                                                     np.shape(v)[:-2] + (n,)),
+                           (grid.n_steps + 1, n), "(m,n)->(n)", "g.eval")
 
 
 def audit_problem(prob: NonlocalProblem, n_samples: int = 300, seed=0) -> dict:
     """Run the standing audits: inward-pointing scan, g-bound sampling and g's admissibility."""
     space = prob.form.space
     t_grid = np.linspace(0.0, prob.grid.horizon, 9)
-    scan = scan_transversality(
-        prob.f, prob.r0, prob.R0, max(100, n_samples), t_grid,
-        dim=space.n_modes, seed=seed, gram_H=space.gram_H,
-    )
+    scan = scan_transversality(prob.f, prob.r0, prob.R0, max(100, n_samples), t_grid,
+                               dim=space.n_modes, seed=seed, gram_H=space.gram_H)
     cap = prob.R0 if math.isfinite(prob.R0) else 10.0 * prob.r0
-    radii = np.geomspace(prob.r0 * 1.0001, cap * 0.9999, 4)
-    g_audits = [
-        audit_g_bound(prob.g, float(r), max(20, n_samples // 10), prob.grid, space, seed=seed)
-        for r in radii
-    ]
-    g_ok = all(a.passed for a in g_audits)
+    radii, grid = np.geomspace(prob.r0 * 1.0001, cap * 0.9999, 4), prob.grid
+    # the four radii share one draw of paths, scaled to each
+    margins = radii - _sampled_sup(prob.g, space.h_norm, max(20, n_samples // 10), grid, space,
+                                   seed, lambda rng: radii[:, None] * math.sqrt(grid.horizon))
+    g_ok = bool((margins > 0.0).all())
     # a kernel whose derivative mass reaches 1 makes g inadmissible for solves
     solver_ok = prob.g.bound_params.get("solver_ok") is not False
     return {
         "transversality": scan,
         "transversality_ok": scan.passed,
-        "g_bound_margins": [a.margin for a in g_audits],
+        "g_bound_margins": margins.tolist(),
         "g_bound_ok": g_ok,
         "g_solver_ok": solver_ok,
         "passed": bool(scan.passed and g_ok and solver_ok),
@@ -337,27 +354,31 @@ def _solve_stage(prob: NonlocalProblem, prop: Propagator, stiff: Callable[[np.nd
             raise _Halt("max_iterations")
         marches += k
 
-    def checked(x: Vector, values: np.ndarray) -> tuple[Trajectory, Vector, float]:
-        if not np.all(np.isfinite(values)):  # a flagged block row is NaN; g never sees it
-            raise _MarchFailed("non_finite")
-        path = make_trajectory(space, prob.grid, values, stiff)
-        try:
-            r = x - lam * (p @ np.asarray(prob.g.eval(path), dtype=float))
-        except (ValueError, FloatingPointError):
-            raise _MarchFailed("non_finite") from None
-        if not np.all(np.isfinite(r)):
-            raise _MarchFailed("non_finite")
-        if path.mean_radius >= prob.R0:
-            raise _MarchFailed("boundary_hit")
-        return path, r, space.h_norm(r)
+    def checked(xs: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residual rows of a (k, n) block of starts marched into ``values``, and each
+        row's status, '' if usable.  A NaN row (a flagged march) never reaches g, and
+        a g that raises fails every row of its block."""
+        r, radius = np.full(xs.shape, np.nan), np.full(len(xs), np.nan)
+        marched = np.isfinite(values).all(axis=(1, 2))
+        if marched.any():
+            paths = make_trajectory(space, prob.grid, values if marched.all() else values[marched])
+            radius[marched] = paths.mean_radius
+            with suppress(ValueError, FloatingPointError):
+                r[marched] = xs[marched] - lam * (np.asarray(prob.g.eval(paths), dtype=float) @ p.T)
+        return r, np.where(~np.isfinite(r).all(axis=1), "non_finite",
+                           np.where(radius >= prob.R0, "boundary_hit", ""))
 
     def shoot(x: Vector) -> tuple[Trajectory, Vector, float]:
         spend(1)
         try:
-            return checked(x, _light_s_apply(prob, prop, lam, x))
+            values = _light_s_apply(prob, prop, lam, x)
         except (StepNotConverged, FloatingPointError) as exc:
             failed = "max_iterations" if isinstance(exc, StepNotConverged) else "non_finite"
             raise _MarchFailed(failed) from None
+        r, status = checked(x[None], values[None])  # the k = 1 block
+        if status[0]:
+            raise _MarchFailed(str(status[0]))
+        return make_trajectory(space, prob.grid, values, stiff), r[0], space.h_norm(r[0])
 
     def attempt(x: Vector) -> tuple:
         try:
@@ -366,15 +387,15 @@ def _solve_stage(prob: NonlocalProblem, prop: Propagator, stiff: Callable[[np.nd
             return None, None, math.inf
 
     def jacobian(x: Vector, r: Vector, h: float) -> Matrix:
-        jac, cols = np.empty((x.size, x.size)), list(range(x.size))
+        jac, cols = np.empty((x.size, x.size)), np.arange(x.size)
         for dx in (h, -h):  # columns whose forward row failed go again backwards
             spend(len(cols))
             xs = x + dx * np.eye(x.size)[cols]
-            for i, x_i, values in zip(list(cols), xs, _light_s_apply(prob, prop, lam, xs)):
-                with suppress(_MarchFailed):
-                    jac[:, i] = (checked(x_i, values)[1] - r) / dx
-                    cols.remove(i)
-            if not cols:
+            r_cols, status = checked(xs, _light_s_apply(prob, prop, lam, xs))
+            done = status == ""
+            jac[:, cols[done]] = ((r_cols[done] - r) / dx).T
+            cols = cols[~done]
+            if not cols.size:
                 return jac
         raise _Halt("max_iterations")
 
@@ -417,15 +438,11 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
     Statuses: ``converged``, ``max_iterations`` (march budget spent, the
     starting step equation unsolved, or no descent), ``boundary_hit`` (an
     iterate's path reached the outer radius, contradicting the standing
-    annulus bound), ``non_finite``.  A condition whose recorded
-    ``interval_span`` leaves the grid's horizon raises ValueError before any
-    march; one that fails on the grid otherwise raises it from the g*
-    estimate.
+    annulus bound), ``non_finite``.  A condition that fails on the grid
+    raises ValueError from the g* estimate.
     """
     cfg = cfg or SolverConfig()
-    space = prob.form.space
-    grid = prob.grid
-    _check_span(prob.g.bound_params.get("interval_span"), grid.horizon)
+    space, grid = prob.form.space, prob.grid
     prop = build_propagator(prob.form, prob.proj, grid)
     stiff = partial(stiffness_stack, prob.form, prob.proj)
     sqrt_t = math.sqrt(grid.horizon)
@@ -463,21 +480,11 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
     apriori_lhs = solution.sobolev_h1 + solution.l2_v + solution.au_l2
 
     fp_tol = cfg.fp_tol if cfg.fp_tol is not None else cfg.inner_tol
-    converged = (
-        status == "converged"
-        and fp_residual <= fp_tol
-        and solution.mean_radius < prob.R0
-    )
-    return SolveReport(
-        solution=solution,
-        fixed_point_residual=fp_residual,
-        lambda_path=tuple(lambda_path),
-        apriori_lhs=apriori_lhs,
-        apriori_rhs=apriori_rhs,
-        converged=converged,
-        status=status,
-        g_star=g_star,
-    )
+    converged = bool(status == "converged" and fp_residual <= fp_tol
+                     and solution.mean_radius < prob.R0)
+    return SolveReport(solution=solution, fixed_point_residual=fp_residual,
+                       lambda_path=tuple(lambda_path), apriori_lhs=apriori_lhs,
+                       apriori_rhs=apriori_rhs, converged=converged, status=status, g_star=g_star)
 
 
 def exp_shift(prob: NonlocalProblem, mu: float) -> NonlocalProblem:
@@ -493,8 +500,7 @@ def exp_shift(prob: NonlocalProblem, mu: float) -> NonlocalProblem:
         raise ValueError("mu must be nonnegative")
     if mu == 0.0:
         return replace(prob)
-    form = prob.form
-    space = form.space
+    form, space = prob.form, prob.form.space
     delta = min(form.shift_delta, mu)
     eps = mu - delta
 
@@ -517,12 +523,8 @@ def exp_shift(prob: NonlocalProblem, mu: float) -> NonlocalProblem:
                          label=f.label + f"+shift({mu:g})")
 
     g = prob.g
-    growth = np.exp(mu * prob.grid.nodes)[:, None]
-
-    def g_hat(traj: Trajectory) -> Vector:
-        return g.eval(make_trajectory(space, traj.grid, traj.values * growth))
-
-    new_g = replace(g, eval=g_hat, bound_params={**g.bound_params, "exp_shift_mu": mu})
+    new_g = replace(g, eval=lambda traj: g.eval(unshift_trajectory(traj, mu)),
+                    bound_params={**g.bound_params, "exp_shift_mu": mu})
     return replace(prob, form=new_form, f=new_f, g=new_g, shift_mu=prob.shift_mu + mu)
 
 
@@ -546,15 +548,8 @@ def annulus_energy_check(traj: Trajectory, r0: float, R0: float,
     The permitted slack is first order in the time step.  Paths that never
     enter the annulus pass vacuously.
     """
-    tol = tol_coeff * traj.grid.dt
-    inside = (traj.h_norms > r0) & (traj.h_norms < R0)
-    running_min = math.inf
-    for j, flag in enumerate(inside):
-        if not flag:
-            running_min = math.inf
-            continue
-        h = float(traj.h_norms[j])
-        if h > running_min + tol:
-            return False
-        running_min = min(running_min, h)
-    return True
+    tol, h = tol_coeff * traj.grid.dt, traj.h_norms
+    # each inside stretch h[a:b] is compared with its own running minimum
+    edges = np.flatnonzero(np.diff((h > r0) & (h < R0), prepend=False, append=False))
+    return not any((h[a + 1:b] > np.minimum.accumulate(h[a:b - 1]) + tol).any()
+                   for a, b in zip(edges[::2], edges[1::2]))

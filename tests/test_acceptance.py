@@ -152,7 +152,7 @@ def test_c07_nonlocal_fixed_point():
     c, h = 0.8, 0.3
     f = pn.Nonlinearity(lambda t, x: np.array([h]), 0.0, lambda t: h, "const")
     g = pn.NonlocalCondition(
-        lambda traj: (c / 1.0) * np.trapezoid(traj.values, dx=traj.grid.dt, axis=0),
+        lambda traj: (c / 1.0) * np.trapezoid(traj.values, dx=traj.grid.dt, axis=-2),
         "multipoint", {})
     prob = pn.NonlocalProblem(form=form, proj=pn.project(space, 1), f=f, g=g,
                               grid=grid, r0=0.31, R0=math.inf)

@@ -4,11 +4,12 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parabolic_nonlocal.cli import COMMANDS, main
+from parabolic_nonlocal.cli import COMMANDS, main, write_report
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -222,6 +223,17 @@ BAD_VALUES = {
     "empty_m_list": ("m_list", {"command": "converge", "form": {"n_modes": 8},
                                 "n_steps": 16, "m_list": []}),
 }
+
+
+class TestReportValues:
+    def test_numpy_scalars_reach_the_report_as_json(self, tmp_path):
+        # a numpy bool is not a JSON type, and a numpy inf must follow the "inf" rule
+        write_report(tmp_path, {"converged": np.bool_(True), "residual": np.float64(np.inf),
+                                "low": np.float32(-np.inf), "marches": np.int64(3)})
+        text = (tmp_path / "report.json").read_text()
+        assert '"converged": true' in text
+        assert read_report(tmp_path) == {"converged": True, "residual": "inf", "low": "-inf",
+                                         "marches": 3}
 
 
 class TestConfigHandling:

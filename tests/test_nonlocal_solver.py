@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_evolution import RANDOM_FORM_SETTINGS, random_accretive_form
 
@@ -57,9 +57,15 @@ def scalar_problem(grid, f, g, r0=1.0, R0=math.inf):
 
 def time_average_condition(c, horizon):
     def eval_g(traj):
-        return (c / horizon) * np.trapezoid(traj.values, dx=traj.grid.dt, axis=0)
+        return (c / horizon) * np.trapezoid(traj.values, dx=traj.grid.dt, axis=-2)
 
     return NonlocalCondition(eval_g, "multipoint", {"factor": c})
+
+
+def per_path(eval_one):
+    """A g written for one path, wrapped to the block contract with np.vectorize."""
+    return lambda tr: np.vectorize(lambda v: eval_one(make_trajectory(tr.space, tr.grid, v)),
+                                   signature="(m,n)->(n)")(tr.values)
 
 
 class TestGConstant:
@@ -194,7 +200,7 @@ class TestAuditGBound:
     def test_amplifying_condition_fails(self):
         sp = build_sine_space(2, math.pi)
         grid = TimeGrid(1.0, 16)
-        g = NonlocalCondition(lambda tr: 2.0 * tr.values[0], "multipoint", {})
+        g = NonlocalCondition(lambda tr: 2.0 * tr.values[..., 0, :], "multipoint", {})
         audit = audit_g_bound(g, 1.0, 60, grid, sp, seed=3)
         assert not audit.passed
 
@@ -202,11 +208,42 @@ class TestAuditGBound:
     def test_no_samples_rejected(self, n_samples):
         # an empty sample would pass with the full margin without testing a path
         sp = build_sine_space(2, math.pi)
-        g = NonlocalCondition(lambda tr: 2.0 * tr.values[0], "multipoint", {})
+        g = NonlocalCondition(lambda tr: 2.0 * tr.values[..., 0, :], "multipoint", {})
         with pytest.raises(ValueError, match="n_samples"):
             audit_g_bound(g, 1.0, n_samples, TimeGrid(1.0, 16), sp)
         with pytest.raises(ValueError, match="n_samples"):
             estimate_g_star(g, 1.0, n_samples, TimeGrid(1.0, 16), sp)
+
+
+class TestSampledBlocks:
+    """The g* sampler and the g-bound audits pass blocks of paths to g."""
+
+    def test_blocks_equal_one_path_at_a_time(self, monkeypatch):
+        import parabolic_nonlocal.nonlocal_solver as ns
+
+        sp, grid = build_sine_space(3, math.pi), TimeGrid(1.0, 64)
+        block = time_average_condition(0.6, 1.0)
+        one = NonlocalCondition(per_path(block.eval), "multipoint", {})
+        blocked = [estimate_g_star(block, 1.0, 50, grid, sp, seed=4),
+                   audit_g_bound(block, 1.5, 50, grid, sp, seed=4).margin]
+        monkeypatch.setattr(ns, "ROW_CHUNK", 1)  # one path per block
+        assert [estimate_g_star(one, 1.0, 50, grid, sp, seed=4),
+                audit_g_bound(one, 1.5, 50, grid, sp, seed=4).margin] == blocked
+
+    def test_audit_radii_share_one_draw(self):
+        # audit_problem scales one draw to its four radii; the margins are those of
+        # four separate audit_g_bound calls with the same seed, bit for bit
+        prob = preset_heat_timevarying(4, 64)
+        audit = audit_problem(prob, seed=5)
+        radii = np.geomspace(prob.r0 * 1.0001, 10.0 * prob.r0 * 0.9999, 4)
+        separate = [audit_g_bound(prob.g, float(r), 30, prob.grid, prob.form.space, seed=5).margin
+                    for r in radii]
+        assert audit["g_bound_margins"] == separate
+
+    def test_state_free_row_broadcasts(self):
+        sp, grid = build_sine_space(2, math.pi), TimeGrid(1.0, 16)
+        g = NonlocalCondition(lambda tr: np.array([0.3, 0.4]), "constant", {})
+        assert audit_g_bound(g, 1.0, 20, grid, sp).margin == pytest.approx(0.5, abs=1e-15)
 
 
 class TestHomotopyMap:
@@ -364,7 +401,7 @@ class TestShooting:
         h, x0 = rng.standard_normal((2, n))
         j = int(rng.integers(0, n_steps + 1))
         f = Nonlinearity(lambda t, x: x @ b.T + math.cos(t) * h, 0.5, lambda t: float(np.abs(h).sum()))
-        g = NonlocalCondition(lambda tr: x0 + c @ tr.values[j], "node", {})
+        g = NonlocalCondition(lambda tr: x0 + tr.values[..., j, :] @ c.T, "node", {})
         prob = NonlocalProblem(form=random_accretive_form(sp, rng), proj=project(sp, n), f=f,
                                g=g, grid=TimeGrid(1.0, n_steps), r0=1.0, R0=math.inf)
         rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12))
@@ -403,7 +440,7 @@ class TestShooting:
         # u(0) = 3 - 2 u(0) has the root 1 inside R0, but x0 = g(0) = 3 marches
         # outside it; the homotopy stages reach the root from lam = 0
         grid = TimeGrid(1.0, 64)
-        g = NonlocalCondition(lambda tr: 3.0 - 2.0 * tr.values[0], "multipoint", {})
+        g = NonlocalCondition(lambda tr: 3.0 - 2.0 * tr.values[..., 0, :], "multipoint", {})
         prob = scalar_problem(grid, zero_nonlinearity(), g, r0=1.0, R0=1.5)
         rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12))
         assert rep.lambda_path[0][:2] == (1.0, 1)
@@ -415,8 +452,9 @@ class TestShooting:
         # r(x) = atan(x - 10): the full Newton step from x0 = g(0) = atan(10)
         # lands near x = 109, far outside R0; halving it reaches the root 10
         grid = TimeGrid(1.0, 64)
-        g = NonlocalCondition(lambda tr: tr.values[0] - np.arctan(tr.values[0] - 10.0),
-                              "multipoint", {})
+        g = NonlocalCondition(
+            lambda tr: tr.values[..., 0, :] - np.arctan(tr.values[..., 0, :] - 10.0),
+            "multipoint", {})
         prob = scalar_problem(grid, zero_nonlinearity(), g, R0=20.0)
         rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12, lambda_steps=1))
         assert rep.status == "converged" and rep.converged
@@ -427,7 +465,7 @@ class TestShooting:
         # r(x) = 3 (x - 1) from x0 = g(0) = 3, whose path sits just inside R0:
         # the forward-difference march leaves R0, the backward one does not
         grid = TimeGrid(1.0, 64)
-        g = NonlocalCondition(lambda tr: tr.values[0] - 3.0 * (tr.values[0] - 1.0),
+        g = NonlocalCondition(lambda tr: tr.values[..., 0, :] - 3.0 * (tr.values[..., 0, :] - 1.0),
                               "multipoint", {})
         probe = scalar_problem(grid, zero_nonlinearity(), g)
         unit = propagate(probe.form, probe.proj, grid, np.array([1.0])).mean_radius
@@ -456,9 +494,8 @@ class TestShooting:
         grid = TimeGrid(1.0, 32)
         g = g_mollified_integral(cosine_bump_kernel(0.1), [(0.5, 2.0)],
                                  build_sine_space(1, math.pi))
-        prob = scalar_problem(grid, zero_nonlinearity(), g)
         with pytest.raises(ValueError, match="horizon"):
-            solve_nonlocal(prob)
+            scalar_problem(grid, zero_nonlinearity(), g)
 
     def test_condition_past_horizon_rejected_before_any_march(self, monkeypatch):
         import parabolic_nonlocal.nonlocal_solver as ns
@@ -472,9 +509,8 @@ class TestShooting:
         g = g_mollified_integral(cosine_bump_kernel(0.1), [(0.5, 2.0)],
                                  build_sine_space(1, math.pi))
         assert g.bound_params["interval_span"] == (0.5, 2.0)
-        prob = exp_shift(scalar_problem(grid, zero_nonlinearity(), g), 0.4)
         with pytest.raises(ValueError, match="horizon"):
-            solve_nonlocal(prob)
+            exp_shift(scalar_problem(grid, zero_nonlinearity(), g), 0.4)
 
 
 class TestBlockShooting:
@@ -506,7 +542,7 @@ class TestBlockShooting:
         grid = TimeGrid(1.0, 64)
         form = constant_form(sp, sp.gram_V, 1.0)
         e1 = np.array([1.0, 0.0])
-        g = NonlocalCondition(lambda tr: tr.values[0] - 3.0 * (tr.values[0] - e1),
+        g = NonlocalCondition(lambda tr: tr.values[..., 0, :] - 3.0 * (tr.values[..., 0, :] - e1),
                               "multipoint", {})
         unit = propagate(form, None, grid, e1).mean_radius
         prob = NonlocalProblem(form=form, proj=project(sp, 2), f=zero_nonlinearity(), g=g,
@@ -517,6 +553,57 @@ class TestBlockShooting:
         assert passes == [(2,), (2, 2), (1, 2), (2,)]
         assert rep.lambda_path[0][1] == 5
         assert np.abs(rep.solution.values[0] - e1).max() <= 1e-12
+
+
+    def test_nan_row_never_reaches_g(self, monkeypatch):
+        # the first Jacobian block comes back with its e_1 row flagged NaN: g sees only
+        # the e_2 row, and e_1 is differenced backwards as a block of its own
+        import parabolic_nonlocal.nonlocal_solver as ns
+
+        sp, grid = build_sine_space(2, math.pi), TimeGrid(1.0, 32)
+        e1, seen = np.array([1.0, 0.0]), []
+
+        def eval_g(tr):
+            seen.append((tr.values.shape, bool(np.isfinite(tr.values).all())))
+            return tr.values[..., 0, :] - 3.0 * (tr.values[..., 0, :] - e1)
+
+        prob = NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, 2),
+                               f=zero_nonlinearity(), g=NonlocalCondition(eval_g, "multipoint", {}),
+                               grid=grid, r0=1.0, R0=math.inf)
+        block, flagged = ns._light_s_apply, []
+
+        def flag_first_block(prob, prop, lam, x):
+            out = block(prob, prop, lam, x)
+            if np.ndim(x) == 2 and not flagged:
+                flagged.append(True)
+                out[0] = np.nan
+            return out
+
+        monkeypatch.setattr(ns, "_light_s_apply", flag_first_block)
+        seen.clear()
+        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12, lambda_steps=1, g_star_samples=1))
+        assert rep.converged and rep.lambda_path[0][1] == 5
+        assert all(finite for _, finite in seen)
+        # g(0); the start; the Jacobian's forward (e_2 only) and backward (e_1) blocks; the step
+        assert [shape for shape, _ in seen[:5]] == [(33, 2)] + [(1, 33, 2)] * 4
+
+    def test_g_raising_on_a_block_fails_every_row(self):
+        # g raises on any block of two paths: both Jacobian columns fail forwards and
+        # backwards, and the stage ends having marched 1 + 2 + 2 paths
+        sp, armed = build_sine_space(2, math.pi), []
+
+        def eval_g(tr):
+            if armed and tr.values.ndim == 3 and len(tr.values) > 1:
+                raise FloatingPointError("g fails on this block")
+            return 0.5 * tr.values[..., 0, :] + 0.1
+
+        prob = NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, 2),
+                               f=zero_nonlinearity(), g=NonlocalCondition(eval_g, "multipoint", {}),
+                               grid=TimeGrid(1.0, 32), r0=1.0, R0=math.inf)
+        armed.append(True)
+        rep = solve_nonlocal(prob, SolverConfig(lambda_steps=1, g_star_samples=1))
+        assert rep.status == "max_iterations" and not rep.converged
+        assert [p[:2] for p in rep.lambda_path] == [(1.0, 5)]
 
 
 class TestAuditProblem:
@@ -600,7 +687,7 @@ class TestExpShift:
                         bound_M=1.5, coercivity_alpha=1.0, horizon=1.0, shift_delta=1.5)
         x0 = np.array([0.4, -0.2, 0.1])
         g = NonlocalCondition(
-            lambda tr: x0 + 0.5 * np.trapezoid(tr.values, dx=tr.grid.dt, axis=0), "average", {})
+            lambda tr: x0 + 0.5 * np.trapezoid(tr.values, dx=tr.grid.dt, axis=-2), "average", {})
         prob = NonlocalProblem(form=form, proj=project(sp, 3), f=saturating_drift(3), g=g,
                                grid=TimeGrid(1.0, 512), r0=1.0, R0=math.inf)
         shifted = exp_shift(prob, mu)
@@ -699,6 +786,45 @@ class TestRowContractGate:
                         g=g_constant(np.ones(3)), grid=TimeGrid(1.0, 16), r0=1.0, R0=math.inf)
 
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_per_path_g_rejected_when_built(self, n):
+        sp = build_sine_space(n, math.pi)
+        g = NonlocalCondition(lambda tr: 0.5 * tr.values[0], "multipoint", {})
+        with pytest.raises(ValueError, match=r"g.eval breaks the row contract"):
+            NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, n),
+                            f=zero_nonlinearity(), g=g, grid=TimeGrid(1.0, 16), r0=1.0,
+                            R0=math.inf)
+
+    def test_vectorized_g_accepted_and_solved(self):
+        # a per-path g wrapped with np.vectorize solves like its block form
+        sp, grid = build_sine_space(2, math.pi), TimeGrid(1.0, 32)
+        block = time_average_condition(0.8, 1.0)
+        solutions = []
+        for g in (block, NonlocalCondition(per_path(block.eval), "multipoint", {})):
+            prob = NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, 2),
+                                   f=saturating_drift(2), g=g, grid=grid, r0=1.0, R0=math.inf)
+            rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12))
+            assert rep.converged
+            solutions.append(rep.solution.values)
+        assert np.abs(solutions[0] - solutions[1]).max() <= 1e-14
+
+
+def annulus_energy_loop(traj, r0, R0, tol_coeff=10.0):
+    """The per-node loop that annulus_energy_check replaced, kept as its reference."""
+    tol = tol_coeff * traj.grid.dt
+    inside = (traj.h_norms > r0) & (traj.h_norms < R0)
+    running_min = math.inf
+    for j, flag in enumerate(inside):
+        if not flag:
+            running_min = math.inf
+            continue
+        h = float(traj.h_norms[j])
+        if h > running_min + tol:
+            return False
+        running_min = min(running_min, h)
+    return True
+
+
 class TestAnnulusEnergyCheck:
     def test_vacuous_below_annulus(self):
         sp = build_sine_space(1, math.pi)
@@ -718,3 +844,13 @@ class TestAnnulusEnergyCheck:
         vals = np.exp(grid.nodes)[:, None]  # exponential growth inside (0.5, 10)
         tr = make_trajectory(sp, grid, vals)
         assert not annulus_energy_check(tr, 0.5, 10.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(h=st.lists(st.floats(0.0, 3.0), min_size=2, max_size=40),
+           r0=st.floats(0.1, 1.0), R0=st.sampled_from([1.5, 2.5, math.inf]),
+           tol_coeff=st.sampled_from([0.0, 1.0, 10.0]))
+    def test_matches_per_node_loop(self, h, r0, R0, tol_coeff):
+        sp = build_sine_space(1, math.pi)
+        tr = make_trajectory(sp, TimeGrid(1.0, len(h) - 1), np.array(h)[:, None])
+        assert annulus_energy_check(tr, r0, R0, tol_coeff) == annulus_energy_loop(tr, r0, R0,
+                                                                                   tol_coeff)
