@@ -286,7 +286,7 @@ def cmd_propagate(config, seed, outdir):
         "sobolev_h1": traj.sobolev_h1,
         "l2_v": traj.l2_v,
         "au_l2": traj.au_l2,
-        "weighted_diagnostic": weighted_diagnostic(form, None, grid, x),
+        "weighted_diagnostic": weighted_diagnostic(traj),
     }
     return EXIT_OK, results, traj
 

@@ -131,7 +131,8 @@ def build_propagator(form: TimeForm, proj: Projection | None, grid: TimeGrid,
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A discrete path in the trial space; its norms are computed on first read.
+    """A discrete path in the trial space; its norms are computed on first read,
+    node norms by the space's :meth:`~GalerkinSpace.h_norm` and ``v_norm``.
 
     ``values`` are ``(..., N+1, n)``: one path, or a block of paths along the
     leading axes, whose norms then carry those axes.  ``sobolev_h1`` combines
@@ -151,11 +152,11 @@ class Trajectory:
 
     @cached_property
     def h_norms(self) -> np.ndarray:
-        return _node_norms(self.values, self.space.gram_H)
+        return self.space.h_norm(self.values)
 
     @cached_property
     def v_norms(self) -> np.ndarray:
-        return _node_norms(self.values, self.space.gram_V)
+        return self.space.v_norm(self.values)
 
     @cached_property
     def l2_h(self) -> float | np.ndarray:
@@ -165,7 +166,7 @@ class Trajectory:
     def sobolev_h1(self) -> float | np.ndarray:
         dt = self.grid.dt
         diffs = np.diff(self.values, axis=-2) / dt
-        return np.sqrt(self.l2_h**2 + _node_sq_norms(diffs, self.space.gram_H).sum(-1) * dt)
+        return np.sqrt(self.l2_h**2 + (self.space.h_norm(diffs)**2).sum(-1) * dt)
 
     @property
     def l2_v(self) -> float | np.ndarray:
@@ -190,16 +191,6 @@ def _l2(sq_norms: np.ndarray, dt: float) -> float | np.ndarray:
     return np.sqrt(np.maximum(np.trapezoid(sq_norms, dx=dt, axis=-1), 0.0))
 
 
-def _node_sq_norms(vals: np.ndarray, gram: Matrix) -> np.ndarray:
-    """Squared Gram norm of every row of ``vals``, for any leading shape."""
-    sq = vals @ gram
-    return np.multiply(sq, vals, out=sq).sum(-1)  # in place: a block holds one temporary
-
-
-def _node_norms(vals: np.ndarray, gram: Matrix) -> np.ndarray:
-    return np.sqrt(np.maximum(_node_sq_norms(vals, gram), 0.0))
-
-
 def make_trajectory(space: GalerkinSpace, grid: TimeGrid, values: np.ndarray,
                     stiffness_fn: Callable[[np.ndarray], np.ndarray] | None = None) -> Trajectory:
     """Wrap nodal values, one path or a block of them, as a Trajectory after checking
@@ -218,7 +209,7 @@ def l2h_distance(a: Trajectory, b: Trajectory) -> float:
     """L2-in-time pivot-norm distance between two paths on the same grid."""
     if a.grid.n_steps != b.grid.n_steps or a.grid.horizon != b.grid.horizon:
         raise ValueError("trajectories live on different grids")
-    return _l2(_node_sq_norms(a.values - b.values, a.space.gram_H), a.grid.dt)
+    return _l2(a.space.h_norm(a.values - b.values)**2, a.grid.dt)
 
 
 STEP_TOL = 1e-14
@@ -382,8 +373,7 @@ def subspace_invariance_residual(form: TimeForm, proj: Projection, grid: TimeGri
     so data starting in the range of P stays there; the returned residual is
     solver roundoff only.
     """
-    leak = _node_norms(propagate(form, proj, grid, x).values @ proj.complement().T,
-                       form.space.gram_H)
+    leak = form.space.h_norm(propagate(form, proj, grid, x).values @ proj.complement().T)
     if leak[0] > 1e-12:
         raise ValueError("initial vector is not in the range of the projection")
     return float(leak.max())
@@ -418,7 +408,7 @@ def projected_convergence_study(form: TimeForm, grid: TimeGrid, x: Vector,
     for m, vals in zip(m_list, reduced):
         diff = -ref  # a block path's absent coordinates are zero
         diff[:, :vals.shape[1]] += vals
-        out.append((int(m), float(_node_norms(diff, space.gram_H).max())))
+        out.append((int(m), float(space.h_norm(diff).max())))
     return out
 
 
@@ -449,22 +439,20 @@ def regularity_ratio(traj: Trajectory, f_l2: float, x_vnorm: float) -> float:
     return (traj.sobolev_h1 + traj.l2_v + traj.au_l2) / denom
 
 
-def weighted_diagnostic(form: TimeForm, proj: Projection | None, grid: TimeGrid,
-                        x: Vector) -> float:
-    """Regularity of the time-weighted homogeneous path v(t) = t u(t),
-    relative to ``sqrt(horizon) |x|_H``.
+def weighted_diagnostic(traj: Trajectory) -> float:
+    """Regularity of the time-weighted path v(t) = t u(t) of a homogeneous path u,
+    relative to ``sqrt(horizon) |u(0)|_H``; ``u`` keeps its ``stiffness_fn``.
 
     At finite dimension every datum has a finite energy norm, so the ratio
     cannot exhibit the rough-data moderation it tracks in the continuum; it
     is reported as a diagnostic only and asserted nowhere.
     """
-    x = np.asarray(x, dtype=float)
-    h_norm = form.space.h_norm(x)
-    if h_norm <= 0.0:
+    grid = traj.grid
+    h_norm = traj.space.h_norm(traj.values[0])
+    if not h_norm > 0.0:
         raise ValueError("data must be nonzero")
-    traj = propagate(form, proj, grid, x)
-    weighted = make_trajectory(form.space, grid, traj.values * grid.nodes[:, None],
-                               partial(stiffness_stack, form, proj))
+    weighted = make_trajectory(traj.space, grid, traj.values * grid.nodes[:, None],
+                               traj.stiffness_fn)
     return regularity_ratio(weighted, 0.0, math.sqrt(grid.horizon) * h_norm)
 
 

@@ -15,10 +15,11 @@ from typing import Callable
 import numpy as np
 
 from .evolution import Trajectory
-from .galerkin import Matrix, TimeForm, Vector, stiffness_stack
+from .galerkin import GalerkinSpace, TimeForm, Vector, stiffness_stack
 
 
 ROW_CHUNK = 4096  # rows per block of the sampled audits: memory stays fixed for any sample count
+GROWTH_TIMES = 16  # times drawn by growth_audit; f is called once per time, on all the points
 
 
 def _rng(seed_or_rng) -> np.random.Generator:
@@ -84,28 +85,31 @@ def apply_superposition(f: Nonlinearity, traj: Trajectory) -> np.ndarray:
     return out
 
 
-def growth_audit(f: Nonlinearity, dim: int, horizon: float, n_samples: int = 1000,
-                 max_radius: float = 1e3, seed=0,
-                 gram_H: Matrix | None = None) -> tuple[bool, float]:
-    """Spot-check the declared growth bound.
+def _points_of_radii(space: GalerkinSpace, radii: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+    """One point per entry of ``radii``, of that pivot norm, in a standard normal direction."""
+    directions = rng.standard_normal((len(radii), space.n_modes))
+    directions /= space.h_norm(directions)[:, None]
+    return radii[:, None] * directions
 
-    Draws times in [0, horizon] and points with pivot norms log-spread up to
-    ``max_radius``.  Returns (passed, worst_excess) where the excess is
-    ``|f(t,x)| - a |x| - b(t)``; pass means excess <= 1e-10 everywhere sampled.
+
+def growth_audit(f: Nonlinearity, space: GalerkinSpace, horizon: float, n_samples: int = 1000,
+                 max_radius: float = 1e3, seed=0) -> tuple[bool, float]:
+    """Spot-check the declared growth bound in the pivot norm of ``space``.
+
+    Draws ``GROWTH_TIMES`` times in [0, horizon], then ``ceil(n_samples /
+    GROWTH_TIMES)`` points with pivot norms log-spread up to ``max_radius``,
+    and calls f once per time on the whole block of points.  Returns (passed,
+    worst_excess) where the excess is ``|f(t,x)| - a |x| - b(t)``; pass means
+    excess <= 1e-10 everywhere sampled, and a non-finite f value fails.
     """
     rng = _rng(seed)
-    gh = np.eye(dim) if gram_H is None else gram_H
-    worst = -math.inf
-    for _ in range(n_samples):
-        t = float(rng.uniform(0.0, horizon))
-        direction = rng.standard_normal(dim)
-        direction /= math.sqrt(direction @ gh @ direction)
-        radius = 10.0 ** rng.uniform(-2.0, math.log10(max_radius))
-        x = radius * direction
-        fx = np.asarray(f.eval(t, x), dtype=float)
-        lhs = math.sqrt(max(fx @ gh @ fx, 0.0))
-        excess = lhs - f.growth_a * radius - f.growth_b(t)
-        worst = max(worst, excess)
+    times = rng.uniform(0.0, horizon, GROWTH_TIMES)
+    radii = 10.0 ** rng.uniform(-2.0, math.log10(max_radius), math.ceil(n_samples / GROWTH_TIMES))
+    x = _points_of_radii(space, radii, rng)
+    excess = [np.max(space.h_norm(np.asarray(f.eval(float(t), x), dtype=float))
+                     - f.growth_a * radii) - f.growth_b(float(t)) for t in times]
+    worst = float(np.max(excess))
     return worst <= 1e-10, worst
 
 
@@ -125,9 +129,9 @@ class TransversalityReport:
 
 
 def scan_transversality(f: Nonlinearity, r0: float, R0: float, n_samples: int,
-                        t_grid: np.ndarray, dim: int, seed=0,
-                        gram_H: Matrix | None = None) -> TransversalityReport:
-    """Scan ``<f(t,x), x>_H`` over spheres with radii log-spaced in [r0, R0].
+                        t_grid: np.ndarray, space: GalerkinSpace, seed=0) -> TransversalityReport:
+    """Scan ``<f(t,x), x>_H`` over pivot spheres of ``space`` with radii log-spaced
+    in [r0, R0], calling f once per time of ``t_grid`` on all the points.
 
     An unbounded outer radius is capped at ``10 r0``.  A failing report is a
     valid outcome; the scan can only falsify the inward-pointing condition.
@@ -136,13 +140,11 @@ def scan_transversality(f: Nonlinearity, r0: float, R0: float, n_samples: int,
         raise ValueError("need 0 < r0 < R0")
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
-    gh = np.eye(dim) if gram_H is None else gram_H
     radii = np.geomspace(r0, min(R0, 10.0 * r0), 16)
     n_dirs = max(1, math.ceil(n_samples / (len(radii) * len(t_grid))))
-    directions = _rng(seed).standard_normal((len(radii) * n_dirs, dim))
-    directions /= np.sqrt(np.vecdot(directions @ gh, directions))[:, None]
-    x = np.repeat(radii, n_dirs)[:, None] * directions
-    vals = np.array([np.vecdot(np.asarray(f.eval(float(t), x)) @ gh, x) for t in t_grid])
+    x = _points_of_radii(space, np.repeat(radii, n_dirs), _rng(seed))
+    vals = np.array([np.vecdot(np.asarray(f.eval(float(t), x)) @ space.gram_H, x)
+                     for t in t_grid])
     return TransversalityReport(r0=r0, R0=R0, violations=int((vals > 0.0).sum()),
                                 worst_value=float(vals.max()), samples=vals.size)
 

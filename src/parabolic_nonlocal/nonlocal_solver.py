@@ -25,7 +25,6 @@ from .evolution import (
     Trajectory,
     _l2,
     _march,
-    _node_sq_norms,
     build_propagator,
     make_trajectory,
     zero_trajectory,
@@ -63,8 +62,7 @@ def g_constant(x0: Vector) -> NonlocalCondition:
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
-    return NonlocalCondition(eval=lambda traj: x0.copy(), kind="constant",
-                             bound_params={"h_norm_cap": float(np.linalg.norm(x0))})
+    return NonlocalCondition(eval=lambda traj: x0.copy(), kind="constant", bound_params={})
 
 
 def _hat_weights(grid: TimeGrid, a: float, b: float) -> np.ndarray:
@@ -157,7 +155,8 @@ class GBoundAudit(NamedTuple):
 def _sampled_sup(g: NonlocalCondition, norm: Callable[[np.ndarray], np.ndarray], n_samples: int,
                  grid: TimeGrid, space: GalerkinSpace, seed,
                  targets: Callable[[np.random.Generator], np.ndarray]) -> np.ndarray:
-    """Largest ``norm(g(u))`` over sampled paths u (NaN skipped), per row of ``targets(rng)``.
+    """Largest ``norm(g(u))`` over sampled paths u, per row of ``targets(rng)``; a
+    non-finite norm counts as +inf, so a g that returns NaN fails every bound.
 
     The targets are drawn first, as ``(m, 1)`` or ``(m, n_samples)`` L2-in-time
     pivot norms: path i has standard normal coordinates scaled to norm
@@ -172,13 +171,14 @@ def _sampled_sup(g: NonlocalCondition, norm: Callable[[np.ndarray], np.ndarray],
     per, worst = max(1, ROW_CHUNK // (grid.n_steps + 1)), np.zeros(len(targets))
     for start in range(0, n_samples, per):
         vals = rng.standard_normal((min(per, n_samples - start), grid.n_steps + 1, space.n_modes))
-        l2_h = np.maximum(_l2(_node_sq_norms(vals, space.gram_H), grid.dt), 1e-300)
+        l2_h = np.maximum(_l2(space.h_norm(vals)**2, grid.dt), 1e-300)
         for i, target in enumerate(targets[:, start:start + len(vals)]):
             # the last target scales the draw in place, so a block holds one fewer copy
             scaled = np.multiply(vals, (target / l2_h)[:, None, None],
                                  out=vals if i == len(targets) - 1 else None)
             g_u = g.eval(make_trajectory(space, grid, scaled))
-            worst[i] = np.fmax.reduce(norm(np.asarray(g_u, dtype=float)), None, initial=worst[i])
+            norms = norm(np.asarray(g_u, dtype=float))
+            worst[i] = np.where(np.isnan(norms), math.inf, norms).max(initial=worst[i])
     return worst
 
 
@@ -238,8 +238,8 @@ def audit_problem(prob: NonlocalProblem, n_samples: int = 300, seed=0) -> dict:
     """Run the standing audits: inward-pointing scan, g-bound sampling and g's admissibility."""
     space = prob.form.space
     t_grid = np.linspace(0.0, prob.grid.horizon, 9)
-    scan = scan_transversality(prob.f, prob.r0, prob.R0, max(100, n_samples), t_grid,
-                               dim=space.n_modes, seed=seed, gram_H=space.gram_H)
+    scan = scan_transversality(prob.f, prob.r0, prob.R0, max(100, n_samples), t_grid, space,
+                               seed=seed)
     cap = prob.R0 if math.isfinite(prob.R0) else 10.0 * prob.r0
     radii, grid = np.geomspace(prob.r0 * 1.0001, cap * 0.9999, 4), prob.grid
     # the four radii share one draw of paths, scaled to each

@@ -285,13 +285,13 @@ def test_c12_growth_and_transversality():
     }
     failures = []
     for name, (f, dim) in bundled.items():
-        ok, worst = pn.growth_audit(f, dim=dim, horizon=1.0, n_samples=1000,
-                                    max_radius=1e3, seed=12)
+        ok, worst = pn.growth_audit(f, space=pn.build_sine_space(dim, math.pi), horizon=1.0,
+                                    n_samples=1000, max_radius=1e3, seed=12)
         if not ok:
             failures.append(f"{name} (excess {worst:.2e})")
     outward = pn.Nonlinearity(lambda t, x: +x, 1.0, lambda t: 0.0, "outward")
     scan = pn.scan_transversality(outward, 0.5, 5.0, 400, np.linspace(0, 1, 5),
-                                  dim=4, seed=12)
+                                  space=pn.build_sine_space(4, math.pi), seed=12)
     negative_control = scan.violations == scan.samples
     ok = not failures and negative_control
     report(12, "growth and transversality", ok,

@@ -70,6 +70,18 @@ class TestPropagate:
         assert lines[0] == "t,c0,c1,c2,h_norm,v_norm"
         assert len(lines) == 34
 
+    @pytest.mark.parametrize("scheme, expected", [("cayley", 1.0610326932660088),
+                                                  ("implicit_euler", 1.0746532901455834)])
+    def test_weighted_diagnostic_follows_the_scheme(self, tmp_path, scheme, expected):
+        # the diagnostic weights the path the command marched, in the configured scheme
+        cfg = write_config(tmp_path, "cfg.json", {
+            "command": "propagate", "form": {"n_modes": 4}, "n_steps": 32, "scheme": scheme,
+        })
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--output", str(out), "--quiet"]) == 0
+        assert read_report(out)["results"]["weighted_diagnostic"] == pytest.approx(expected,
+                                                                                   rel=1e-13)
+
 
 class TestSolve:
     def test_heat_preset_converges(self, tmp_path):

@@ -15,7 +15,6 @@ from parabolic_nonlocal.evolution import (
     TimeGrid,
     _leading_mode_form,
     _march,
-    _node_norms,
     adjoint_propagate,
     build_propagator,
     duhamel_direct_sum,
@@ -451,7 +450,7 @@ class TestRandomFormProperties:
         sp = build_sine_space(n, math.pi)
         prop = build_propagator(random_accretive_form(sp, rng), None, TimeGrid(1.0, n_steps))
         xs = rng.standard_normal((k, n))
-        norms = _node_norms(_march(prop, xs, None), sp.gram_H)
+        norms = sp.h_norm(_march(prop, xs, None))
         assert norms.shape == (k, n_steps + 1)
         assert norms[:, 0] == pytest.approx([sp.h_norm(x) for x in xs], rel=1e-14)
         assert np.all(np.diff(norms, axis=1) <= 1e-12 * norms[:, :1])
@@ -644,7 +643,7 @@ class TestProjectedConvergence:
         for m in m_list:
             pm = project(sp, m)
             vals = propagate(form, pm, grid, pm.matrix @ x).values
-            out.append((m, float(_node_norms(vals - ref, sp.gram_H).max())))
+            out.append((m, float(sp.h_norm(vals - ref).max())))
         return out
 
     @staticmethod
@@ -753,7 +752,7 @@ class TestWeightedDiagnostic:
     def test_finite_and_refinement_stable(self):
         sp, form = scalar_form()
         vals = [
-            weighted_diagnostic(form, None, TimeGrid(1.0, ns), np.array([1.0]))
+            weighted_diagnostic(propagate(form, None, TimeGrid(1.0, ns), np.array([1.0])))
             for ns in (64, 128, 256)
         ]
         assert all(math.isfinite(v) and v > 0 for v in vals)
@@ -765,14 +764,14 @@ class TestWeightedDiagnostic:
         form = random_accretive_form(sp, rng)
         grid = TimeGrid(1.0, 64)
         x = rng.standard_normal(3)
-        a = weighted_diagnostic(form, None, grid, x)
-        b = weighted_diagnostic(form, None, grid, 7.0 * x)
+        a = weighted_diagnostic(propagate(form, None, grid, x))
+        b = weighted_diagnostic(propagate(form, None, grid, 7.0 * x))
         assert b == pytest.approx(a, rel=1e-12)
 
     def test_zero_data_rejected(self):
         sp, form = scalar_form()
         with pytest.raises(ValueError):
-            weighted_diagnostic(form, None, TimeGrid(1.0, 8), np.array([0.0]))
+            weighted_diagnostic(propagate(form, None, TimeGrid(1.0, 8), np.array([0.0])))
 
 
 class TestCsvExport:

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from parabolic_nonlocal.evolution import TimeGrid, duhamel_solve, make_trajectory, propagate
-from parabolic_nonlocal.galerkin import build_sine_space, constant_form
+from parabolic_nonlocal.galerkin import GalerkinSpace, build_sine_space, constant_form
 from parabolic_nonlocal.models import preset_evi, preset_heat_timevarying
 from parabolic_nonlocal.nonlinearity import (
+    GROWTH_TIMES,
     ConvexFunctional,
     Nonlinearity,
     apply_superposition,
@@ -95,24 +96,29 @@ class TestBlockContract:
 class TestGrowthAudit:
     @pytest.mark.parametrize("factory", [zero_nonlinearity, negated_identity])
     def test_bundled_nonlinearities_pass(self, factory):
-        ok, worst = growth_audit(factory(), dim=4, horizon=1.0, n_samples=1000)
+        ok, worst = growth_audit(factory(), build_sine_space(4, math.pi), horizon=1.0,
+                                 n_samples=1000)
         assert ok and worst <= 1e-10
 
     def test_saturating_drift_passes_with_declared_constants(self):
         # |f| <= |x|/(1+|x|) + 1 <= 1*|x| + 1 by the triangle inequality
-        ok, _ = growth_audit(saturating_drift(5), dim=5, horizon=1.0, n_samples=1000)
+        ok, _ = growth_audit(saturating_drift(5), build_sine_space(5, math.pi), horizon=1.0,
+                             n_samples=1000)
         assert ok
 
     def test_understated_constants_fail(self):
-        lying = Nonlinearity(lambda t, x: 2.0 * x, 1.0, lambda t: 0.0, "understated")
-        ok, worst = growth_audit(lying, dim=3, horizon=1.0, n_samples=500)
+        calls = []  # one f call per drawn time, on the block of ceil(500 / 16) points
+        lying = Nonlinearity(counted(lambda t, x: 2.0 * x, calls), 1.0, lambda t: 0.0,
+                             "understated")
+        ok, worst = growth_audit(lying, build_sine_space(3, math.pi), horizon=1.0, n_samples=500)
         assert not ok and worst > 0
+        assert calls == [(32, 3)] * GROWTH_TIMES
 
 
 class TestTransversality:
     def test_restoring_force_passes(self):
         rep = scan_transversality(negated_identity(), 0.5, 4.0, 400,
-                                  np.linspace(0, 1, 5), dim=3)
+                                  np.linspace(0, 1, 5), build_sine_space(3, math.pi))
         assert rep.passed
         assert rep.worst_value == pytest.approx(-0.25, rel=1e-9)
 
@@ -122,25 +128,29 @@ class TestTransversality:
         h = np.zeros(3)
         h[0] = beta
         f = Nonlinearity(lambda t, x: -x + h, 1.0, lambda t: beta, "drifted")
-        rep = scan_transversality(f, 0.5, 5.0, 400, np.linspace(0, 1, 5), dim=3)
+        rep = scan_transversality(f, 0.5, 5.0, 400, np.linspace(0, 1, 5),
+                                  build_sine_space(3, math.pi))
         assert rep.passed
 
     def test_outward_field_fails_everywhere(self):
         f = Nonlinearity(lambda t, x: +x, 1.0, lambda t: 0.0, "outward")
-        rep = scan_transversality(f, 0.5, 5.0, 400, np.linspace(0, 1, 5), dim=3)
+        rep = scan_transversality(f, 0.5, 5.0, 400, np.linspace(0, 1, 5),
+                                  build_sine_space(3, math.pi))
         assert not rep.passed
         assert rep.violations == rep.samples
 
     def test_unbounded_outer_radius_capped(self):
         rep = scan_transversality(negated_identity(), 1.0, math.inf, 400,
-                                  np.array([0.0]), dim=2)
+                                  np.array([0.0]), build_sine_space(2, math.pi))
         assert rep.passed and rep.R0 == math.inf
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            scan_transversality(negated_identity(), 2.0, 1.0, 400, np.array([0.0]), dim=2)
+            scan_transversality(negated_identity(), 2.0, 1.0, 400, np.array([0.0]),
+                                build_sine_space(2, math.pi))
         with pytest.raises(ValueError):
-            scan_transversality(negated_identity(), 1.0, 2.0, 10, np.array([0.0]), dim=2)
+            scan_transversality(negated_identity(), 1.0, 2.0, 10, np.array([0.0]),
+                                build_sine_space(2, math.pi))
 
 
 class TestMonotone:
@@ -152,7 +162,7 @@ class TestMonotone:
         phi = pseudo_huber_functional(4)
         assert check_monotone(phi, 500) >= -1e-10
         f = Nonlinearity(lambda t, x: -phi.gradient(x), 1.0, lambda t: 0.0)
-        ok, _ = growth_audit(f, dim=4, horizon=1.0, n_samples=1000)
+        ok, _ = growth_audit(f, build_sine_space(4, math.pi), horizon=1.0, n_samples=1000)
         assert ok
 
     def test_concave_fails(self):
@@ -266,7 +276,8 @@ class TestShiftedTransversality:
             lambda t, x: -phi.gradient(x) - eps * np.asarray(x), 1.0 + eps, lambda t: 0.0
         )
         r0 = b_inf / (eps - a) * 1.05
-        rep = scan_transversality(f_hat, r0, math.inf, 500, np.linspace(0, 1, 3), dim=3)
+        rep = scan_transversality(f_hat, r0, math.inf, 500, np.linspace(0, 1, 3),
+                                  build_sine_space(3, math.pi))
         assert rep.passed
 
 
@@ -343,12 +354,38 @@ class TestBlockAudits:
                 vals += [float(f.eval(float(t), x) @ gh @ x) for t in t_grid]
         calls = []
         spy = Nonlinearity(counted(f.eval, calls), f.growth_a, f.growth_b)
-        rep = scan_transversality(spy, 0.5, 7.0, 500, t_grid, 4, seed=3, gram_H=gh)
+        space = GalerkinSpace(4, math.pi, gh, gh, 1.0)
+        rep = scan_transversality(spy, 0.5, 7.0, 500, t_grid, space, seed=3)
         # G_H X^T is one matrix product where the loop multiplies row by row
         assert rep.worst_value == pytest.approx(max(vals), rel=1e-14)
         assert rep.violations == sum(v > 0.0 for v in vals) > 0
         assert rep.samples == len(vals)
         assert calls == [(80, 4)] * len(t_grid)
+
+    def test_growth_audit_matches_point_loop(self):
+        # times first, then radii, then directions normalised in the pivot norm; every
+        # time sees every point, in one f call per time
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal((4, 4))
+        gh = b @ b.T + 4.0 * np.eye(4)
+        space = GalerkinSpace(4, math.pi, gh, gh, 1.0)
+        f = saturating_drift(4)
+        rng = np.random.default_rng(3)
+        times = rng.uniform(0.0, 2.0, GROWTH_TIMES)
+        radii = 10.0 ** rng.uniform(-2.0, 2.0, 32)  # ceil(500 / 16) points
+        excess = []
+        for radius in radii:
+            d = rng.standard_normal(4)
+            x = radius * (d / math.sqrt(d @ gh @ d))
+            for t in times:
+                fx = f.eval(float(t), x)
+                excess.append(math.sqrt(fx @ gh @ fx) - f.growth_a * radius - f.growth_b(t))
+        calls = []
+        spy = Nonlinearity(counted(f.eval, calls), f.growth_a, f.growth_b)
+        ok, worst = growth_audit(spy, space, 2.0, n_samples=500, max_radius=1e2, seed=3)
+        assert worst == pytest.approx(max(excess), rel=1e-12, abs=1e-14)
+        assert not ok  # |sin(t) e_1|_H = sqrt(gh[0, 0]) > 2 exceeds the declared b = 1
+        assert calls == [(32, 4)] * GROWTH_TIMES
 
     def test_evi_residual_matches_node_loop(self):
         sp = build_sine_space(3, math.pi)

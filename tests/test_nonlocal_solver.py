@@ -204,6 +204,19 @@ class TestAuditGBound:
         audit = audit_g_bound(g, 1.0, 60, grid, sp, seed=3)
         assert not audit.passed
 
+    def test_nan_condition_fails_every_g_audit(self):
+        # a NaN norm counts as +inf: the bound fails, g* is infinite, the audits fail
+        sp, grid = build_sine_space(2, math.pi), TimeGrid(1.0, 16)
+        g = NonlocalCondition(lambda tr: np.full(2, np.nan), "constant", {})
+        assert audit_g_bound(g, 1.0, 20, grid, sp) == (False, -math.inf)
+        assert estimate_g_star(g, 1.0, 20, grid, sp) == math.inf
+        prob = NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, 2),
+                               f=Nonlinearity(lambda t, x: -x, 1.0, lambda t: 0.0), g=g,
+                               grid=grid, r0=0.5, R0=math.inf)
+        audit = audit_problem(prob, seed=0)
+        assert audit["transversality_ok"] and not audit["g_bound_ok"] and not audit["passed"]
+        assert audit["g_bound_margins"] == [-math.inf] * 4
+
     @pytest.mark.parametrize("n_samples", [0, -3])
     def test_no_samples_rejected(self, n_samples):
         # an empty sample would pass with the full margin without testing a path
@@ -587,6 +600,40 @@ class TestBlockShooting:
         # g(0); the start; the Jacobian's forward (e_2 only) and backward (e_1) blocks; the step
         assert [shape for shape, _ in seen[:5]] == [(33, 2)] + [(1, 33, 2)] * 4
 
+    @staticmethod
+    def root_problem(phi):
+        # f = 0 and g(u) = u(0) - phi(u(0)): the shooting residual is r(x) = phi(x)
+        sp = build_sine_space(1, math.pi)
+        g = NonlocalCondition(lambda tr: tr.values[..., 0, :] - phi(tr.values[..., 0, :]),
+                              "multipoint", {})
+        return NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, 1),
+                               f=zero_nonlinearity(), g=g, grid=TimeGrid(1.0, 8), r0=1.0,
+                               R0=math.inf)
+
+    def test_reused_jacobian_without_descent_is_refreshed(self, monkeypatch):
+        # r(x) = y^3 - 3y + 1 with y = x + 2, from x0 = -3: three steps on the first
+        # Jacobian each halve the residual, so it is kept; on it the fourth step finds no
+        # descent at any of its 11 lengths, so the Jacobian is refreshed, and the stage
+        # converges to the root y = 2 cos(2 pi / 9)
+        passes = self.count_passes(monkeypatch)
+        prob = self.root_problem(lambda x: (x + 2.0) ** 3 - 3.0 * (x + 2.0) + 1.0)
+        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12, lambda_steps=1, g_star_samples=1))
+        assert rep.status == "converged" and rep.converged
+        assert passes == [(1,), (1, 1)] + [(1,)] * 22 + [(1, 1)] + [(1,)] * 8
+        assert [p[:2] for p in rep.lambda_path] == [(1.0, 33)]
+        assert rep.solution.values[0, 0] == pytest.approx(2.0 * math.cos(2.0 * math.pi / 9.0) - 2.0,
+                                                          abs=1e-12)
+
+    def test_fresh_jacobian_without_descent_halts(self, monkeypatch):
+        # r(x) = -1 everywhere: the fresh Jacobian is zero, no step length descends, and
+        # the stage halts after the start, the Jacobian row and 11 backtracked trials
+        passes = self.count_passes(monkeypatch)
+        rep = solve_nonlocal(self.root_problem(lambda x: np.full_like(x, -1.0)),
+                             SolverConfig(lambda_steps=1, g_star_samples=1))
+        assert rep.status == "max_iterations" and not rep.converged
+        assert passes == [(1,), (1, 1)] + [(1,)] * 11
+        assert rep.lambda_path == ((1.0, 13, 1.0),)
+
     def test_g_raising_on_a_block_fails_every_row(self):
         # g raises on any block of two paths: both Jacobian columns fail forwards and
         # backwards, and the stage ends having marched 1 + 2 + 2 paths
@@ -715,7 +762,7 @@ class TestExpShift:
         shifted = exp_shift(prob, eps)
         r0 = 0.3 / eps * 1.05
         rep = scan_transversality(shifted.f, r0, math.inf, 300,
-                                  np.linspace(0.0, 1.0, 5), dim=1)
+                                  np.linspace(0.0, 1.0, 5), shifted.form.space)
         assert rep.passed
 
     def test_unshift_rescales_values(self):
