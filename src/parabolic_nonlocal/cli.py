@@ -76,8 +76,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, np.generic):  # numpy bools too; a numpy inf then reads "inf"
         obj = obj.item()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)  # "inf", "-inf" or "nan": strict JSON has no such number
     return obj
 
 
@@ -155,9 +155,9 @@ INITIAL_DATA = {
     "smooth": lambda n: np.exp(-np.arange(1, n + 1, dtype=float)),
     "first_mode": lambda n: np.eye(n)[0],
 }
-NONLINEARITIES = {
-    "zero": lambda n: zero_nonlinearity(),
-    "negated_identity": lambda n: negated_identity(),
+NONLINEARITIES = {  # factories of the trial space
+    "zero": lambda space: zero_nonlinearity(),
+    "negated_identity": lambda space: negated_identity(),
     "saturating_drift": saturating_drift,
 }
 FUNCTIONALS = {"quadratic": quadratic_functional, "pseudo_huber": pseudo_huber_functional}
@@ -227,7 +227,7 @@ def _problem_from_config(problem):
         form=form,
         proj=project(space, problem.read("m", n_modes, _integer)),
         f=_pick("nonlinearity preset", problem.read("nonlinearity", "zero"),
-                NONLINEARITIES)(n_modes),
+                NONLINEARITIES)(space),
         g=_condition_from_config(problem, space),
         grid=TimeGrid(form.horizon, n_steps),
         r0=problem.read("r0", 1.0, _real),
@@ -380,7 +380,7 @@ COMMANDS = {
 def write_report(outdir: Path, payload: dict) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "report.json", "w") as fh:
-        json.dump(_jsonable(payload), fh, sort_keys=True, indent=2)
+        json.dump(_jsonable(payload), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -216,13 +216,9 @@ STEP_TOL = 1e-14
 STEP_ITERATIONS = 100
 
 
-class StepNotConverged(RuntimeError):
-    """A step's implicit source equation was not solved by fixed-point iteration."""
-
-
 def _solve_step(source: Callable[[float, np.ndarray], np.ndarray], t: float, u: np.ndarray,
-                s_prev: np.ndarray, s_old: np.ndarray, half_bt: Matrix,
-                strict: bool) -> tuple[np.ndarray, np.ndarray]:
+                s_prev: np.ndarray, s_old: np.ndarray,
+                half_bt: Matrix) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-point iteration for ``U = u + (s_prev + s(t, U)) half_bt`` on a ``(k, n)`` block.
 
     ``half_bt`` is ``B^T / 2``; ``s_prev`` and ``s_old`` are the source at the
@@ -231,9 +227,8 @@ def _solve_step(source: Callable[[float, np.ndarray], np.ndarray], t: float, u: 
     update is at most ``STEP_TOL * sqrt(1 + |u|^2)`` (Euclidean); a NaN row
     counts as done.  A row whose iterate turns non-finite, or that is still
     unsolved after ``STEP_ITERATIONS``, is set to NaN in place, together with
-    its known part and its source row, so it stays NaN; with ``strict`` it
-    raises ``FloatingPointError`` or :class:`StepNotConverged` instead.
-    Returns the solved block and the source values it was computed from.
+    its known part and its source row, so it stays NaN.  Returns the solved
+    block and the source values it was computed from.
     """
     tol_sq = STEP_TOL**2
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are flagged below
@@ -248,8 +243,6 @@ def _solve_step(source: Callable[[float, np.ndarray], np.ndarray], t: float, u: 
             excess = np.vecdot(d, d) - tol_sq * np.vecdot(new, new)
             worst = excess.max()
             if not math.isfinite(worst):
-                if strict:
-                    raise FloatingPointError(f"step equation diverged at t={t:g}")
                 bad = ~np.isfinite(excess)
                 new[bad] = known[bad] = np.nan
                 s = np.where(bad[:, None], np.nan, s)
@@ -257,8 +250,6 @@ def _solve_step(source: Callable[[float, np.ndarray], np.ndarray], t: float, u: 
             if worst <= tol_sq:
                 return new, s
             v = new
-    if strict:
-        raise StepNotConverged(f"step equation not solved at t={t:g}")
     bad = ~(excess <= tol_sq)
     new[bad] = np.nan
     return new, np.where(bad[:, None], np.nan, s)
@@ -277,9 +268,8 @@ def _march(prop: Propagator, x: np.ndarray, f_values: np.ndarray | None,
     source extrapolated linearly from the last two nodes.  A row whose step
     turns non-finite or stays unsolved is flagged NaN in place and marches on
     as NaN; every row that ends non-finite is NaN along its whole path.  A
-    1-D ``x`` gives its ``(N+1, n)`` path and raises instead:
-    ``StepNotConverged`` for an unsolved step, ``FloatingPointError`` for a
-    non-finite iterate.
+    1-D ``x`` is the k = 1 block and gives its ``(N+1, n)`` path; a march
+    never raises for a failed step.
     """
     x = np.asarray(x, dtype=float)
     u = np.atleast_2d(x)
@@ -293,7 +283,7 @@ def _march(prop: Propagator, x: np.ndarray, f_values: np.ndarray | None,
         u = u @ prop.step_factors[j].T
         if source is not None:
             u, s_next = _solve_step(source, float(prop.grid.nodes[j + 1]), u, s_prev, s_old,
-                                    0.5 * prop.source_factors[j].T, strict=x.ndim == 1)
+                                    0.5 * prop.source_factors[j].T)
             s_old, s_prev = s_prev, s_next
         elif f_values is not None:
             u = u + f_mid[j] @ prop.source_factors[j].T

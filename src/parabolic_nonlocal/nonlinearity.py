@@ -57,13 +57,15 @@ def negated_identity() -> Nonlinearity:
     return Nonlinearity(lambda t, x: -x, 1.0, lambda t: 0.0, "negated_identity")
 
 
-def saturating_drift(dim: int) -> Nonlinearity:
-    """Saturating restoring force plus a bounded oscillation on the first mode."""
+def saturating_drift(space: GalerkinSpace) -> Nonlinearity:
+    """Saturating restoring force plus a bounded oscillation along the first mode,
+    ``f(t, x) = -x / (1 + |x|_H) + sin(t) e_1 / |e_1|_H`` in the pivot norm of
+    ``space``, so ``|f(t, x)|_H <= |x|_H + 1`` holds there."""
+    e_1 = np.eye(space.n_modes)[0]
+    e_1 /= space.h_norm(e_1)
 
     def f(t: float, x: Vector) -> Vector:
-        out = -x / (1.0 + np.linalg.norm(x, axis=-1, keepdims=True))
-        out[..., 0] += math.sin(t)
-        return out
+        return -x / (1.0 + space.h_norm(x)[..., None]) + math.sin(t) * e_1
 
     return Nonlinearity(f, 1.0, lambda t: 1.0, "saturating_drift")
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from .evolution import (
     Propagator,
-    StepNotConverged,
     TimeGrid,
     Trajectory,
     _l2,
@@ -328,10 +327,6 @@ class _Halt(Exception):
     """The stage stops; ``args[0]`` is the status."""
 
 
-class _MarchFailed(_Halt):
-    """A march left ``R0``, turned non-finite or had an unsolved step equation."""
-
-
 def _solve_stage(prob: NonlocalProblem, prop: Propagator, stiff: Callable[[np.ndarray], np.ndarray],
                  lam: float, x: Vector, path: Trajectory, cfg: SolverConfig) -> tuple:
     """Drive ``r(x) = x - lam P g(U(x))`` to zero from ``x``; ``U(x)`` marches from u(0) = x.
@@ -339,12 +334,14 @@ def _solve_stage(prob: NonlocalProblem, prop: Propagator, stiff: Callable[[np.nd
     Newton uses a forward-difference Jacobian, kept while steps halve the
     residual, and backtracks.  The Jacobian's n marches run as one block pass
     of ``[x + h e_1; ...; x + h e_n]``; a column whose row fails is marched
-    again backwards, also as one block.  Each marched path must be finite and
-    inside ``R0``; at most ``max_inner`` paths are marched.  A failed march at
-    a trial point counts as an infinite residual, so the step is halved; only
-    a failed march at the starting point ends the stage with its status.
-    Returns ``(status, x, path, marches, residual)`` of the last accepted
-    iterate (``path`` if none was).
+    again backwards, also as one block.  Every march, the start's too, is read
+    as a block: a row fails ``non_finite`` when its march came back NaN (a step
+    equation turned non-finite or stayed unsolved) or g fails on its path, and
+    ``boundary_hit`` when its path reaches ``R0``.  At most ``max_inner`` paths
+    are marched.  A failed march at a trial point has an infinite residual, so
+    the step is halved; a failed march at the starting point ends the stage
+    with its status.  Returns ``(status, x, path, marches, residual)`` of the
+    last accepted iterate (``path`` and an infinite residual if none was).
     """
     p, space, marches = prob.proj.matrix, prob.form.space, 0
 
@@ -368,23 +365,15 @@ def _solve_stage(prob: NonlocalProblem, prop: Propagator, stiff: Callable[[np.nd
         return r, np.where(~np.isfinite(r).all(axis=1), "non_finite",
                            np.where(radius >= prob.R0, "boundary_hit", ""))
 
-    def shoot(x: Vector) -> tuple[Trajectory, Vector, float]:
+    def shoot(x: Vector) -> tuple[str, Trajectory | None, Vector, float]:
+        """Status ('' if usable), path, residual and residual norm of the march from
+        ``x``; the norm is inf when the march failed."""
         spend(1)
-        try:
-            values = _light_s_apply(prob, prop, lam, x)
-        except (StepNotConverged, FloatingPointError) as exc:
-            failed = "max_iterations" if isinstance(exc, StepNotConverged) else "non_finite"
-            raise _MarchFailed(failed) from None
+        values = _light_s_apply(prob, prop, lam, x)
         r, status = checked(x[None], values[None])  # the k = 1 block
         if status[0]:
-            raise _MarchFailed(str(status[0]))
-        return make_trajectory(space, prob.grid, values, stiff), r[0], space.h_norm(r[0])
-
-    def attempt(x: Vector) -> tuple:
-        try:
-            return shoot(x)
-        except _MarchFailed:
-            return None, None, math.inf
+            return str(status[0]), None, r[0], math.inf
+        return "", make_trajectory(space, prob.grid, values, stiff), r[0], float(space.h_norm(r[0]))
 
     def jacobian(x: Vector, r: Vector, h: float) -> Matrix:
         jac, cols = np.empty((x.size, x.size)), np.arange(x.size)
@@ -401,7 +390,10 @@ def _solve_stage(prob: NonlocalProblem, prop: Propagator, stiff: Callable[[np.nd
 
     res, jac = math.inf, None
     try:
-        path, r, res = shoot(x)
+        status, start, r, res = shoot(x)
+        if status:
+            raise _Halt(status)
+        path = start
         while res > cfg.inner_tol:
             fresh = jac is None
             if fresh:
@@ -409,17 +401,17 @@ def _solve_stage(prob: NonlocalProblem, prop: Propagator, stiff: Callable[[np.nd
                 jac = jacobian(x, r, min(max(float(np.abs(r).max()), _FD_MIN * scale),
                                          _FD_MAX * scale))
             step, t = np.linalg.lstsq(jac, -r, rcond=None)[0], 1.0
-            trial = attempt(x + step)
-            while trial[2] > (1.0 - 1e-4 * t) * res and t > _MIN_STEP:
+            trial = shoot(x + step)
+            while trial[3] > (1.0 - 1e-4 * t) * res and t > _MIN_STEP:
                 t *= 0.5
-                trial = attempt(x + t * step)
-            if trial[2] > (1.0 - 1e-4 * t) * res:
+                trial = shoot(x + t * step)
+            if trial[3] > (1.0 - 1e-4 * t) * res:
                 if fresh:
                     raise _Halt("max_iterations")
                 jac = None
                 continue
-            jac = jac if trial[2] <= 0.5 * res else None
-            x, (path, r, res) = x + t * step, trial
+            jac = jac if trial[3] <= 0.5 * res else None
+            x, (_, path, r, res) = x + t * step, trial
     except _Halt as halt:
         return halt.args[0], x, path, marches, res
     return "converged", x, path, marches, res
@@ -435,11 +427,12 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
     Only if that fails do the Leray-Schauder stages ``lam = k / lambda_steps``
     run, each warm-started from the last (the first from zero if g fails on the
     zero path).  ``lambda_path`` holds ``(lam, marches, residual)`` per stage.
-    Statuses: ``converged``, ``max_iterations`` (march budget spent, the
-    starting step equation unsolved, or no descent), ``boundary_hit`` (an
-    iterate's path reached the outer radius, contradicting the standing
-    annulus bound), ``non_finite``.  A condition that fails on the grid
-    raises ValueError from the g* estimate.
+    Statuses: ``converged``, ``max_iterations`` (march budget spent or no
+    descent), ``boundary_hit`` (an iterate's path reached the outer radius,
+    contradicting the standing annulus bound), ``non_finite`` (a starting
+    step equation turned non-finite or was not solved, a residual is not
+    finite, or g fails on the zero path).  A condition that fails on the grid
+    raises ValueError from the g* estimate; an error raised by f propagates.
     """
     cfg = cfg or SolverConfig()
     space, grid = prob.form.space, prob.grid
@@ -448,12 +441,13 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
     sqrt_t = math.sqrt(grid.horizon)
 
     zero = zero_trajectory(space, grid)
+    status, solution, marches, res = "non_finite", zero, 0, math.inf
     try:
-        # _solve_stage reports its own failures; this catches g failing on the zero path
         x0 = prob.proj.matrix @ np.asarray(prob.g.eval(zero), dtype=float)
+    except (ValueError, FloatingPointError):  # g fails on the zero path: no march at lam = 1
+        x0 = np.zeros(space.n_modes)
+    else:
         status, _, solution, marches, res = _solve_stage(prob, prop, stiff, 1.0, x0, zero, cfg)
-    except (ValueError, FloatingPointError):
-        x0, status, solution, marches, res = np.zeros(space.n_modes), "non_finite", zero, 0, math.inf
     lambda_path = [(1.0, marches, res)]
     if status != "converged" and cfg.lambda_steps > 1:
         x, prev = x0, 1.0

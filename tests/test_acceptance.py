@@ -274,7 +274,7 @@ def test_c12_growth_and_transversality():
     bundled = {
         "zero": (pn.zero_nonlinearity(), 4),
         "negated_identity": (pn.negated_identity(), 4),
-        "saturating_drift": (pn.saturating_drift(6), 6),
+        "saturating_drift": (pn.saturating_drift(pn.build_sine_space(6, math.pi)), 6),
         "heat_source": (heat.f, 4),
         "quadratic_flow": (
             pn.Nonlinearity(lambda t, x: -pn.quadratic_functional(4).gradient(x),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parabolic_nonlocal.cli import COMMANDS, main, write_report
+from parabolic_nonlocal.cli import COMMANDS, main, run, write_report
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,9 +20,14 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
+def not_json(constant):
+    raise ValueError(f"report.json holds {constant}, which strict JSON does not allow")
+
+
 def read_report(outdir):
+    """The report, parsed as strict JSON: a bare NaN or Infinity token fails."""
     with open(outdir / "report.json") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=not_json)
 
 
 class TestVerifyForm:
@@ -247,6 +252,28 @@ class TestReportValues:
         assert read_report(tmp_path) == {"converged": True, "residual": "inf", "low": "-inf",
                                          "marches": 3}
 
+    def test_nan_reaches_the_report_as_text(self, tmp_path):
+        write_report(tmp_path, {"residual": np.float64(np.nan), "path": [1.0, math.nan]})
+        assert read_report(tmp_path) == {"residual": "nan", "path": [1.0, "nan"]}
+
+    def test_nan_config_value_echoed_as_text(self, tmp_path):
+        # Python's json reads the bare NaN token; the report echoes it as strict JSON
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"command": "propagate", "n_steps": 16, "scheme": NaN}')
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--output", str(out), "--quiet"]) == 1
+        rep = read_report(out)
+        assert rep["config"]["scheme"] == "nan" and "scheme" in rep["error"]
+
+    def test_overflowing_norms_reported_as_text(self, tmp_path):
+        # finite data whose norms overflow: the run still writes strict JSON
+        cfg = write_config(tmp_path, "cfg.json", {"command": "propagate", "x": [1e308] * 4})
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning):  # overflow, then inf - inf
+            assert main(["--config", cfg, "--output", str(out), "--quiet"]) == 0
+        res = read_report(out)["results"]
+        assert res["h_norm_initial"] == "inf" and res["au_l2"] == "nan"
+
 
 class TestConfigHandling:
     def test_missing_file(self, tmp_path):
@@ -354,9 +381,9 @@ class TestConfigHandling:
 
 
 def readme_cli_examples():
-    """Every ``json`` block of README's "CLI" section."""
-    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    return [json.loads(block) for block in re.findall(r"```json\n(.*?)```", section, re.S)]
+    """Every fenced ``json`` block of README that is a config (it has a "command")."""
+    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", README.read_text(), re.S)]
+    return [b for b in blocks if isinstance(b, dict) and "command" in b]
 
 
 class TestReadmeExamples:
@@ -367,7 +394,8 @@ class TestReadmeExamples:
     def test_example_runs(self, tmp_path, payload):
         cfg = write_config(tmp_path, "cfg.json", payload)
         out = tmp_path / "out"
-        assert main(["--config", cfg, "--output", str(out), "--quiet"]) == 0
+        assert run(cfg, str(out), None, True) == 0
+        assert read_report(out)["exit_code"] == 0
 
 
 # In-range values per key.  Sizes and counts stay at most 8 modes, 64 steps

@@ -51,7 +51,7 @@ class TestSuperposition:
         # L2-in-time bound from the pointwise growth bound
         sp = build_sine_space(4, math.pi)
         grid = TimeGrid(1.0, 32)
-        f = saturating_drift(4)
+        f = saturating_drift(sp)
         for seed in range(3):
             tr = random_trajectory(sp, grid, seed=seed, scale=3.0)
             out = apply_superposition(f, tr)
@@ -73,7 +73,7 @@ def bundled_nonlinearities(n):
     return {
         "zero": zero_nonlinearity(),
         "negated_identity": negated_identity(),
-        "saturating_drift": saturating_drift(n),
+        "saturating_drift": saturating_drift(build_sine_space(n, math.pi)),
         "bounded_source": bounded_source(lambda t: math.sin(t) * np.arange(1.0, n + 1), n),
         "exp_shift_f_hat": preset_heat_timevarying(n, 64).f,
         "gradient_flow_quadratic": preset_evi(n, 8, quadratic_functional(n)).f,
@@ -102,9 +102,23 @@ class TestGrowthAudit:
 
     def test_saturating_drift_passes_with_declared_constants(self):
         # |f| <= |x|/(1+|x|) + 1 <= 1*|x| + 1 by the triangle inequality
-        ok, _ = growth_audit(saturating_drift(5), build_sine_space(5, math.pi), horizon=1.0,
-                             n_samples=1000)
+        sp = build_sine_space(5, math.pi)
+        ok, _ = growth_audit(saturating_drift(sp), sp, horizon=1.0, n_samples=1000)
         assert ok
+
+    @pytest.mark.parametrize("n, seed", [(3, 0), (4, 5)])
+    def test_saturating_drift_passes_on_any_gram(self, n, seed):
+        # the constants are declared in the pivot norm, and f is built in it; an f
+        # built in the Euclidean norm exceeds them here, since |e_1|_H > 2
+        b = np.random.default_rng(seed).standard_normal((n, n))
+        gh = b @ b.T + 4.0 * np.eye(n)
+        space = GalerkinSpace(n, math.pi, gh, gh, 1.0)
+        ok, worst = growth_audit(saturating_drift(space), space, horizon=2.0, n_samples=1000,
+                                 max_radius=1e2, seed=3)
+        assert ok and worst <= 1e-10
+        euclidean = saturating_drift(build_sine_space(n, math.pi))
+        assert not growth_audit(euclidean, space, horizon=2.0, n_samples=1000,
+                                max_radius=1e2, seed=3)[0]
 
     def test_understated_constants_fail(self):
         calls = []  # one f call per drawn time, on the block of ceil(500 / 16) points
@@ -343,7 +357,8 @@ class TestBlockAudits:
         rng = np.random.default_rng(5)
         b = rng.standard_normal((4, 4))
         gh = b @ b.T + 4.0 * np.eye(4)
-        f = saturating_drift(4)
+        space = GalerkinSpace(4, math.pi, gh, gh, 1.0)
+        f = saturating_drift(space)
         t_grid = np.linspace(0.0, 1.0, 7)
         rng = np.random.default_rng(3)
         vals = []
@@ -354,7 +369,6 @@ class TestBlockAudits:
                 vals += [float(f.eval(float(t), x) @ gh @ x) for t in t_grid]
         calls = []
         spy = Nonlinearity(counted(f.eval, calls), f.growth_a, f.growth_b)
-        space = GalerkinSpace(4, math.pi, gh, gh, 1.0)
         rep = scan_transversality(spy, 0.5, 7.0, 500, t_grid, space, seed=3)
         # G_H X^T is one matrix product where the loop multiplies row by row
         assert rep.worst_value == pytest.approx(max(vals), rel=1e-14)
@@ -369,7 +383,8 @@ class TestBlockAudits:
         b = rng.standard_normal((4, 4))
         gh = b @ b.T + 4.0 * np.eye(4)
         space = GalerkinSpace(4, math.pi, gh, gh, 1.0)
-        f = saturating_drift(4)
+        # built in the Euclidean norm, so its constants do not hold in this space's
+        f = saturating_drift(build_sine_space(4, math.pi))
         rng = np.random.default_rng(3)
         times = rng.uniform(0.0, 2.0, GROWTH_TIMES)
         radii = 10.0 ** rng.uniform(-2.0, 2.0, 32)  # ceil(500 / 16) points

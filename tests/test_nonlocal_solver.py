@@ -449,6 +449,39 @@ class TestShooting:
         assert rep.status in STATUSES and rep.status != "converged"
         assert not rep.converged
 
+    @pytest.mark.parametrize("gain, lambda_steps, path", [
+        (96.0, 1, [(1.0, 1, math.inf)]),
+        (96.0, 10, [(1.0, 1, math.inf), (0.1, 1, 0.0), (0.2, 1, 0.0), (0.3, 1, 0.0),
+                    (0.4, 1, 0.0), (0.5, 1, math.inf)]),
+        (1e12, 1, [(1.0, 1, math.inf)]),
+        (1e12, 10, [(1.0, 1, math.inf), (0.1, 1, math.inf)]),
+    ], ids=["unsolved-1", "unsolved-10", "overflow-1", "overflow-10"])
+    def test_failed_start_march_reports_non_finite(self, gain, lambda_steps, path):
+        # dt/2 * 96 > 1 leaves the start's step equation finite but unsolved, 1e12
+        # overflows it; either way the march comes back NaN and the stage halts
+        f = Nonlinearity(lambda t, x: gain * x, gain, lambda t: 0.0)
+        prob = scalar_problem(TimeGrid(1.0, 32), f, g_constant(np.array([1.0])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve_nonlocal(prob, SolverConfig(lambda_steps=lambda_steps))
+        assert rep.status == "non_finite" and not rep.converged
+        assert rep.lambda_path == tuple(path)
+        assert all(type(res) is float for _, _, res in rep.lambda_path)
+
+    @pytest.mark.parametrize("lambda_steps", [1, 10])
+    def test_error_raised_by_f_propagates(self, lambda_steps):
+        # an f that raises is a fault of f, not a status; the row contract at
+        # t = 0 passes, so the error surfaces in the first march
+        def f(t, x):
+            if t > 0.5:
+                raise ValueError("f is undefined past t = 0.5")
+            return -x
+
+        prob = scalar_problem(TimeGrid(1.0, 32), Nonlinearity(f, 1.0, lambda t: 0.0),
+                              g_constant(np.array([1.0])))
+        with pytest.raises(ValueError, match="past t = 0.5"):
+            solve_nonlocal(prob, SolverConfig(lambda_steps=lambda_steps))
+
     def test_continuation_rescues_boundary_hit(self):
         # u(0) = 3 - 2 u(0) has the root 1 inside R0, but x0 = g(0) = 3 marches
         # outside it; the homotopy stages reach the root from lam = 0
@@ -735,7 +768,7 @@ class TestExpShift:
         x0 = np.array([0.4, -0.2, 0.1])
         g = NonlocalCondition(
             lambda tr: x0 + 0.5 * np.trapezoid(tr.values, dx=tr.grid.dt, axis=-2), "average", {})
-        prob = NonlocalProblem(form=form, proj=project(sp, 3), f=saturating_drift(3), g=g,
+        prob = NonlocalProblem(form=form, proj=project(sp, 3), f=saturating_drift(sp), g=g,
                                grid=TimeGrid(1.0, 512), r0=1.0, R0=math.inf)
         shifted = exp_shift(prob, mu)
         absorbed = min(1.5, mu)
@@ -849,7 +882,7 @@ class TestRowContractGate:
         solutions = []
         for g in (block, NonlocalCondition(per_path(block.eval), "multipoint", {})):
             prob = NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, 2),
-                                   f=saturating_drift(2), g=g, grid=grid, r0=1.0, R0=math.inf)
+                                   f=saturating_drift(sp), g=g, grid=grid, r0=1.0, R0=math.inf)
             rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12))
             assert rep.converged
             solutions.append(rep.solution.values)
