@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .evolution import (
     TimeGrid,
+    au_l2,
     build_propagator,
     projected_convergence_study,
     propagate,
@@ -197,6 +198,12 @@ def _initial_data(cfg, key, n_modes):
     return np.array(spec)
 
 
+def _reject_overflow(key, norms):
+    """Finite data ``key`` whose path norms overflow (computed without warnings) is an error."""
+    if not np.isfinite(norms).all():
+        raise ConfigError(f"{key} is too large: the norms of its path overflow")
+
+
 def _condition_from_config(problem, space):
     spec = problem.preset("g", "zero")
     if spec == "zero":
@@ -277,17 +284,19 @@ def cmd_propagate(config, seed, outdir):
     grid = TimeGrid(form.horizon, config.read("n_steps", 128, _integer))
     x = _initial_data(config, "x", space.n_modes)
     prop = build_propagator(form, None, grid, config.read("scheme", "cayley"))
-    traj = propagate(form, None, grid, x, propagator=prop)
-    results = {
-        "h_norm_initial": traj.h_norms[0],
-        "h_norm_final": traj.h_norms[-1],
-        "h_norms_nonincreasing": bool(np.all(np.diff(traj.h_norms) <= 1e-10)),
-        "max_step_factor_h_norm": float(prop.step_norms_h().max()),
-        "sobolev_h1": traj.sobolev_h1,
-        "l2_v": traj.l2_v,
-        "au_l2": traj.au_l2,
-        "weighted_diagnostic": weighted_diagnostic(traj),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
+        traj = propagate(form, None, grid, x, propagator=prop)
+        results = {
+            "h_norm_initial": traj.h_norms[0],
+            "h_norm_final": traj.h_norms[-1],
+            "h_norms_nonincreasing": bool(np.all(np.diff(traj.h_norms) <= 1e-10)),
+            "max_step_factor_h_norm": float(prop.step_norms_h().max()),
+            "sobolev_h1": traj.sobolev_h1,
+            "l2_v": traj.l2_v,
+            "au_l2": au_l2(form, None, traj),
+            "weighted_diagnostic": weighted_diagnostic(form, None, traj),
+        }
+    _reject_overflow("x", list(results.values()))
     return EXIT_OK, results, traj
 
 
@@ -333,8 +342,10 @@ def cmd_converge(config, seed, outdir):
     x = _initial_data(config, "x", space.n_modes)
     m_list = config.read("m_list", [2, 4, 8], _list_of(_integer))
     m_ref = config.read("m_ref", space.n_modes, _integer)
-    study = projected_convergence_study(form, grid, x, m_list, m_ref)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
+        study = projected_convergence_study(form, grid, x, m_list, m_ref)
     errs = [e for _, e in study]
+    _reject_overflow("x", errs)
     results = {
         "m_ref": m_ref,
         "study": [[m, e] for m, e in study],

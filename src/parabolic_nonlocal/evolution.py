@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,7 +70,6 @@ class Propagator:
     grid: TimeGrid
     step_factors: np.ndarray
     source_factors: np.ndarray
-    scheme: str
 
     def compose(self, i_from: int, i_to: int) -> Matrix:
         """Matrix of the propagator from node i_from to node i_to >= i_from."""
@@ -125,30 +124,25 @@ def build_propagator(form: TimeForm, proj: Projection | None, grid: TimeGrid,
     else:
         steps = x
         sources = np.multiply(x, dt, out=lhs)
-    return Propagator(space=form.space, grid=grid, step_factors=steps,
-                      source_factors=sources, scheme=scheme)
+    return Propagator(space=form.space, grid=grid, step_factors=steps, source_factors=sources)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A discrete path in the trial space; its norms are computed on first read,
-    node norms by the space's :meth:`~GalerkinSpace.h_norm` and ``v_norm``.
+    """A discrete path in the trial space: nodal values on a grid.  Its norms are
+    computed on first read, node norms by the space's :meth:`~GalerkinSpace.h_norm`
+    and ``v_norm``.
 
     ``values`` are ``(..., N+1, n)``: one path, or a block of paths along the
     leading axes, whose norms then carry those axes.  ``sobolev_h1`` combines
     the trapezoid pivot-norm quadrature with the forward-difference derivative
-    quadrature; ``l2_v`` and ``au_l2`` are the trapezoid energy-norm and
-    operator-image quadratures.  ``stiffness_fn``
-    maps an array of times to the ``(k, n, n)`` stiffness stack there, e.g.
-    ``partial(stiffness_stack, form, proj)``; ``au_l2`` is zero when the path
-    has none.
+    quadrature; ``l2_v`` is the trapezoid energy-norm quadrature.  The
+    operator-image norm needs the form, so it is :func:`au_l2`.
     """
 
     space: GalerkinSpace
     grid: TimeGrid
     values: np.ndarray
-    stiffness_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False,
-                                                                    compare=False)
 
     @cached_property
     def h_norms(self) -> np.ndarray:
@@ -172,14 +166,6 @@ class Trajectory:
     def l2_v(self) -> float | np.ndarray:
         return _l2(self.v_norms**2, self.grid.dt)
 
-    @cached_property
-    def au_l2(self) -> float | np.ndarray:
-        if self.stiffness_fn is None:
-            return 0.0
-        sv = self.stiffness_fn(self.grid.nodes) @ self.values[..., None]
-        w = (self.space.inv_sqrt_H @ sv)[..., 0]
-        return _l2(np.vecdot(w, w), self.grid.dt)
-
     @property
     def mean_radius(self) -> float | np.ndarray:
         """L2-in-time pivot norm divided by sqrt(horizon)."""
@@ -191,14 +177,28 @@ def _l2(sq_norms: np.ndarray, dt: float) -> float | np.ndarray:
     return np.sqrt(np.maximum(np.trapezoid(sq_norms, dx=dt, axis=-1), 0.0))
 
 
-def make_trajectory(space: GalerkinSpace, grid: TimeGrid, values: np.ndarray,
-                    stiffness_fn: Callable[[np.ndarray], np.ndarray] | None = None) -> Trajectory:
+def make_trajectory(space: GalerkinSpace, grid: TimeGrid, values: np.ndarray) -> Trajectory:
     """Wrap nodal values, one path or a block of them, as a Trajectory after checking
-    their shape; ``stiffness_fn`` maps times to a stiffness stack (see :class:`Trajectory`)."""
+    their shape."""
     vals = np.asarray(values, dtype=float)
     if vals.shape[-2:] != (grid.n_steps + 1, space.n_modes):
         raise ValueError("values must have shape (..., n_steps+1, n_modes)")
-    return Trajectory(space=space, grid=grid, values=vals, stiffness_fn=stiffness_fn)
+    return Trajectory(space=space, grid=grid, values=vals)
+
+
+def au_l2(form: TimeForm, proj: Projection | None, traj: Trajectory) -> float | np.ndarray:
+    """Trapezoid L2-in-time pivot norm of the operator image ``A u`` of a path, or of
+    each path of a block: the (optionally reduced) stiffness at the grid's nodes,
+    one :func:`stiffness_stack`, applied to the values and mapped by ``G_H^(-1/2)``."""
+    sv = stiffness_stack(form, proj, traj.grid.nodes) @ traj.values[..., None]
+    w = (traj.space.inv_sqrt_H @ sv)[..., 0]
+    return _l2(np.vecdot(w, w), traj.grid.dt)
+
+
+def regularity_norm(form: TimeForm, proj: Projection | None,
+                    traj: Trajectory) -> float | np.ndarray:
+    """The paper's regularity norm ``|u|_{H^1(H)} + |u|_{L^2(V)} + |Au|_{L^2(H)}``."""
+    return traj.sobolev_h1 + traj.l2_v + au_l2(form, proj, traj)
 
 
 def zero_trajectory(space: GalerkinSpace, grid: TimeGrid) -> Trajectory:
@@ -218,20 +218,21 @@ STEP_ITERATIONS = 100
 
 def _solve_step(source: Callable[[float, np.ndarray], np.ndarray], t: float, u: np.ndarray,
                 s_prev: np.ndarray, s_old: np.ndarray,
-                half_bt: Matrix) -> tuple[np.ndarray, np.ndarray]:
+                half_bt: Matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Fixed-point iteration for ``U = u + (s_prev + s(t, U)) half_bt`` on a ``(k, n)`` block.
 
     ``half_bt`` is ``B^T / 2``; ``s_prev`` and ``s_old`` are the source at the
     last two nodes, and the iteration starts from their linear extrapolation
     ``2 s_prev - s_old``.  The whole block iterates until every row's
-    update is at most ``STEP_TOL * sqrt(1 + |u|^2)`` (Euclidean); a NaN row
-    counts as done.  A row whose iterate turns non-finite, or that is still
-    unsolved after ``STEP_ITERATIONS``, is set to NaN in place, together with
-    its known part and its source row, so it stays NaN.  Returns the solved
-    block and the source values it was computed from.
+    update is at most ``STEP_TOL * sqrt(1 + |u|^2)`` (Euclidean).  A row whose
+    iterate turns non-finite leaves the block at once, so the source never
+    sees it again; a row still unsolved after ``STEP_ITERATIONS`` leaves it at
+    the end.  Returns the solved rows, the source values they were computed
+    from, and the indices of the input rows they are, None when every row
+    was solved.
     """
-    tol_sq = STEP_TOL**2
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are flagged below
+    tol_sq, kept = STEP_TOL**2, None
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows leave below
         known = u + s_prev @ half_bt
         v = known + (2.0 * s_prev - s_old) @ half_bt
         for _ in range(STEP_ITERATIONS):
@@ -239,20 +240,21 @@ def _solve_step(source: Callable[[float, np.ndarray], np.ndarray], t: float, u: 
             new = known + s @ half_bt
             d = new - v
             if np.vdot(d, d) <= tol_sq:  # implies every row's test below
-                return new, s
+                return new, s, kept
             excess = np.vecdot(d, d) - tol_sq * np.vecdot(new, new)
             worst = excess.max()
             if not math.isfinite(worst):
-                bad = ~np.isfinite(excess)
-                new[bad] = known[bad] = np.nan
-                s = np.where(bad[:, None], np.nan, s)
-                worst = excess.max(where=~bad, initial=-math.inf)
+                ok = np.isfinite(excess)
+                kept = np.flatnonzero(ok) if kept is None else kept[ok]
+                new, known, excess = new[ok], known[ok], excess[ok]
+                s = np.broadcast_to(s, d.shape)[ok]
+                worst = excess.max(initial=-math.inf)
             if worst <= tol_sq:
-                return new, s
+                return new, s, kept
             v = new
-    bad = ~(excess <= tol_sq)
-    new[bad] = np.nan
-    return new, np.where(bad[:, None], np.nan, s)
+    ok = excess <= tol_sq
+    kept = np.flatnonzero(ok) if kept is None else kept[ok]
+    return new[ok], np.broadcast_to(s, new.shape)[ok], kept
 
 
 def _march(prop: Propagator, x: np.ndarray, f_values: np.ndarray | None,
@@ -263,32 +265,44 @@ def _march(prop: Propagator, x: np.ndarray, f_values: np.ndarray | None,
     ``(k, N+1, n)`` array, one path per row, for every kind of source: none,
     nodal values ``f_values``, or a state-dependent ``source(t, U)`` (which
     takes precedence).  Only a callable source iterates: it is called on the
-    whole block (its value may broadcast, e.g. as an ``(n,)`` row), and
+    block of live rows (its value may broadcast, e.g. as an ``(n,)`` row), and
     :func:`_solve_step` solves every row's implicit step at once from the
-    source extrapolated linearly from the last two nodes.  A row whose step
-    turns non-finite or stays unsolved is flagged NaN in place and marches on
-    as NaN; every row that ends non-finite is NaN along its whole path.  A
-    1-D ``x`` is the k = 1 block and gives its ``(N+1, n)`` path; a march
-    never raises for a failed step.
+    source extrapolated linearly from the last two nodes.  A row whose source
+    at t = 0 is not finite, or whose step turns non-finite or stays unsolved,
+    leaves the block, so the source never sees it again, and the march stops
+    when no row is left.  Every row that failed or ends non-finite is NaN
+    along its whole path.  A 1-D ``x`` is the k = 1 block and gives its
+    ``(N+1, n)`` path; a march never raises for a failed step.
     """
     x = np.asarray(x, dtype=float)
     u = np.atleast_2d(x)
-    out = np.empty((len(u), prop.grid.n_steps + 1, prop.space.n_modes))
+    out = np.full((len(u), prop.grid.n_steps + 1, prop.space.n_modes), np.nan)
     out[:, 0] = u
+    live = slice(None)  # the rows still marching
     if source is not None:
         s_prev = s_old = np.asarray(source(0.0, u), dtype=float)
+        if not np.isfinite(s_prev).all():  # a row whose source is not finite takes no step
+            s_prev = np.broadcast_to(s_prev, u.shape)
+            live = np.flatnonzero(np.isfinite(s_prev).all(-1))
+            u, s_prev = u[live], s_prev[live]
+            s_old = s_prev
     elif f_values is not None:
         f_mid = 0.5 * (f_values[:-1] + f_values[1:])
     for j in range(prop.grid.n_steps):
+        if not len(u):
+            break
         u = u @ prop.step_factors[j].T
         if source is not None:
-            u, s_next = _solve_step(source, float(prop.grid.nodes[j + 1]), u, s_prev, s_old,
-                                    0.5 * prop.source_factors[j].T)
-            s_old, s_prev = s_prev, s_next
+            v, s_next, kept = _solve_step(source, float(prop.grid.nodes[j + 1]), u, s_prev,
+                                          s_old, 0.5 * prop.source_factors[j].T)
+            if kept is not None:  # rows left the block: their sources leave too
+                live = np.arange(len(out))[live][kept]
+                s_prev = np.broadcast_to(s_prev, u.shape)[kept]
+            u, s_old, s_prev = v, s_prev, s_next
         elif f_values is not None:
             u = u + f_mid[j] @ prop.source_factors[j].T
-        out[:, j + 1] = u
-    out[~np.isfinite(out[:, -1]).all(-1)] = np.nan
+        out[live, j + 1] = u
+    out[~np.isfinite(out[:, -1]).all(-1)] = np.nan  # a row that left has no end value
     return out[0] if x.ndim == 1 else out
 
 
@@ -299,8 +313,7 @@ def propagate(form: TimeForm, proj: Projection | None, grid: TimeGrid, x: Vector
     if not np.all(np.isfinite(x)):
         raise ValueError("initial vector must be finite")
     prop = propagator if propagator is not None else build_propagator(form, proj, grid, scheme)
-    values = _march(prop, x, None)
-    return make_trajectory(form.space, grid, values, partial(stiffness_stack, form, proj))
+    return make_trajectory(form.space, grid, _march(prop, x, None))
 
 
 def duhamel_solve(form: TimeForm, proj: Projection | None, grid: TimeGrid, x: Vector,
@@ -311,8 +324,7 @@ def duhamel_solve(form: TimeForm, proj: Projection | None, grid: TimeGrid, x: Ve
     if f_values.shape != (grid.n_steps + 1, form.space.n_modes):
         raise ValueError("f_values must be given at every grid node")
     prop = propagator if propagator is not None else build_propagator(form, proj, grid, scheme)
-    values = _march(prop, np.asarray(x, dtype=float), f_values)
-    return make_trajectory(form.space, grid, values, partial(stiffness_stack, form, proj))
+    return make_trajectory(form.space, grid, _march(prop, np.asarray(x, dtype=float), f_values))
 
 
 def duhamel_direct_sum(form: TimeForm, proj: Projection | None, grid: TimeGrid, x: Vector,
@@ -421,17 +433,18 @@ def _leading_mode_form(form: TimeForm, m: int) -> TimeForm:
     return replace(form, space=sub, stiffness_at=lambda t: form.stiffness_at(t)[:, :m, :m])
 
 
-def regularity_ratio(traj: Trajectory, f_l2: float, x_vnorm: float) -> float:
-    """Ratio of the path's combined regularity norms to the data norms."""
+def regularity_ratio(form: TimeForm, proj: Projection | None, traj: Trajectory,
+                     f_l2: float, x_vnorm: float) -> float:
+    """Ratio of the path's :func:`regularity_norm` to the data norms."""
     denom = f_l2 + x_vnorm
     if denom <= 0.0:
         raise ValueError("data norms must not both vanish")
-    return (traj.sobolev_h1 + traj.l2_v + traj.au_l2) / denom
+    return regularity_norm(form, proj, traj) / denom
 
 
-def weighted_diagnostic(traj: Trajectory) -> float:
-    """Regularity of the time-weighted path v(t) = t u(t) of a homogeneous path u,
-    relative to ``sqrt(horizon) |u(0)|_H``; ``u`` keeps its ``stiffness_fn``.
+def weighted_diagnostic(form: TimeForm, proj: Projection | None, traj: Trajectory) -> float:
+    """Regularity of the time-weighted path v(t) = t u(t) of a homogeneous path u of
+    the (optionally reduced) form, relative to ``sqrt(horizon) |u(0)|_H``.
 
     At finite dimension every datum has a finite energy norm, so the ratio
     cannot exhibit the rough-data moderation it tracks in the continuum; it
@@ -441,9 +454,8 @@ def weighted_diagnostic(traj: Trajectory) -> float:
     h_norm = traj.space.h_norm(traj.values[0])
     if not h_norm > 0.0:
         raise ValueError("data must be nonzero")
-    weighted = make_trajectory(traj.space, grid, traj.values * grid.nodes[:, None],
-                               traj.stiffness_fn)
-    return regularity_ratio(weighted, 0.0, math.sqrt(grid.horizon) * h_norm)
+    weighted = make_trajectory(traj.space, grid, traj.values * grid.nodes[:, None])
+    return regularity_ratio(form, proj, weighted, 0.0, math.sqrt(grid.horizon) * h_norm)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -26,16 +25,10 @@ from .evolution import (
     _march,
     build_propagator,
     make_trajectory,
+    regularity_norm,
     zero_trajectory,
 )
-from .galerkin import (
-    GalerkinSpace,
-    Matrix,
-    Projection,
-    TimeForm,
-    Vector,
-    stiffness_stack,
-)
+from .galerkin import GalerkinSpace, Matrix, Projection, TimeForm, Vector
 from .nonlinearity import (ROW_CHUNK, Nonlinearity, _rng, apply_superposition,
                            check_row_contract, scan_transversality)
 
@@ -272,8 +265,7 @@ def homotopy_map(prob: NonlocalProblem, lam: float, w: Trajectory,
     p = prob.proj.matrix
     vals = _march(prop, lam * (p @ np.asarray(prob.g.eval(w), dtype=float)),
                   lam * (apply_superposition(prob.f, w) @ p.T))
-    return make_trajectory(prob.form.space, prob.grid, vals,
-                           partial(stiffness_stack, prob.form, prob.proj))
+    return make_trajectory(prob.form.space, prob.grid, vals)
 
 
 @dataclass(frozen=True)
@@ -327,8 +319,8 @@ class _Halt(Exception):
     """The stage stops; ``args[0]`` is the status."""
 
 
-def _solve_stage(prob: NonlocalProblem, prop: Propagator, stiff: Callable[[np.ndarray], np.ndarray],
-                 lam: float, x: Vector, path: Trajectory, cfg: SolverConfig) -> tuple:
+def _solve_stage(prob: NonlocalProblem, prop: Propagator, lam: float, x: Vector,
+                 path: Trajectory, cfg: SolverConfig) -> tuple:
     """Drive ``r(x) = x - lam P g(U(x))`` to zero from ``x``; ``U(x)`` marches from u(0) = x.
 
     Newton uses a forward-difference Jacobian, kept while steps halve the
@@ -373,7 +365,7 @@ def _solve_stage(prob: NonlocalProblem, prop: Propagator, stiff: Callable[[np.nd
         r, status = checked(x[None], values[None])  # the k = 1 block
         if status[0]:
             return str(status[0]), None, r[0], math.inf
-        return "", make_trajectory(space, prob.grid, values, stiff), r[0], float(space.h_norm(r[0]))
+        return "", make_trajectory(space, prob.grid, values), r[0], float(space.h_norm(r[0]))
 
     def jacobian(x: Vector, r: Vector, h: float) -> Matrix:
         jac, cols = np.empty((x.size, x.size)), np.arange(x.size)
@@ -437,7 +429,6 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
     cfg = cfg or SolverConfig()
     space, grid = prob.form.space, prob.grid
     prop = build_propagator(prob.form, prob.proj, grid)
-    stiff = partial(stiffness_stack, prob.form, prob.proj)
     sqrt_t = math.sqrt(grid.horizon)
 
     zero = zero_trajectory(space, grid)
@@ -447,14 +438,14 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
     except (ValueError, FloatingPointError):  # g fails on the zero path: no march at lam = 1
         x0 = np.zeros(space.n_modes)
     else:
-        status, _, solution, marches, res = _solve_stage(prob, prop, stiff, 1.0, x0, zero, cfg)
+        status, _, solution, marches, res = _solve_stage(prob, prop, 1.0, x0, zero, cfg)
     lambda_path = [(1.0, marches, res)]
     if status != "converged" and cfg.lambda_steps > 1:
         x, prev = x0, 1.0
         for k in range(1, cfg.lambda_steps + 1):
             lam = k / cfg.lambda_steps
-            status, x, solution, marches, res = _solve_stage(prob, prop, stiff, lam,
-                                                             x * (lam / prev), solution, cfg)
+            status, x, solution, marches, res = _solve_stage(prob, prop, lam, x * (lam / prev),
+                                                             solution, cfg)
             lambda_path.append((lam, marches, res))
             if status != "converged":
                 break
@@ -471,7 +462,7 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
     b_vals = np.array([prob.f.growth_b(float(t)) for t in grid.nodes])
     b_l2 = _l2(b_vals**2, grid.dt)
     apriori_rhs = 2.0 * max(prob.f.growth_a * prob.r0 * sqrt_t, b_l2) + g_star
-    apriori_lhs = solution.sobolev_h1 + solution.l2_v + solution.au_l2
+    apriori_lhs = regularity_norm(prob.form, prob.proj, solution)
 
     fp_tol = cfg.fp_tol if cfg.fp_tol is not None else cfg.inner_tol
     converged = bool(status == "converged" and fp_residual <= fp_tol
@@ -517,22 +508,16 @@ def exp_shift(prob: NonlocalProblem, mu: float) -> NonlocalProblem:
                          label=f.label + f"+shift({mu:g})")
 
     g = prob.g
-    new_g = replace(g, eval=lambda traj: g.eval(unshift_trajectory(traj, mu)),
-                    bound_params={**g.bound_params, "exp_shift_mu": mu})
+    new_g = replace(g, eval=lambda traj: g.eval(unshift_trajectory(traj, mu)))
     return replace(prob, form=new_form, f=new_f, g=new_g, shift_mu=prob.shift_mu + mu)
 
 
-def unshift_trajectory(traj: Trajectory, mu: float,
-                       stiffness_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-                       ) -> Trajectory:
-    """Map a substituted path back to the user frame: u(t) = exp(mu t) v(t).
-
-    ``stiffness_fn`` maps times to the user frame's stiffness stack (see :class:`Trajectory`).
-    """
+def unshift_trajectory(traj: Trajectory, mu: float) -> Trajectory:
+    """Map a substituted path back to the user frame: u(t) = exp(mu t) v(t)."""
     if mu < 0.0:
         raise ValueError("mu must be nonnegative")
     scaled = traj.values * np.exp(mu * traj.grid.nodes)[:, None]
-    return make_trajectory(traj.space, traj.grid, scaled, stiffness_fn)
+    return make_trajectory(traj.space, traj.grid, scaled)
 
 
 def annulus_energy_check(traj: Trajectory, r0: float, R0: float,

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,9 @@ BAD_VALUES = {
                                                    "shift_mu": -0.5}}),
     "empty_m_list": ("m_list", {"command": "converge", "form": {"n_modes": 8},
                                 "n_steps": 16, "m_list": []}),
+    # data whose norms overflow once exited 0 with a study of [[2, "inf"]]
+    "overflowing_x": ("x", {"command": "converge", "n_steps": 16, "m_list": [2],
+                            "x": [1e308] * 4}),
 }
 
 
@@ -265,14 +269,19 @@ class TestReportValues:
         rep = read_report(out)
         assert rep["config"]["scheme"] == "nan" and "scheme" in rep["error"]
 
-    def test_overflowing_norms_reported_as_text(self, tmp_path):
-        # finite data whose norms overflow: the run still writes strict JSON
-        cfg = write_config(tmp_path, "cfg.json", {"command": "propagate", "x": [1e308] * 4})
+    @pytest.mark.parametrize("command", ["propagate", "converge"])
+    def test_overflowing_data_exits_1_without_warning(self, tmp_path, command):
+        # finite data whose norms overflow once exited 0 with "inf" and "nan"
+        # norms, after numpy's overflow warnings
+        cfg = write_config(tmp_path, "cfg.json", {"command": command, "m_list": [2],
+                                                  "x": [1e308] * 4})
         out = tmp_path / "out"
-        with pytest.warns(RuntimeWarning):  # overflow, then inf - inf
-            assert main(["--config", cfg, "--output", str(out), "--quiet"]) == 0
-        res = read_report(out)["results"]
-        assert res["h_norm_initial"] == "inf" and res["au_l2"] == "nan"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", cfg, "--output", str(out), "--quiet"]) == 1
+        rep = read_report(out)
+        assert "x is too large" in rep["error"] and "results" not in rep
+        assert not (out / "trajectory.csv").exists() and not (out / "convergence.csv").exists()
 
 
 class TestConfigHandling:

@@ -2,7 +2,6 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from parabolic_nonlocal.evolution import (
     _leading_mode_form,
     _march,
     adjoint_propagate,
+    au_l2,
     build_propagator,
     duhamel_direct_sum,
     duhamel_solve,
@@ -22,6 +22,7 @@ from parabolic_nonlocal.evolution import (
     make_trajectory,
     projected_convergence_study,
     propagate,
+    regularity_norm,
     regularity_ratio,
     reversed_form,
     subspace_invariance_residual,
@@ -37,6 +38,7 @@ from parabolic_nonlocal.galerkin import (
     stiffness_stack,
 )
 from parabolic_nonlocal.models import divergence_form_assemble, time_power_coefficient
+from parabolic_nonlocal.nonlocal_solver import unshift_trajectory
 
 # closed-form values for the scalar decay/source problems (see module tests)
 REG_RATIO_SCALAR = 2.244913202997993  # sqrt(1-e^-2) + 2*sqrt((1-e^-2)/2)
@@ -310,13 +312,21 @@ class TestStateDependentSource:
         assert out.shape == (33, 1) and np.isnan(out).all()
 
     def test_overflowing_step_iteration_raises_floating_point_error(self):
-        # the iterate overflows: the path comes back NaN, with no warning
+        # the iterate overflows: the path comes back NaN, with no warning, and the
+        # march stops there (it once went on with 31 more calls on the NaN row)
         sp, form = scalar_form()
         prop = build_propagator(form, None, TimeGrid(1.0, 32))
+        finite_inputs = []
+
+        def source(t, u):
+            finite_inputs.append(bool(np.isfinite(u).all()))
+            return 1e12 * u
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = _march(prop, np.array([1.0]), None, lambda t, u: 1e12 * u)
+            out = _march(prop, np.array([1.0]), None, source)
         assert out.shape == (33, 1) and np.isnan(out).all()
+        assert len(finite_inputs) == 16 and all(finite_inputs)
 
 
 class TestBlockMarch:
@@ -341,20 +351,25 @@ class TestBlockMarch:
             single = _march(prop, x, None, source)
             assert np.abs(row - single).max() <= STEP_TOL * (1.0 + np.abs(single).max())
 
-    @pytest.mark.parametrize("gain", [1e12, 96.0], ids=["non_finite", "unsolved"])
-    def test_failed_row_flagged_others_unchanged(self, gain):
+    @pytest.mark.parametrize("gain, calls", [(1e12, 217), (96.0, 302)],
+                             ids=["non_finite", "unsolved"])
+    def test_failed_row_flagged_others_unchanged(self, gain, calls):
         # the step equation diverges only for |u| > 2: with gain 1e12 the row
-        # started at 5 overflows, with 96 it grows by 1.5 per pass and stays finite
+        # started at 5 overflows, with 96 it grows by 1.5 per pass and stays finite;
+        # either way it leaves the block, so the source never sees it NaN
         sp, form = scalar_form()
         prop = build_propagator(form, None, TimeGrid(1.0, 32))
+        finite_inputs = []
 
         def source(t, u):
+            finite_inputs.append(bool(np.isfinite(u).all()))
             return np.where(np.abs(u) > 2.0, gain, -1.0) * u
 
         xs = np.array([[0.5], [5.0], [-0.3]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             block = _march(prop, xs, None, source)
+            assert len(finite_inputs) == calls and all(finite_inputs)
             failed = _march(prop, xs[1], None, source)
         assert np.isnan(block[1]).all()
         for i in (0, 2):
@@ -708,35 +723,59 @@ class TestTrajectoryNorms:
         form = random_accretive_form(sp, rng)
         grid = TimeGrid(1.0, 16)
         tr = propagate(form, None, grid, rng.standard_normal(3))
-        rebuilt = make_trajectory(sp, grid, tr.values,
-                                  lambda ts: np.array([stiffness_at_one(form, t) for t in ts]))
+        rebuilt = make_trajectory(sp, grid, tr.values)
         assert rebuilt.sobolev_h1 == pytest.approx(tr.sobolev_h1, rel=1e-12)
         assert rebuilt.l2_v == pytest.approx(tr.l2_v, rel=1e-12)
-        assert rebuilt.au_l2 == pytest.approx(tr.au_l2, rel=1e-12)
+        # |A u|_H^2 = |G_H^-1 S u|_H^2, one node at a time
+        sq = [sp.h_norm(np.linalg.solve(sp.gram_H, stiffness_at_one(form, t) @ v))**2
+              for t, v in zip(grid.nodes, tr.values)]
+        assert au_l2(form, None, tr) == pytest.approx(math.sqrt(np.trapezoid(sq, dx=grid.dt)),
+                                                      rel=1e-12)
 
-    def test_norms_computed_on_first_read_only(self):
+    def test_norms_computed_on_first_read_only(self, monkeypatch):
         rng = np.random.default_rng(41)
         sp = build_sine_space(3, math.pi)
-        form = random_accretive_form(sp, rng)
         grid = TimeGrid(1.0, 16)
         calls = []
-
-        def counted(t):
-            calls.append(len(t))
-            return form.stiffness_at(t)
-
-        tr = make_trajectory(sp, grid, rng.standard_normal((17, 3)),
-                             partial(stiffness_stack, replace(form, stiffness_at=counted), None))
+        for name in ("h_norm", "v_norm"):
+            kernel = getattr(GalerkinSpace, name)
+            monkeypatch.setattr(GalerkinSpace, name, lambda self, v, name=name, kernel=kernel:
+                                calls.append(name) or kernel(self, v))
+        tr = make_trajectory(sp, grid, rng.standard_normal((17, 3)))
         assert calls == []
-        first = tr.au_l2
-        assert calls == [grid.n_steps + 1]
-        assert tr.au_l2 == first
-        assert calls == [grid.n_steps + 1]
+        first = (tr.h_norms, tr.l2_h, tr.mean_radius, tr.v_norms, tr.l2_v)
+        assert calls == ["h_norm", "v_norm"]
+        assert (tr.h_norms, tr.l2_h, tr.mean_radius, tr.v_norms, tr.l2_v) == first
+        assert calls == ["h_norm", "v_norm"]
+
+    def test_au_l2_of_a_block_is_per_path(self):
+        rng = np.random.default_rng(42)
+        sp = build_sine_space(4, math.pi)
+        form = random_accretive_form(sp, rng)
+        grid = TimeGrid(1.0, 16)
+        block = make_trajectory(sp, grid, rng.standard_normal((3, 17, 4)))
+        for proj in (None, project(sp, 2)):
+            per_path = [au_l2(form, proj, make_trajectory(sp, grid, v)) for v in block.values]
+            got = au_l2(form, proj, block)
+            assert got.shape == (3,)
+            assert got == pytest.approx(per_path, rel=1e-13)
+
+    def test_rebuilt_path_keeps_its_regularity_norm(self):
+        # the norm takes the form, so a path reads the same however it was wrapped
+        rng = np.random.default_rng(43)
+        sp = build_sine_space(3, math.pi)
+        form = random_accretive_form(sp, rng)
+        grid, proj = TimeGrid(1.0, 32), project(sp, 2)
+        tr = propagate(form, proj, grid, proj.matrix @ rng.standard_normal(3))
+        want = regularity_norm(form, proj, tr)
+        assert au_l2(form, proj, tr) > 0.0
+        for rebuilt in (make_trajectory(sp, grid, tr.values), unshift_trajectory(tr, 0.0)):
+            assert regularity_norm(form, proj, rebuilt) == want
 
     def test_regularity_ratio_scalar_closed_form(self):
         sp, form = scalar_form()
         tr = propagate(form, None, TimeGrid(1.0, 512), np.array([1.0]))
-        assert regularity_ratio(tr, 0.0, 1.0) == pytest.approx(REG_RATIO_SCALAR, abs=1e-3)
+        assert regularity_ratio(form, None, tr, 0.0, 1.0) == pytest.approx(REG_RATIO_SCALAR, abs=1e-3)
 
     def test_ratio_scale_invariant(self):
         sp, form = scalar_form()
@@ -744,20 +783,21 @@ class TestTrajectoryNorms:
         lam = 17.5
         a = propagate(form, None, grid, np.array([1.0]))
         b = propagate(form, None, grid, np.array([lam]))
-        assert regularity_ratio(b, 0.0, lam) == pytest.approx(
-            regularity_ratio(a, 0.0, 1.0), rel=1e-12
+        assert regularity_ratio(form, None, b, 0.0, lam) == pytest.approx(
+            regularity_ratio(form, None, a, 0.0, 1.0), rel=1e-12
         )
 
     def test_zero_data_rejected(self):
         sp, form = scalar_form()
         tr = propagate(form, None, TimeGrid(1.0, 8), np.array([0.0]))
         with pytest.raises(ValueError):
-            regularity_ratio(tr, 0.0, 0.0)
+            regularity_ratio(form, None, tr, 0.0, 0.0)
 
     def test_ratio_stable_under_refinement(self):
         sp, form = scalar_form()
         r = [
-            regularity_ratio(propagate(form, None, TimeGrid(1.0, ns), np.array([1.0])), 0.0, 1.0)
+            regularity_ratio(form, None, propagate(form, None, TimeGrid(1.0, ns), np.array([1.0])),
+                             0.0, 1.0)
             for ns in (128, 256, 512)
         ]
         assert abs(r[2] - r[1]) < abs(r[1] - r[0])
@@ -768,7 +808,8 @@ class TestWeightedDiagnostic:
     def test_finite_and_refinement_stable(self):
         sp, form = scalar_form()
         vals = [
-            weighted_diagnostic(propagate(form, None, TimeGrid(1.0, ns), np.array([1.0])))
+            weighted_diagnostic(form, None, propagate(form, None, TimeGrid(1.0, ns),
+                                                      np.array([1.0])))
             for ns in (64, 128, 256)
         ]
         assert all(math.isfinite(v) and v > 0 for v in vals)
@@ -780,14 +821,15 @@ class TestWeightedDiagnostic:
         form = random_accretive_form(sp, rng)
         grid = TimeGrid(1.0, 64)
         x = rng.standard_normal(3)
-        a = weighted_diagnostic(propagate(form, None, grid, x))
-        b = weighted_diagnostic(propagate(form, None, grid, 7.0 * x))
+        a = weighted_diagnostic(form, None, propagate(form, None, grid, x))
+        b = weighted_diagnostic(form, None, propagate(form, None, grid, 7.0 * x))
         assert b == pytest.approx(a, rel=1e-12)
 
     def test_zero_data_rejected(self):
         sp, form = scalar_form()
         with pytest.raises(ValueError):
-            weighted_diagnostic(propagate(form, None, TimeGrid(1.0, 8), np.array([0.0])))
+            weighted_diagnostic(form, None, propagate(form, None, TimeGrid(1.0, 8),
+                                                      np.array([0.0])))
 
 
 class TestCsvExport:

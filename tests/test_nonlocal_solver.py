@@ -458,9 +458,16 @@ class TestShooting:
     ], ids=["unsolved-1", "unsolved-10", "overflow-1", "overflow-10"])
     def test_failed_start_march_reports_non_finite(self, gain, lambda_steps, path):
         # dt/2 * 96 > 1 leaves the start's step equation finite but unsolved, 1e12
-        # overflows it; either way the march comes back NaN and the stage halts
-        f = Nonlinearity(lambda t, x: gain * x, gain, lambda t: 0.0)
-        prob = scalar_problem(TimeGrid(1.0, 32), f, g_constant(np.array([1.0])))
+        # overflows it; either way the march comes back NaN and the stage halts.
+        # A failed row leaves the march, so an f that checks its input never
+        # raises (it once met the NaN row at every later step)
+        def f(t, x):
+            if not np.isfinite(x).all():
+                raise ValueError("f got a non-finite state")
+            return gain * x
+
+        prob = scalar_problem(TimeGrid(1.0, 32), Nonlinearity(f, gain, lambda t: 0.0),
+                              g_constant(np.array([1.0])))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = solve_nonlocal(prob, SolverConfig(lambda_steps=lambda_steps))
