@@ -199,9 +199,10 @@ def _initial_data(cfg, key, n_modes):
 
 
 def _reject_overflow(key, norms):
-    """Finite data ``key`` whose path norms overflow (computed without warnings) is an error."""
+    """Finite data ``key`` whose norms, or its path's, overflow (computed without
+    warnings) is an error."""
     if not np.isfinite(norms).all():
-        raise ConfigError(f"{key} is too large: the norms of its path overflow")
+        raise ConfigError(f"{key} is too large: norms computed from it overflow")
 
 
 def _condition_from_config(problem, space):
@@ -211,7 +212,10 @@ def _condition_from_config(problem, space):
     if isinstance(spec, _Reader):
         kind = spec.read("kind", None)
         if kind == "constant":
-            return g_constant(_initial_data(spec, "x0", space.n_modes))
+            x0 = _initial_data(spec, "x0", space.n_modes)
+            with np.errstate(over="ignore"):  # overflow is rejected here, before any audit
+                _reject_overflow(f"{spec.name}.x0", [space.h_norm(x0), space.v_norm(x0)])
+            return g_constant(x0)
         if kind == "mollified_integral":
             kernel = cosine_bump_kernel(spec.read("width", 4.0, _real))
             intervals = spec.read("intervals", [[0.0, 0.5]], _list_of(_list_of(_real)))

@@ -41,20 +41,33 @@ class Nonlinearity:
 
     The declared constants promise ``|f(t,x)|_H <= growth_a |x|_H + growth_b(t)``;
     :func:`growth_audit` spot-checks the promise.
+
+    ``affine_rate`` c, when given, declares f affine with a scalar linear part:
+    ``f(t, x) = f(t, 0) - c x``, with c finite and at least 0 (so the folded
+    form stays accretive).  The solver then folds c into the step factors and
+    marches the nodal values ``f(t_j, 0)`` with no per-step iteration;
+    :func:`check_affine_rate` enforces the declaration when a problem is
+    built.  ``eval`` stays the full f, which every audit reads.
     """
 
     eval: Callable[[float, Vector], Vector]
     growth_a: float
     growth_b: Callable[[float], float]
     label: str = ""
+    affine_rate: float | None = None
+
+    def __post_init__(self) -> None:
+        c = self.affine_rate
+        if c is not None and not (math.isfinite(c) and c >= 0.0):
+            raise ValueError(f"affine_rate must be finite and at least 0, got {c!r}")
 
 
 def zero_nonlinearity() -> Nonlinearity:
-    return Nonlinearity(lambda t, x: np.zeros_like(x), 0.0, lambda t: 0.0, "zero")
+    return Nonlinearity(lambda t, x: np.zeros_like(x), 0.0, lambda t: 0.0, "zero", 0.0)
 
 
 def negated_identity() -> Nonlinearity:
-    return Nonlinearity(lambda t, x: -x, 1.0, lambda t: 0.0, "negated_identity")
+    return Nonlinearity(lambda t, x: -x, 1.0, lambda t: 0.0, "negated_identity", 1.0)
 
 
 def saturating_drift(space: GalerkinSpace) -> Nonlinearity:
@@ -74,7 +87,7 @@ def bounded_source(values_at: Callable[[float], Vector], sup_norm: float,
                    label: str = "bounded_source") -> Nonlinearity:
     """State-independent source f(t, x) = h(t) with |h(t)|_H <= sup_norm."""
     return Nonlinearity(lambda t, x: np.asarray(values_at(t), dtype=float),
-                        0.0, lambda t: sup_norm, label)
+                        0.0, lambda t: sup_norm, label, 0.0)
 
 
 def apply_superposition(f: Nonlinearity, traj: Trajectory) -> np.ndarray:
@@ -186,14 +199,20 @@ def pseudo_huber_functional(dim: int) -> ConvexFunctional:
     )
 
 
+def _row_block(core: tuple[int, ...]) -> np.ndarray:
+    """The probe block of :func:`check_row_contract`: rows of shape ``core`` along two
+    leading axes unequal to each other and to every core axis, so ``x[k]`` fails."""
+    lead = [k for k in range(2, 6) if k not in core][:2]
+    return np.linspace(-2.0, 2.0, math.prod(lead + list(core))).reshape(*lead, *core)
+
+
 def check_row_contract(fn: Callable[[np.ndarray], np.ndarray], core: int | tuple[int, ...],
                        signature: str, name: str) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``fn`` on a block of rows of shape
     ``core`` (an int n means ``(n,)``) equals ``np.vectorize(fn, signature=signature)``,
     i.e. fn row by row."""
     core = (core,) if np.isscalar(core) else tuple(core)
-    lead = [k for k in range(2, 6) if k not in core][:2]  # unequal to all core axes: x[k] fails
-    block = np.linspace(-2.0, 2.0, math.prod(lead + list(core))).reshape(*lead, *core)
+    block = _row_block(core)
     rows = np.vectorize(fn, signature=signature)(block)
     try:
         out = np.asarray(fn(block), dtype=float)
@@ -203,6 +222,21 @@ def check_row_contract(fn: Callable[[np.ndarray], np.ndarray], core: int | tuple
                                                                  equal_nan=True):
         raise ValueError(f"{name} breaks the row contract: on a block of rows of shape {core} "
                          f"it must equal np.vectorize({name}, signature='{signature}')")
+
+
+def check_affine_rate(f: Nonlinearity, n: int, horizon: float) -> None:
+    """Raise ``ValueError`` naming ``affine_rate`` unless ``f(t, X) = f(t, 0) - c X``
+    to 1e-12 relative, for c = ``f.affine_rate``, at t in {0, horizon/2, horizon}, on
+    the probe block of :func:`check_row_contract` with rows of n coordinates."""
+    c, block = f.affine_rate, _row_block((n,))
+    for t in (0.0, 0.5 * horizon, horizon):
+        full = np.broadcast_to(np.asarray(f.eval(t, block), dtype=float), block.shape)
+        folded = np.asarray(f.eval(t, np.zeros(n)), dtype=float) - c * block
+        gap, scale = np.abs(full - folded).max(), max(np.abs(full).max(), np.abs(folded).max())
+        if not gap <= 1e-12 * scale:  # NaN fails too
+            raise ValueError(f"f.affine_rate = {c!r} is wrong: f(t, x) must equal "
+                             f"f(t, 0) - {c!r} x, but at t = {t!r} they differ by {gap:.2e} "
+                             f"on values of size {scale:.2e}")
 
 
 def check_monotone(phi: ConvexFunctional, n_pairs: int, seed=0,

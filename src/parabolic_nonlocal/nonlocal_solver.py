@@ -1,7 +1,8 @@
 """Nonlocal initial conditions and the shooting solver for u(0) = g(u).
 
 The problem is reduced to the n unknowns of x = u(0): a forward march from x
-solves every step's implicit trapezoid equation, and Newton on R^n drives
+solves every step's implicit trapezoid equation (directly, with no iteration,
+for an f that declares an affine rate), and Newton on R^n drives
 x - P g(U(x)) to zero, with the Leray-Schauder homotopy as the fallback.
 Existence theory gives no algorithm, so non-convergence is a first-class
 reported outcome, never an exception: reports carry a status and the
@@ -28,9 +29,9 @@ from .evolution import (
     regularity_norm,
     zero_trajectory,
 )
-from .galerkin import GalerkinSpace, Matrix, Projection, TimeForm, Vector
+from .galerkin import GalerkinSpace, Matrix, Projection, TimeForm, Vector, stiffness_stack
 from .nonlinearity import (ROW_CHUNK, Nonlinearity, _rng, apply_superposition,
-                           check_row_contract, scan_transversality)
+                           check_affine_rate, check_row_contract, scan_transversality)
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,9 @@ class NonlocalProblem:
     mapped back with :func:`unshift_trajectory`.  When the problem is built,
     before any march, g's recorded ``interval_span`` must lie in the grid's
     horizon, ``f`` must follow the row contract of :class:`Nonlinearity` (it
-    is checked at t = 0) and g the block contract of :class:`NonlocalCondition`.
+    is checked at t = 0), a declared ``f.affine_rate`` must hold
+    (:func:`check_affine_rate`), and g must follow the block contract of
+    :class:`NonlocalCondition`.
     """
 
     form: TimeForm
@@ -221,6 +224,8 @@ class NonlocalProblem:
         # a state-free f or g may return one (n,) row, so each is compared broadcast
         check_row_contract(lambda x: np.broadcast_to(self.f.eval(0.0, x), np.shape(x)),
                            n, "(n)->(n)", "f.eval(t, .)")
+        if self.f.affine_rate is not None:
+            check_affine_rate(self.f, n, grid.horizon)
         check_row_contract(lambda v: np.broadcast_to(self.g.eval(make_trajectory(space, grid, v)),
                                                      np.shape(v)[:-2] + (n,)),
                            (grid.n_steps + 1, n), "(m,n)->(n)", "g.eval")
@@ -309,17 +314,53 @@ class SolveReport:
 _FD_MIN, _FD_MAX, _MIN_STEP = 1.5e-8, 1e-2, 1e-3
 
 
-def _light_s_apply(prob: NonlocalProblem, prop: Propagator, lam: float, x: Vector) -> np.ndarray:
+class _StageMarch(NamedTuple):
+    """What every pass of one homotopy stage marches with: the propagator and, for an
+    f that declares an affine rate, the stage's nodal source (None for any other f)."""
+
+    prop: Propagator
+    f_values: np.ndarray | None
+
+
+def _affine_rest(prob: NonlocalProblem) -> np.ndarray | None:
+    """``f(t_j, 0) P^T`` at every node, one f call per node, when f declares an affine
+    rate; None otherwise."""
+    if prob.f.affine_rate is None:
+        return None
+    origin = np.zeros(prob.form.space.n_modes)
+    return np.array([np.broadcast_to(prob.f.eval(float(t), origin), origin.shape)
+                     for t in prob.grid.nodes], dtype=float) @ prob.proj.matrix.T
+
+
+def _stage_march(prob: NonlocalProblem, lam: float, rest: np.ndarray | None) -> _StageMarch:
+    """The march of stage ``lam``; ``rest`` is :func:`_affine_rest`.
+
+    For ``f(t, x) = f(t, 0) - c x``, the trapezoid rule on ``-lam c P x`` is the
+    Cayley step of the stiffness plus ``lam c G_H``: added before projection, the
+    reduced form gains ``lam c G_H P``, and the source left is ``lam rest``.
+    """
+    if rest is None:
+        return _StageMarch(build_propagator(prob.form, prob.proj, prob.grid), None)
+    stack = stiffness_stack(prob.form, None, prob.grid.midpoints)
+    stack += (lam * prob.f.affine_rate) * prob.form.space.gram_H
+    return _StageMarch(build_propagator(prob.form, prob.proj, prob.grid, stack=stack),
+                       lam * rest)
+
+
+def _light_s_apply(prob: NonlocalProblem, march: _StageMarch, lam: float,
+                   x: Vector) -> np.ndarray:
     # one pass marching u(0) = x, or every row of a 2-D x (see _march); the tracer counts it by name
+    if march.f_values is not None:  # f's linear part is in the step factors
+        return _march(march.prop, x, march.f_values)
     lam_pt, f = lam * prob.proj.matrix.T, prob.f.eval
-    return _march(prop, x, None, lambda t, u: np.asarray(f(t, u), dtype=float) @ lam_pt)
+    return _march(march.prop, x, None, lambda t, u: np.asarray(f(t, u), dtype=float) @ lam_pt)
 
 
 class _Halt(Exception):
     """The stage stops; ``args[0]`` is the status."""
 
 
-def _solve_stage(prob: NonlocalProblem, prop: Propagator, lam: float, x: Vector,
+def _solve_stage(prob: NonlocalProblem, march: _StageMarch, lam: float, x: Vector,
                  path: Trajectory, cfg: SolverConfig) -> tuple:
     """Drive ``r(x) = x - lam P g(U(x))`` to zero from ``x``; ``U(x)`` marches from u(0) = x.
 
@@ -361,7 +402,7 @@ def _solve_stage(prob: NonlocalProblem, prop: Propagator, lam: float, x: Vector,
         """Status ('' if usable), path, residual and residual norm of the march from
         ``x``; the norm is inf when the march failed."""
         spend(1)
-        values = _light_s_apply(prob, prop, lam, x)
+        values = _light_s_apply(prob, march, lam, x)
         r, status = checked(x[None], values[None])  # the k = 1 block
         if status[0]:
             return str(status[0]), None, r[0], math.inf
@@ -372,7 +413,7 @@ def _solve_stage(prob: NonlocalProblem, prop: Propagator, lam: float, x: Vector,
         for dx in (h, -h):  # columns whose forward row failed go again backwards
             spend(len(cols))
             xs = x + dx * np.eye(x.size)[cols]
-            r_cols, status = checked(xs, _light_s_apply(prob, prop, lam, xs))
+            r_cols, status = checked(xs, _light_s_apply(prob, march, lam, xs))
             done = status == ""
             jac[:, cols[done]] = ((r_cols[done] - r) / dx).T
             cols = cols[~done]
@@ -425,10 +466,15 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
     step equation turned non-finite or was not solved, a residual is not
     finite, or g fails on the zero path).  A condition that fails on the grid
     raises ValueError from the g* estimate; an error raised by f propagates.
+
+    An f that declares ``affine_rate`` c is evaluated only at the state 0, once
+    per node and solve: each stage folds ``lam c`` into its own propagator (see
+    :func:`_stage_march`), and its marches take no per-step iteration.
     """
     cfg = cfg or SolverConfig()
     space, grid = prob.form.space, prob.grid
-    prop = build_propagator(prob.form, prob.proj, grid)
+    rest = _affine_rest(prob)
+    march = _stage_march(prob, 1.0, rest)
     sqrt_t = math.sqrt(grid.horizon)
 
     zero = zero_trajectory(space, grid)
@@ -438,18 +484,21 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
     except (ValueError, FloatingPointError):  # g fails on the zero path: no march at lam = 1
         x0 = np.zeros(space.n_modes)
     else:
-        status, _, solution, marches, res = _solve_stage(prob, prop, 1.0, x0, zero, cfg)
+        status, _, solution, marches, res = _solve_stage(prob, march, 1.0, x0, zero, cfg)
     lambda_path = [(1.0, marches, res)]
     if status != "converged" and cfg.lambda_steps > 1:
         x, prev = x0, 1.0
         for k in range(1, cfg.lambda_steps + 1):
             lam = k / cfg.lambda_steps
-            status, x, solution, marches, res = _solve_stage(prob, prop, lam, x * (lam / prev),
+            if rest is not None:  # the folded rate lam c changes with the stage
+                march = _stage_march(prob, lam, rest)
+            status, x, solution, marches, res = _solve_stage(prob, march, lam, x * (lam / prev),
                                                              solution, cfg)
             lambda_path.append((lam, marches, res))
             if status != "converged":
                 break
             prev = lam
+    del march, rest  # the step factors and nodal source are not held through the g* sampler
 
     try:
         g_u = np.asarray(prob.g.eval(solution), dtype=float)
@@ -477,7 +526,8 @@ def exp_shift(prob: NonlocalProblem, mu: float) -> NonlocalProblem:
 
     The pivot shift declared on the form (its quasi-coercivity defect) is
     absorbed into the stiffness; the remainder ``eps = mu - delta`` is folded
-    into the nonlinearity, which gains the inward-pointing term ``-eps x``.
+    into the nonlinearity, which gains the inward-pointing term ``-eps x`` (a
+    declared affine rate c becomes ``c + eps``).
     The condition g is composed with the inverse scaling so fixed points map
     one-to-one; ``mu = 0`` is the identity.
     """
@@ -505,7 +555,8 @@ def exp_shift(prob: NonlocalProblem, mu: float) -> NonlocalProblem:
 
     new_f = Nonlinearity(eval=f_hat, growth_a=f.growth_a + eps,
                          growth_b=lambda t: math.exp(-mu * t) * f.growth_b(t),
-                         label=f.label + f"+shift({mu:g})")
+                         label=f.label + f"+shift({mu:g})",
+                         affine_rate=None if f.affine_rate is None else f.affine_rate + eps)
 
     g = prob.g
     new_g = replace(g, eval=lambda traj: g.eval(unshift_trajectory(traj, mu)))

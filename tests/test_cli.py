@@ -243,6 +243,12 @@ BAD_VALUES = {
     # data whose norms overflow once exited 0 with a study of [[2, "inf"]]
     "overflowing_x": ("x", {"command": "converge", "n_steps": 16, "m_list": [2],
                             "x": [1e308] * 4}),
+    # a constant g whose norms overflow once failed the g-bound audit (exit 2, margins
+    # "-inf") after numpy's overflow warnings
+    "overflowing_g_x0": ("g.x0", {"command": "solve",
+                                  "problem": {"n_modes": 2, "n_steps": 16,
+                                              "g": {"kind": "constant",
+                                                    "x0": [1e308, 1e308]}}}),
 }
 
 
@@ -269,18 +275,21 @@ class TestReportValues:
         rep = read_report(out)
         assert rep["config"]["scheme"] == "nan" and "scheme" in rep["error"]
 
-    @pytest.mark.parametrize("command", ["propagate", "converge"])
-    def test_overflowing_data_exits_1_without_warning(self, tmp_path, command):
+    @pytest.mark.parametrize("key, payload", [
+        ("x", {"command": "propagate", "x": [1e308] * 4}),
+        ("x", {"command": "converge", "m_list": [2], "x": [1e308] * 4}),
+        ("problem.g.x0", BAD_VALUES["overflowing_g_x0"][1]),
+    ], ids=["propagate", "converge", "solve"])
+    def test_overflowing_data_exits_1_without_warning(self, tmp_path, key, payload):
         # finite data whose norms overflow once exited 0 with "inf" and "nan"
-        # norms, after numpy's overflow warnings
-        cfg = write_config(tmp_path, "cfg.json", {"command": command, "m_list": [2],
-                                                  "x": [1e308] * 4})
+        # norms (2 for solve, at the g-bound audit), after numpy's overflow warnings
+        cfg = write_config(tmp_path, "cfg.json", payload)
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["--config", cfg, "--output", str(out), "--quiet"]) == 1
         rep = read_report(out)
-        assert "x is too large" in rep["error"] and "results" not in rep
+        assert rep["error"].startswith(f"{key} is too large") and "results" not in rep
         assert not (out / "trajectory.csv").exists() and not (out / "convergence.csv").exists()
 
 
@@ -405,6 +414,23 @@ class TestReadmeExamples:
         out = tmp_path / "out"
         assert run(cfg, str(out), None, True) == 0
         assert read_report(out)["exit_code"] == 0
+
+
+def readme_python_programs():
+    """Every fenced ``python`` block of README that starts with ``import``: the blocks
+    that run on their own, as the library quick start does."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    return [b for b in blocks if b.startswith("import")]
+
+
+class TestReadmePrograms:
+    def test_quick_start_is_found(self):
+        assert any("solve_nonlocal" in b for b in readme_python_programs())
+
+    @pytest.mark.parametrize("source", [pytest.param(b, id=f"block{i}")
+                                        for i, b in enumerate(readme_python_programs())])
+    def test_program_runs(self, source, capsys):
+        exec(compile(source, "README.md", "exec"), {"__name__": "__readme__"})
 
 
 # In-range values per key.  Sizes and counts stay at most 8 modes, 64 steps

@@ -50,6 +50,16 @@ def scalar_form(horizon=1.0):
     return sp, constant_form(sp, np.array([[1.0]]), horizon)
 
 
+def coupled_gram_space(n, rng):
+    """Non-diagonal pivot and energy Grams: no projection is diag(1..1, 0..0)."""
+    b = rng.standard_normal((n, n))
+    gram_h = np.eye(n) + 0.3 * (b @ b.T) / n
+    gram_v = np.diag(np.arange(1.0, n + 1) ** 2) + 0.2 * gram_h
+    irv = np.linalg.inv(np.linalg.cholesky(gram_v))
+    lam = np.linalg.eigvalsh(irv @ gram_h @ irv.T).max()
+    return GalerkinSpace(n, math.pi, gram_h, gram_v, 1.01 * math.sqrt(lam))
+
+
 def random_accretive_form(sp, rng, horizon=1.0, time_varying=True):
     """Stiffness alpha*G_V + PSD + skew + oscillation; coercive by construction."""
     n = sp.n_modes
@@ -677,22 +687,12 @@ class TestProjectedConvergence:
             out.append((m, float(sp.h_norm(vals - ref).max())))
         return out
 
-    @staticmethod
-    def coupled_gram_space(n, rng):
-        # non-diagonal pivot and energy Grams: no projection is diag(1..1, 0..0)
-        b = rng.standard_normal((n, n))
-        gram_h = np.eye(n) + 0.3 * (b @ b.T) / n
-        gram_v = np.diag(np.arange(1.0, n + 1) ** 2) + 0.2 * gram_h
-        irv = np.linalg.inv(np.linalg.cholesky(gram_v))
-        lam = np.linalg.eigvalsh(irv @ gram_h @ irv.T).max()
-        return GalerkinSpace(n, math.pi, gram_h, gram_v, 1.01 * math.sqrt(lam))
-
     @pytest.mark.parametrize("case", ["sine_full_reference", "sine_reduced_reference",
                                       "coupled_gram"])
     def test_matches_per_reduction_propagation(self, case):
         rng = np.random.default_rng(34)
         if case == "coupled_gram":
-            sp = self.coupled_gram_space(10, rng)
+            sp = coupled_gram_space(10, rng)
         else:
             sp = build_sine_space(10, math.pi)
         m_ref = 10 if case == "sine_full_reference" else 7

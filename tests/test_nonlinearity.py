@@ -13,6 +13,7 @@ from parabolic_nonlocal.nonlinearity import (
     Nonlinearity,
     apply_superposition,
     bounded_source,
+    check_affine_rate,
     check_monotone,
     check_row_contract,
     evi_residual,
@@ -91,6 +92,25 @@ class TestBlockContract:
             block = np.broadcast_to(np.asarray(f.eval(t, x), dtype=float), x.shape)
             rows = np.array([f.eval(t, row) for row in x])
             np.testing.assert_allclose(block, rows, rtol=1e-15, atol=1e-15)
+
+
+class TestAffineRate:
+    RATES = {"zero": 0.0, "negated_identity": 1.0, "saturating_drift": None,
+             "bounded_source": 0.0, "exp_shift_f_hat": 0.4, "gradient_flow_quadratic": None,
+             "gradient_flow_pseudo_huber": None}
+
+    @pytest.mark.parametrize("name", list(bundled_nonlinearities(4)))
+    def test_bundled_declarations_hold(self, name):
+        # the heat preset's f is its bounded source after exp_shift with eps = 0.4
+        f = bundled_nonlinearities(4)[name]
+        assert f.affine_rate == self.RATES[name]
+        if f.affine_rate is not None:
+            check_affine_rate(f, 4, 1.0)
+
+    @pytest.mark.parametrize("rate", [-0.1, math.inf, math.nan])
+    def test_rate_must_be_finite_and_nonnegative(self, rate):
+        with pytest.raises(ValueError, match="affine_rate must be finite and at least 0"):
+            Nonlinearity(lambda t, x: -x, 1.0, lambda t: 0.0, affine_rate=rate)
 
 
 class TestGrowthAudit:

@@ -1,11 +1,12 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_evolution import RANDOM_FORM_SETTINGS, random_accretive_form
+from test_evolution import RANDOM_FORM_SETTINGS, coupled_gram_space, random_accretive_form
 
 from parabolic_nonlocal.evolution import (
     TimeGrid,
@@ -17,9 +18,12 @@ from parabolic_nonlocal.evolution import (
     zero_trajectory,
 )
 from parabolic_nonlocal.galerkin import TimeForm, build_sine_space, constant_form, project
-from parabolic_nonlocal.models import cosine_bump_kernel, preset_heat_timevarying
+from parabolic_nonlocal.models import cosine_bump_kernel, preset_evi, preset_heat_timevarying
 from parabolic_nonlocal.nonlinearity import (
     Nonlinearity,
+    bounded_source,
+    negated_identity,
+    pseudo_huber_functional,
     saturating_drift,
     scan_transversality,
     zero_nonlinearity,
@@ -691,6 +695,119 @@ class TestBlockShooting:
         rep = solve_nonlocal(prob, SolverConfig(lambda_steps=1, g_star_samples=1))
         assert rep.status == "max_iterations" and not rep.converged
         assert [p[:2] for p in rep.lambda_path] == [(1.0, 5)]
+
+
+def declared_affine(space):
+    """The bundled f that declare an affine rate, on ``space``."""
+    h = np.linspace(0.5, -0.5, space.n_modes)
+    return {"bounded_source": bounded_source(lambda t: math.cos(3.0 * t) * h, space.h_norm(h)),
+            "negated_identity": negated_identity(),
+            "zero": zero_nonlinearity()}
+
+
+class TestAffineFold:
+    """A declared affine f is marched with its rate folded into the step factors; the
+    same problem with the declaration dropped iterates every step, and must agree."""
+
+    @staticmethod
+    def problem(space, m, f, mu, R0=math.inf):
+        # an accretive time-varying form and u(0) = a + 0.8 int_0^1 u, a path-linear g
+        # that keeps the range of P
+        rng, proj = np.random.default_rng(8), project(space, m)
+        form = random_accretive_form(space, rng)
+        a = proj.matrix @ rng.standard_normal(space.n_modes)
+        g = NonlocalCondition(lambda tr: a + 0.8 * np.trapezoid(tr.values, dx=tr.grid.dt, axis=-2),
+                              "average", {})
+        prob = NonlocalProblem(form=form, proj=proj, f=f, g=g,
+                               grid=TimeGrid(1.0, 64), r0=1e-3, R0=R0)
+        return exp_shift(prob, mu)
+
+    @staticmethod
+    def both(prob, cfg):
+        """The folded solve and the iterated solve of the same problem."""
+        plain = replace(prob, f=replace(prob.f, affine_rate=None))
+        return solve_nonlocal(prob, cfg), solve_nonlocal(plain, cfg)
+
+    @staticmethod
+    def assert_agree(folded, iterated):
+        scale = np.abs(iterated.solution.values).max()
+        assert np.abs(folded.solution.values - iterated.solution.values).max() <= 1e-12 * scale
+        assert folded.status == iterated.status
+        assert [p[:2] for p in folded.lambda_path] == [p[:2] for p in iterated.lambda_path]
+
+    @pytest.mark.parametrize("mu", [0.0, 0.6], ids=["unshifted", "exp_shift"])
+    @pytest.mark.parametrize("name", ["bounded_source", "negated_identity", "zero"])
+    @pytest.mark.parametrize("space", ["sine", "coupled_gram"])
+    def test_fold_matches_iterated_march(self, space, name, mu):
+        sp = (build_sine_space(4, math.pi) if space == "sine"
+              else coupled_gram_space(4, np.random.default_rng(3)))
+        prob = self.problem(sp, 3, declared_affine(sp)[name], mu)  # m < n
+        assert prob.f.affine_rate == {"negated_identity": 1.0}.get(name, 0.0) + mu
+        folded, iterated = self.both(prob, SolverConfig(inner_tol=1e-12))
+        assert folded.converged and len(folded.lambda_path) == 1
+        self.assert_agree(folded, iterated)
+
+    @pytest.mark.parametrize("name", ["bounded_source", "negated_identity"])
+    def test_continuation_stages_fold_their_own_rate(self, name):
+        # R0 below the solution's mean radius: the solve at lam = 1 fails, and the
+        # stages lam < 1 converge one by one until a path reaches R0; each of them
+        # marches with lam c folded in
+        sp = coupled_gram_space(4, np.random.default_rng(3))
+        f = declared_affine(sp)[name]
+        radius = solve_nonlocal(self.problem(sp, 3, f, 0.6),
+                                SolverConfig(inner_tol=1e-12)).solution.mean_radius
+        prob = self.problem(sp, 3, f, 0.6, R0=0.55 * radius)
+        folded, iterated = self.both(prob, SolverConfig(inner_tol=1e-12))
+        assert not folded.converged
+        assert sum(lam < 1.0 and res <= 1e-12 for lam, _, res in folded.lambda_path) >= 3
+        self.assert_agree(folded, iterated)
+
+    def test_heat_solve_takes_no_step_iteration(self, monkeypatch):
+        # the heat preset's f is affine after exp_shift: no march iterates a step,
+        # and f is read only at the state 0, once per node
+        import parabolic_nonlocal.evolution as ev
+
+        steps, calls, solve_step = [], [], ev._solve_step
+        monkeypatch.setattr(ev, "_solve_step", lambda *a: steps.append(1) or solve_step(*a))
+        prob = preset_heat_timevarying(4, 64)
+        f = prob.f
+        prob = replace(prob, f=replace(f, eval=lambda t, x: calls.append(t) or f.eval(t, x)))
+        calls.clear()
+        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12))
+        assert rep.converged and rep.lambda_path[0][1] == 4 + 2
+        assert steps == [] and len(calls) <= prob.grid.n_steps + 1
+
+    def test_undeclared_f_still_iterates(self, monkeypatch):
+        import parabolic_nonlocal.evolution as ev
+
+        steps, solve_step = [], ev._solve_step
+        monkeypatch.setattr(ev, "_solve_step", lambda *a: steps.append(1) or solve_step(*a))
+        prob = preset_evi(4, 64, pseudo_huber_functional(4))
+        assert prob.f.affine_rate is None
+        assert solve_nonlocal(prob, SolverConfig(inner_tol=1e-10)).converged
+        assert len(steps) == prob.grid.n_steps
+
+    @pytest.mark.parametrize("f", [replace(negated_identity(), affine_rate=0.5),
+                                   replace(zero_nonlinearity(), affine_rate=1.0),
+                                   replace(bounded_source(lambda t: np.ones(2), 1.0),
+                                           affine_rate=0.1),
+                                   Nonlinearity(lambda t, x: -x**3, 1.0, lambda t: 0.0,
+                                                affine_rate=1.0)],
+                             ids=["negated_identity", "zero", "bounded_source", "cubic"])
+    def test_wrong_rate_rejected_by_name_when_built(self, f):
+        sp = build_sine_space(2, math.pi)
+        with pytest.raises(ValueError, match="f.affine_rate = .* is wrong"):
+            NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, 2), f=f,
+                            g=g_constant(np.ones(2)), grid=TimeGrid(1.0, 16), r0=1.0,
+                            R0=math.inf)
+
+    def test_exp_shift_adds_eps_to_a_declared_rate_only(self):
+        sp = build_sine_space(2, math.pi)
+        for f, rate in ((negated_identity(), 1.7), (saturating_drift(sp), None)):
+            prob = NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, 2),
+                                   f=f, g=g_constant(np.ones(2)), grid=TimeGrid(1.0, 16),
+                                   r0=1.0, R0=math.inf)
+            assert exp_shift(prob, 0.7).f.affine_rate == rate
 
 
 class TestAuditProblem:
