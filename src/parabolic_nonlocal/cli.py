@@ -317,7 +317,8 @@ def cmd_solve(config, seed, outdir):
             "g_bound_margins": audits["g_bound_margins"],
             "g_solver_ok": audits["g_solver_ok"],
             "passed": audits["passed"],
-        }
+        },
+        "g_star_method": audits["g_star_method"],
     }
     if not audits["passed"]:
         return EXIT_AUDIT, results, None

@@ -19,7 +19,7 @@ from .nonlinearity import (ConvexFunctional, Nonlinearity, bounded_source, check
                            check_row_contract, gradient_consistency)
 from .nonlocal_solver import (
     NonlocalProblem,
-    exp_shift,
+    _exp_shift_fields,
     g_constant,
     g_mollified_integral,
 )
@@ -220,7 +220,8 @@ def heat_source_pattern(space: GalerkinSpace) -> np.ndarray:
 
 def preset_heat_timevarying(n_modes: int, n_steps: int) -> NonlocalProblem:
     """Linear heat flow with a rough-in-time coefficient and a smoothed
-    integral initial condition, pre-shifted so the standing audits pass.
+    integral initial condition, pre-shifted so the standing audits pass.  It is
+    built shifted: the problem in the user's frame is never built or validated.
 
     The returned problem carries ``shift_mu``; map solutions back with
     :func:`parabolic_nonlocal.nonlocal_solver.unshift_trajectory`.
@@ -243,16 +244,14 @@ def preset_heat_timevarying(n_modes: int, n_steps: int) -> NonlocalProblem:
     g = g_mollified_integral(kernel, [(0.0, 0.5)], space)
 
     eps = 0.4
-    base = NonlocalProblem(
-        form=form,
+    return NonlocalProblem(
         proj=project(space, n_modes),
-        f=f,
-        g=g,
         grid=TimeGrid(horizon, n_steps),
         r0=0.5,
         R0=math.inf,
+        shift_mu=eps,
+        **_exp_shift_fields(form, f, g, eps),
     )
-    return exp_shift(base, eps)
 
 
 def preset_evi(n_modes: int, n_steps: int, phi: ConvexFunctional) -> NonlocalProblem:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -34,6 +34,49 @@ from .nonlinearity import (ROW_CHUNK, Nonlinearity, _rng, apply_superposition,
                            check_affine_rate, check_row_contract, scan_transversality)
 
 
+@dataclass(frozen=True, eq=False)
+class PathLinear:
+    """Data of a path-linear condition: ``g(u) = offset + matrix (w^T U)``.
+
+    ``U`` holds the path's nodal values, so ``w^T U = sum_j w_j u(t_j)`` is a
+    weighted time integral or a combination of point values of the path.
+    ``weights(grid)`` gives the ``(N+1,)`` node weights w; :meth:`node_weights`
+    computes them once per grid and keeps them.
+    """
+
+    offset: Vector
+    matrix: Matrix
+    weights: Callable[[TimeGrid], np.ndarray]
+    _by_grid: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        offset = np.asarray(self.offset, dtype=float)
+        matrix = np.asarray(self.matrix, dtype=float)
+        if offset.ndim != 1 or matrix.shape != (offset.size, offset.size):
+            raise ValueError("a path-linear condition needs an (n,) offset and an (n, n) matrix")
+        if not (np.isfinite(offset).all() and np.isfinite(matrix).all()):
+            raise ValueError("offset and matrix must be finite")
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "matrix", matrix)
+
+    def node_weights(self, grid: TimeGrid) -> np.ndarray:
+        key = (grid.horizon, grid.n_steps)
+        if key not in self._by_grid:
+            w = np.asarray(self.weights(grid), dtype=float)
+            if w.shape != (grid.n_steps + 1,) or not np.isfinite(w).all():
+                raise ValueError("weights(grid) must be n_steps + 1 finite node weights")
+            self._by_grid[key] = w
+        return self._by_grid[key]
+
+    def eval(self, traj: Trajectory) -> Vector:
+        return self.offset + (self.node_weights(traj.grid) @ traj.values) @ self.matrix.T
+
+    def shifted(self, mu: float) -> PathLinear:
+        """The data of ``v -> g(e^{mu t} v)``: node weights ``w_j e^{mu t_j}``."""
+        return PathLinear(self.offset, self.matrix,
+                          lambda grid: self.node_weights(grid) * np.exp(mu * grid.nodes))
+
+
 @dataclass(frozen=True)
 class NonlocalCondition:
     """An initial condition depending on the whole path: u(0) = g(u).
@@ -43,19 +86,34 @@ class NonlocalCondition:
     ``(..., n)``, or to one ``(n,)`` row that broadcasts, as a state-free g
     may.  So g reads node j as ``values[..., j, :]`` and integrates in time
     along ``axis=-2``.
+
+    ``path_linear``, when given, declares g path-linear, and ``eval`` is then
+    its :meth:`PathLinear.eval` (build such a g with :func:`g_path_linear`).
+    The g* estimate and the g-bound audits read their closed forms from it
+    instead of sampling paths.
     """
 
     eval: Callable[[Trajectory], Vector]
     kind: str
     bound_params: dict
+    path_linear: PathLinear | None = None
+
+
+def g_path_linear(offset: Vector, matrix: Matrix, weights: Callable[[TimeGrid], np.ndarray],
+                  kind: str = "path_linear", bound_params: dict | None = None) -> NonlocalCondition:
+    """The condition ``g(u) = offset + matrix (w^T U)``, w = ``weights(grid)`` (see
+    :class:`PathLinear`), with ``eval`` derived from these data."""
+    data = PathLinear(offset, matrix, weights)
+    return NonlocalCondition(data.eval, kind, {} if bound_params is None else bound_params, data)
 
 
 def g_constant(x0: Vector) -> NonlocalCondition:
-    """Classical initial data as a degenerate path-dependent condition."""
+    """Classical initial data as a degenerate path-dependent condition: w = 0."""
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
-    return NonlocalCondition(eval=lambda traj: x0.copy(), kind="constant", bound_params={})
+    return g_path_linear(x0, np.zeros((x0.size, x0.size)),
+                         lambda grid: np.zeros(grid.n_steps + 1), "constant")
 
 
 def _hat_weights(grid: TimeGrid, a: float, b: float) -> np.ndarray:
@@ -117,18 +175,15 @@ def g_mollified_integral(kernel, intervals, traj_space: GalerkinSpace) -> Nonloc
         raise ValueError("intervals must be ordered pairs (s, t) with s <= t")
 
     coeffs = _kernel_cosine_coefficients(kernel, traj_space)
-    conv = np.diag(coeffs)
-    w = traj_space.inv_sqrt_H @ conv.T @ traj_space.gram_V @ conv @ traj_space.inv_sqrt_H
-    theta = float(np.linalg.eigvalsh(w).max())
+    theta = _gain_sq(traj_space, np.diag(coeffs), traj_space.gram_V)
     span = (ivals[0][0], ivals[-1][1]) if ivals else None
 
-    def eval_g(traj: Trajectory) -> Vector:
-        _check_span(span, traj.grid.horizon)
-        w = sum((_hat_weights(traj.grid, s, t) for s, t in ivals), np.zeros(traj.grid.n_steps + 1))
-        return (w @ traj.values) * coeffs  # conv is diagonal
+    def weights(grid: TimeGrid) -> np.ndarray:
+        _check_span(span, grid.horizon)
+        return sum((_hat_weights(grid, s, t) for s, t in ivals), np.zeros(grid.n_steps + 1))
 
-    return NonlocalCondition(
-        eval=eval_g,
+    return g_path_linear(
+        np.zeros(traj_space.n_modes), np.diag(coeffs), weights,
         kind="mollified_integral",
         bound_params={
             "theta": theta,
@@ -138,6 +193,12 @@ def g_mollified_integral(kernel, intervals, traj_space: GalerkinSpace) -> Nonloc
             "solver_ok": bool(kernel.derivative_mass < 1.0),
         },
     )
+
+
+def _gain_sq(space: GalerkinSpace, matrix: Matrix, gram: Matrix) -> float:
+    """Squared operator norm of ``matrix`` from the pivot norm to the norm of ``gram``."""
+    w = space.inv_sqrt_H @ matrix.T @ gram @ matrix @ space.inv_sqrt_H
+    return float(np.linalg.eigvalsh(w).max())
 
 
 class GBoundAudit(NamedTuple):
@@ -156,8 +217,6 @@ def _sampled_sup(g: NonlocalCondition, norm: Callable[[np.ndarray], np.ndarray],
     ``targets[:, i]``.  Paths are drawn and passed to g in blocks of at most
     ``ROW_CHUNK`` nodes; the draws equal drawing one path at a time.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
     rng = _rng(seed)
     targets = targets(rng)
     targets = np.broadcast_to(targets, (len(targets), n_samples))
@@ -175,20 +234,63 @@ def _sampled_sup(g: NonlocalCondition, norm: Callable[[np.ndarray], np.ndarray],
     return worst
 
 
+def _closed_form_sup(data: PathLinear, norm: Callable[[np.ndarray], np.ndarray], gram: Matrix,
+                     radii: np.ndarray, grid: TimeGrid, space: GalerkinSpace) -> np.ndarray:
+    """``|offset| + radius ||matrix|| s`` per radius, in the norm ``norm`` of Gram ``gram``,
+    with ``s = (sum_j w_j^2 / m_j)^(1/2)`` over the trapezoid masses m.
+
+    By Cauchy-Schwarz, ``|w^T U|_H <= s`` times the paths' trapezoid L2 pivot norm,
+    so this bounds ``norm(g(u))`` over paths of that norm at most the radius.  The
+    bound is attained when the offset or w is 0, by ``u_j = radius (w_j / m_j) / s v``
+    with v the matrix's top pivot-to-``gram`` singular direction.
+    """
+    w = data.node_weights(grid)
+    masses = np.full(w.size, grid.dt)
+    masses[[0, -1]] *= 0.5
+    gain = math.sqrt(max(_gain_sq(space, data.matrix, gram), 0.0) * np.sum(w**2 / masses))
+    sup = norm(data.offset) + radii * gain
+    return np.where(np.isnan(sup), math.inf, sup)
+
+
+def _g_sup(g: NonlocalCondition, energy: bool, radii: np.ndarray, n_samples: int,
+           grid: TimeGrid, space: GalerkinSpace, seed, ball: bool = False) -> np.ndarray:
+    """Sup of ``|g(u)|`` (energy norm if ``energy``, else pivot norm) over paths of
+    L2-in-time pivot norm ``radii[i]`` (at most ``radii[0]`` if ``ball``), per radius.
+
+    A path-linear g gets :func:`_closed_form_sup`; any other g the sampled sup
+    of :func:`_sampled_sup` over ``n_samples`` paths, whose norms are the radii
+    or, for the ball, drawn uniformly from ``[0, radii[0]]`` before the paths.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    norm, gram = (space.v_norm, space.gram_V) if energy else (space.h_norm, space.gram_H)
+    if g.path_linear is not None:
+        return _closed_form_sup(g.path_linear, norm, gram, radii, grid, space)
+    targets = ((lambda rng: rng.uniform(0.0, radii[0], (1, n_samples))) if ball
+               else (lambda rng: radii[:, None]))
+    return _sampled_sup(g, norm, n_samples, grid, space, seed, targets)
+
+
+def _sup_method(g: NonlocalCondition) -> str:
+    """How g* and the g-bound margins of ``g`` are obtained: ``closed_form`` for a
+    path-linear g, else ``sampled``."""
+    return "sampled" if g.path_linear is None else "closed_form"
+
+
 def audit_g_bound(g: NonlocalCondition, r: float, n_samples: int, grid: TimeGrid,
                   space: GalerkinSpace, seed=0) -> GBoundAudit:
-    """Sample paths of mean pivot radius r and check ``|g(u)|_H < r``."""
-    margin = r - float(_sampled_sup(g, space.h_norm, n_samples, grid, space, seed,
-                                    lambda rng: np.array([[r * math.sqrt(grid.horizon)]]))[0])
+    """Check ``|g(u)|_H < r`` over paths of mean pivot radius r (see :func:`_g_sup`)."""
+    margin = r - float(_g_sup(g, False, np.array([r * math.sqrt(grid.horizon)]), n_samples,
+                              grid, space, seed)[0])
     return GBoundAudit(passed=bool(margin > 0.0), margin=margin)
 
 
 def estimate_g_star(g: NonlocalCondition, radius_cap: float, n_samples: int,
                     grid: TimeGrid, space: GalerkinSpace, seed=0) -> float:
-    """Sampled sup of ``|g(u)|_V`` over paths with L2-in-time pivot norm <= cap; the
-    paths' norms are drawn uniformly from [0, cap], before the paths."""
-    return float(_sampled_sup(g, space.v_norm, n_samples, grid, space, seed,
-                              lambda rng: rng.uniform(0.0, radius_cap, (1, n_samples)))[0])
+    """Sup of ``|g(u)|_V`` over paths with L2-in-time pivot norm <= cap: exact or an upper
+    bound for a path-linear g, else sampled (see :func:`_g_sup`)."""
+    return float(_g_sup(g, True, np.array([radius_cap]), n_samples, grid, space, seed,
+                        ball=True)[0])
 
 
 @dataclass(frozen=True)
@@ -232,16 +334,17 @@ class NonlocalProblem:
 
 
 def audit_problem(prob: NonlocalProblem, n_samples: int = 300, seed=0) -> dict:
-    """Run the standing audits: inward-pointing scan, g-bound sampling and g's admissibility."""
+    """Run the standing audits: inward-pointing scan, g bound (see :func:`_g_sup`) and g's
+    admissibility; ``g_star_method`` says how the g-bound margins were obtained."""
     space = prob.form.space
     t_grid = np.linspace(0.0, prob.grid.horizon, 9)
     scan = scan_transversality(prob.f, prob.r0, prob.R0, max(100, n_samples), t_grid, space,
                                seed=seed)
     cap = prob.R0 if math.isfinite(prob.R0) else 10.0 * prob.r0
     radii, grid = np.geomspace(prob.r0 * 1.0001, cap * 0.9999, 4), prob.grid
-    # the four radii share one draw of paths, scaled to each
-    margins = radii - _sampled_sup(prob.g, space.h_norm, max(20, n_samples // 10), grid, space,
-                                   seed, lambda rng: radii[:, None] * math.sqrt(grid.horizon))
+    # a sampled g scales one draw of paths to the four radii
+    margins = radii - _g_sup(prob.g, False, radii * math.sqrt(grid.horizon),
+                             max(20, n_samples // 10), grid, space, seed)
     g_ok = bool((margins > 0.0).all())
     # a kernel whose derivative mass reaches 1 makes g inadmissible for solves
     solver_ok = prob.g.bound_params.get("solver_ok") is not False
@@ -250,6 +353,7 @@ def audit_problem(prob: NonlocalProblem, n_samples: int = 300, seed=0) -> dict:
         "transversality_ok": scan.passed,
         "g_bound_margins": margins.tolist(),
         "g_bound_ok": g_ok,
+        "g_star_method": _sup_method(prob.g),
         "g_solver_ok": solver_ok,
         "passed": bool(scan.passed and g_ok and solver_ok),
     }
@@ -278,7 +382,8 @@ class SolverConfig:
     """Shooting and continuation settings (see :func:`solve_nonlocal`).
 
     ``inner_tol`` bounds the pivot norm of the shooting residual and
-    ``max_inner`` the forward marches per stage.
+    ``max_inner`` the forward marches per stage.  ``g_star_samples`` paths are
+    drawn for g* only when g declares no path-linear data.
     """
 
     lambda_steps: int = 10
@@ -298,7 +403,8 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a nonlocal solve, converged or not."""
+    """Outcome of a nonlocal solve, converged or not.  ``g_star_method`` is
+    ``closed_form`` or ``sampled`` (see :func:`estimate_g_star`)."""
 
     solution: Trajectory
     fixed_point_residual: float
@@ -308,6 +414,7 @@ class SolveReport:
     converged: bool
     status: str
     g_star: float
+    g_star_method: str
 
 
 # forward-difference step bounds, relative to 1 + |x|_inf, and the shortest backtracked step
@@ -518,7 +625,8 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
                      and solution.mean_radius < prob.R0)
     return SolveReport(solution=solution, fixed_point_residual=fp_residual,
                        lambda_path=tuple(lambda_path), apriori_lhs=apriori_lhs,
-                       apriori_rhs=apriori_rhs, converged=converged, status=status, g_star=g_star)
+                       apriori_rhs=apriori_rhs, converged=converged, status=status, g_star=g_star,
+                       g_star_method=_sup_method(prob.g))
 
 
 def exp_shift(prob: NonlocalProblem, mu: float) -> NonlocalProblem:
@@ -529,13 +637,21 @@ def exp_shift(prob: NonlocalProblem, mu: float) -> NonlocalProblem:
     into the nonlinearity, which gains the inward-pointing term ``-eps x`` (a
     declared affine rate c becomes ``c + eps``).
     The condition g is composed with the inverse scaling so fixed points map
-    one-to-one; ``mu = 0`` is the identity.
+    one-to-one (a path-linear g's node weights gain the factors ``e^{mu t_j}``);
+    ``mu = 0`` is the identity.
     """
     if mu < 0.0:
         raise ValueError("mu must be nonnegative")
     if mu == 0.0:
         return replace(prob)
-    form, space = prob.form, prob.form.space
+    return replace(prob, **_exp_shift_fields(prob.form, prob.f, prob.g, mu),
+                   shift_mu=prob.shift_mu + mu)
+
+
+def _exp_shift_fields(form: TimeForm, f: Nonlinearity, g: NonlocalCondition, mu: float) -> dict:
+    """The ``form``, ``f`` and ``g`` of :func:`exp_shift` for ``mu > 0``, so a problem
+    stated in the user's frame can be built shifted, and validated once."""
+    space = form.space
     delta = min(form.shift_delta, mu)
     eps = mu - delta
 
@@ -547,8 +663,6 @@ def exp_shift(prob: NonlocalProblem, mu: float) -> NonlocalProblem:
     else:
         new_form = form
 
-    f = prob.f
-
     def f_hat(t: float, x: Vector) -> Vector:
         scale = math.exp(-mu * t)
         return scale * np.asarray(f.eval(t, x / scale), dtype=float) - eps * x
@@ -558,9 +672,12 @@ def exp_shift(prob: NonlocalProblem, mu: float) -> NonlocalProblem:
                          label=f.label + f"+shift({mu:g})",
                          affine_rate=None if f.affine_rate is None else f.affine_rate + eps)
 
-    g = prob.g
-    new_g = replace(g, eval=lambda traj: g.eval(unshift_trajectory(traj, mu)))
-    return replace(prob, form=new_form, f=new_f, g=new_g, shift_mu=prob.shift_mu + mu)
+    if g.path_linear is not None:  # the weights absorb the scaling
+        data = g.path_linear.shifted(mu)
+        new_g = replace(g, eval=data.eval, path_linear=data)
+    else:
+        new_g = replace(g, eval=lambda traj: g.eval(unshift_trajectory(traj, mu)))
+    return {"form": new_form, "f": new_f, "g": new_g}
 
 
 def unshift_trajectory(traj: Trajectory, mu: float) -> Trajectory:

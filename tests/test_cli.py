@@ -103,6 +103,7 @@ class TestSolve:
         assert res["converged"]
         assert res["fixed_point_residual"] <= 1e-8
         assert res["annulus_energy_ok"]
+        assert res["g_star_method"] == "closed_form"
         assert (out / "trajectory.csv").exists()
 
     def test_failing_g_bound_exits_2(self, tmp_path):
@@ -116,6 +117,7 @@ class TestSolve:
         assert main(["--config", cfg, "--output", str(out), "--quiet"]) == 2
         res = read_report(out)["results"]
         assert not res["audits"]["g_bound_ok"]
+        assert res["g_star_method"] == "closed_form"  # reported with the margins
         assert "status" not in res  # no solve attempted
 
     def test_stalled_solver_exits_3(self, tmp_path):
@@ -143,7 +145,8 @@ class TestSolve:
         })
         out = tmp_path / "out"
         assert main(["--config", cfg, "--output", str(out), "--quiet"]) == 0
-        assert read_report(out)["results"]["converged"]
+        res = read_report(out)["results"]
+        assert res["converged"] and res["g_star_method"] == "closed_form"
 
     def test_kernel_unusable_for_solves_exits_2(self, tmp_path):
         # a width-1 cosine bump has derivative mass 2, so g is flagged unusable

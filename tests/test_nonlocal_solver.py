@@ -40,6 +40,7 @@ from parabolic_nonlocal.nonlocal_solver import (
     g_constant,
     _kernel_cosine_coefficients,
     g_mollified_integral,
+    g_path_linear,
     homotopy_map,
     solve_nonlocal,
     unshift_trajectory,
@@ -223,13 +224,15 @@ class TestAuditGBound:
 
     @pytest.mark.parametrize("n_samples", [0, -3])
     def test_no_samples_rejected(self, n_samples):
-        # an empty sample would pass with the full margin without testing a path
+        # an empty sample would pass with the full margin without testing a path; a
+        # path-linear g, which draws none, rejects the count too
         sp = build_sine_space(2, math.pi)
         g = NonlocalCondition(lambda tr: 2.0 * tr.values[..., 0, :], "multipoint", {})
-        with pytest.raises(ValueError, match="n_samples"):
-            audit_g_bound(g, 1.0, n_samples, TimeGrid(1.0, 16), sp)
-        with pytest.raises(ValueError, match="n_samples"):
-            estimate_g_star(g, 1.0, n_samples, TimeGrid(1.0, 16), sp)
+        for g in (g, g_constant(np.ones(2))):
+            with pytest.raises(ValueError, match="n_samples"):
+                audit_g_bound(g, 1.0, n_samples, TimeGrid(1.0, 16), sp)
+            with pytest.raises(ValueError, match="n_samples"):
+                estimate_g_star(g, 1.0, n_samples, TimeGrid(1.0, 16), sp)
 
 
 class TestSampledBlocks:
@@ -249,13 +252,15 @@ class TestSampledBlocks:
 
     def test_audit_radii_share_one_draw(self):
         # audit_problem scales one draw to its four radii; the margins are those of
-        # four separate audit_g_bound calls with the same seed, bit for bit
-        prob = preset_heat_timevarying(4, 64)
-        audit = audit_problem(prob, seed=5)
-        radii = np.geomspace(prob.r0 * 1.0001, 10.0 * prob.r0 * 0.9999, 4)
-        separate = [audit_g_bound(prob.g, float(r), 30, prob.grid, prob.form.space, seed=5).margin
-                    for r in radii]
-        assert audit["g_bound_margins"] == separate
+        # four separate audit_g_bound calls with the same seed, bit for bit.  The
+        # preset's g is path-linear, so it is checked sampled too, its data dropped
+        heat = preset_heat_timevarying(4, 64)
+        for prob in (heat, replace(heat, g=replace(heat.g, path_linear=None))):
+            audit = audit_problem(prob, seed=5)
+            radii = np.geomspace(prob.r0 * 1.0001, 10.0 * prob.r0 * 0.9999, 4)
+            separate = [audit_g_bound(prob.g, float(r), 30, prob.grid, prob.form.space,
+                                      seed=5).margin for r in radii]
+            assert audit["g_bound_margins"] == separate
 
     def test_state_free_row_broadcasts(self):
         sp, grid = build_sine_space(2, math.pi), TimeGrid(1.0, 16)
@@ -949,6 +954,159 @@ class TestGStar:
         x0 = np.array([0.5, 0.1])
         g = g_constant(x0)
         assert estimate_g_star(g, 1.0, 50, grid, sp, seed=0) == pytest.approx(sp.v_norm(x0))
+
+
+def trapezoid_masses(grid):
+    masses = np.full(grid.n_steps + 1, grid.dt)
+    masses[[0, -1]] /= 2.0
+    return masses
+
+
+def shifted_condition(g, sp, grid, mu):
+    """g under exp_shift(mu), read from a problem that carries it."""
+    prob = NonlocalProblem(form=constant_form(sp, sp.gram_V, grid.horizon), proj=project(sp, 1),
+                           f=zero_nonlinearity(), g=g, grid=grid, r0=1.0, R0=math.inf)
+    return exp_shift(prob, mu).g
+
+
+def top_singular_direction(sp, matrix):
+    """Unit-pivot-norm v maximising |matrix v|_V, from the SVD of the matrix in
+    Cholesky coordinates of the two Grams."""
+    k_h, k_v = np.linalg.cholesky(sp.gram_H), np.linalg.cholesky(sp.gram_V)
+    _, sing, vt = np.linalg.svd(k_v.T @ matrix @ np.linalg.inv(k_h.T))
+    return np.linalg.solve(k_h.T, vt[0]), sing[0]
+
+
+class TestPathLinear:
+    """A path-linear g's g* and g-bound margins come in closed form, not sampled."""
+
+    @pytest.mark.parametrize("mu", [0.0, 0.6], ids=["unshifted", "exp_shift"])
+    @pytest.mark.parametrize("space", ["sine", "coupled_gram"])
+    def test_extremal_path_attains_closed_form_g_star(self, space, mu):
+        sp = (build_sine_space(4, math.pi) if space == "sine"
+              else coupled_gram_space(4, np.random.default_rng(3)))
+        grid, rho = TimeGrid(1.0, 64), 0.7
+        g = g_mollified_integral(cosine_bump_kernel(4.0), [(0.05, 0.3), (0.5, 0.9)], sp)
+        if mu:
+            g = shifted_condition(g, sp, grid, mu)
+        w, masses = g.path_linear.node_weights(grid), trapezoid_masses(grid)
+        s = math.sqrt(np.sum(w**2 / masses))
+        v, _ = top_singular_direction(sp, g.path_linear.matrix)
+        path = make_trajectory(sp, grid, rho * np.outer(w / masses / s, v))
+        assert path.l2_h == pytest.approx(rho, rel=1e-12)
+        g_star = estimate_g_star(g, rho, 1, grid, sp)
+        assert sp.v_norm(g.eval(path)) == pytest.approx(g_star, rel=1e-12)
+        # the pivot-norm bound of the audit is attained the same way
+        assert audit_g_bound(g, 1.0, 1, grid, sp).margin <= 1.0 - sp.h_norm(g.eval(path)) / rho
+
+    @given(n=st.integers(1, 4), n_steps=st.integers(4, 40), seed=st.integers(0, 2**16),
+           mu=st.sampled_from([0.0, 0.6]), kind=st.sampled_from(["general", "mollified"]))
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    def test_sampler_never_exceeds_closed_form(self, n, n_steps, seed, mu, kind):
+        rng = np.random.default_rng(seed)
+        sp, grid = coupled_gram_space(n, rng), TimeGrid(1.0, n_steps)
+        if kind == "general":  # offset and weights both nonzero: the closed form is a bound
+            w = rng.standard_normal(n_steps + 1)
+            g = g_path_linear(rng.standard_normal(n), rng.standard_normal((n, n)),
+                              lambda grid: w)
+        else:
+            g = g_mollified_integral(cosine_bump_kernel(4.0), [(0.0, 0.4), (0.6, 1.0)], sp)
+        if mu:
+            g = shifted_condition(g, sp, grid, mu)
+        sampled = replace(g, path_linear=None)
+        for r in (0.3, 2.0):
+            closed = estimate_g_star(g, r, 1, grid, sp)
+            assert estimate_g_star(sampled, r, 40, grid, sp, seed=seed) <= closed * (1 + 1e-12)
+            assert (audit_g_bound(sampled, r, 40, grid, sp, seed=seed).margin
+                    >= audit_g_bound(g, r, 1, grid, sp).margin - 1e-12 * closed)
+
+    @pytest.mark.parametrize("kind", ["mollified", "constant", "general"])
+    def test_shifted_eval_matches_unshifted_wrapper(self, kind):
+        # exp_shift scales a path-linear g's weights by e^{mu t_j}; a g without the
+        # data gets the unshift_trajectory wrapper, and the two must agree
+        rng = np.random.default_rng(11)
+        sp, grid, mu = coupled_gram_space(3, rng), TimeGrid(1.0, 32), 0.6
+        g = {"mollified": g_mollified_integral(cosine_bump_kernel(4.0), [(0.1, 0.7)], sp),
+             "constant": g_constant(rng.standard_normal(3)),
+             "general": g_path_linear(rng.standard_normal(3), rng.standard_normal((3, 3)),
+                                      lambda grid: np.cos(grid.nodes))}[kind]
+        shifted = shifted_condition(g, sp, grid, mu)
+        wrapped = shifted_condition(replace(g, path_linear=None), sp, grid, mu)
+        assert shifted.path_linear is not None and wrapped.path_linear is None
+        assert np.array_equal(shifted.path_linear.node_weights(grid),
+                              g.path_linear.node_weights(grid) * np.exp(mu * grid.nodes))
+        for k in (1, 5):
+            tr = make_trajectory(sp, grid, rng.standard_normal((k, 33, 3)))
+            exact = np.broadcast_to(wrapped.eval(tr), (k, 3))
+            assert np.abs(shifted.eval(tr) - exact).max() <= 1e-14 * np.abs(exact).max()
+
+    def test_amplifying_condition_fails_closed_form_audit(self):
+        # g(u) = 2 (1/T) int u: over paths of L2 pivot norm r sqrt(T), sup |g(u)|_H = 2 r
+        sp, grid = build_sine_space(2, math.pi), TimeGrid(2.0, 16)
+        g = g_path_linear(np.zeros(2), 2.0 * np.eye(2), lambda grid: trapezoid_masses(grid) / 2.0)
+        for r in (0.5, 1.0, 3.0):
+            audit = audit_g_bound(g, r, 1, grid, sp)
+            assert not audit.passed and audit.margin == pytest.approx(-r, rel=1e-12)
+        prob = NonlocalProblem(form=constant_form(sp, sp.gram_V, 2.0), proj=project(sp, 2),
+                               f=negated_identity(), g=g, grid=grid, r0=0.5, R0=math.inf)
+        audit = audit_problem(prob, seed=0)
+        assert audit["transversality_ok"] and not audit["g_bound_ok"] and not audit["passed"]
+        assert audit["g_star_method"] == "closed_form"
+        assert max(audit["g_bound_margins"]) < 0.0
+
+    def test_heat_preset_g_star(self):
+        prob = preset_heat_timevarying(8, 512)
+        rep = solve_nonlocal(prob, SolverConfig(g_star_samples=1))
+        assert rep.converged and rep.g_star_method == "closed_form"
+        assert rep.g_star == pytest.approx(0.1193456484856, rel=1e-12)
+        assert rep.apriori_rhs == pytest.approx(0.4 + rep.g_star, rel=1e-12)
+
+    def test_callable_g_is_sampled(self):
+        grid = TimeGrid(1.0, 32)
+        prob = scalar_problem(grid, zero_nonlinearity(), time_average_condition(0.5, 1.0))
+        assert audit_problem(prob)["g_star_method"] == "sampled"
+        assert solve_nonlocal(prob, SolverConfig(g_star_samples=4)).g_star_method == "sampled"
+
+    def test_constant_g_star_is_its_energy_norm(self):
+        # w = 0: g* = |x0|_V + 0.0, which is what the sampler reads, bit for bit
+        sp, grid, x0 = build_sine_space(3, math.pi), TimeGrid(1.0, 16), np.array([0.5, -0.1, 2.0])
+        g = g_constant(x0)
+        assert estimate_g_star(g, 2.0, 1, grid, sp) == sp.v_norm(x0)
+        assert (estimate_g_star(replace(g, path_linear=None), 2.0, 5, grid, sp)
+                == estimate_g_star(g, 2.0, 1, grid, sp))
+
+    def test_weights_computed_once_per_grid(self):
+        calls, sp = [], build_sine_space(2, math.pi)
+        g = g_path_linear(np.zeros(2), np.eye(2),
+                          lambda grid: calls.append(grid) or np.ones(grid.n_steps + 1))
+        rng = np.random.default_rng(0)
+        for n_steps in (8, 8, 16, 8):
+            grid = TimeGrid(1.0, n_steps)
+            g.eval(make_trajectory(sp, grid, rng.standard_normal((n_steps + 1, 2))))
+            estimate_g_star(g, 1.0, 1, grid, sp)
+        assert [grid.n_steps for grid in calls] == [8, 16]
+
+    @pytest.mark.parametrize("offset, matrix, weights", [
+        (np.zeros((2, 1)), np.eye(2), lambda grid: np.ones(grid.n_steps + 1)),
+        (np.zeros(2), np.eye(3), lambda grid: np.ones(grid.n_steps + 1)),
+        (np.array([0.0, math.nan]), np.eye(2), lambda grid: np.ones(grid.n_steps + 1)),
+        (np.zeros(2), np.eye(2), lambda grid: np.ones(grid.n_steps)),
+        (np.zeros(2), np.eye(2), lambda grid: np.full(grid.n_steps + 1, math.inf)),
+    ], ids=["offset_shape", "matrix_shape", "nan_offset", "weights_shape", "inf_weights"])
+    def test_bad_data_rejected(self, offset, matrix, weights):
+        sp, grid = build_sine_space(2, math.pi), TimeGrid(1.0, 8)
+        with pytest.raises(ValueError):
+            g = g_path_linear(offset, matrix, weights)
+            g.eval(zero_trajectory(sp, grid))
+
+    def test_heat_preset_built_once(self, monkeypatch):
+        # the preset builds its problem shifted: the construction gates run once
+        import parabolic_nonlocal.nonlocal_solver as ns
+
+        calls, check = [], ns.check_affine_rate
+        monkeypatch.setattr(ns, "check_affine_rate", lambda *a: calls.append(1) or check(*a))
+        prob = preset_heat_timevarying(4, 64)
+        assert calls == [1] and prob.shift_mu == 0.4
 
 
 def coordinate_rotation(n):
