@@ -138,7 +138,6 @@ class TimeForm:
     coercivity_alpha: float
     horizon: float
     shift_delta: float = 0.0
-    modulus_omega: Callable[[float], float] = lambda h: 0.0
 
     def __post_init__(self) -> None:
         if self.horizon <= 0.0:
@@ -257,10 +256,10 @@ def audit_dini(form: TimeForm, h_grid: np.ndarray, n_time_samples: int = 17) -> 
 
 @dataclass(frozen=True)
 class Projection:
-    """Pivot-orthogonal projection onto the leading m basis modes."""
+    """Pivot-orthogonal projection of ``space``, given by its coordinate ``matrix``
+    (see :func:`project`)."""
 
     space: GalerkinSpace
-    m: int
     matrix: Matrix
 
     def complement(self) -> Matrix:
@@ -276,7 +275,7 @@ def project(space: GalerkinSpace, m: int) -> Projection:
     # P = E (E^T G_H E)^(-1) E^T G_H; reduces to diag(1..1,0..0) for identity Gram
     gh = space.gram_H
     p = e @ np.linalg.solve(e.T @ gh @ e, e.T @ gh)
-    return Projection(space=space, m=m, matrix=p)
+    return Projection(space=space, matrix=p)
 
 
 def stiffness_stack(form: TimeForm, proj: Projection | None, times: np.ndarray) -> np.ndarray:

@@ -208,7 +208,6 @@ def divergence_form_assemble(field: CoefficientField, space: GalerkinSpace,
         coercivity_alpha=field.nu,
         horizon=horizon,
         shift_delta=0.0,
-        modulus_omega=lambda h: field.holder_K * h**field.holder_exponent,
     )
 
 
@@ -237,8 +236,7 @@ def preset_heat_timevarying(n_modes: int, n_steps: int) -> NonlocalProblem:
 
     sup_source = 0.1
     pattern = sup_source * heat_source_pattern(space)
-    f = bounded_source(lambda t: math.sin(math.pi * t) * pattern, sup_source,
-                       label="heat_source")
+    f = bounded_source(lambda t: math.sin(math.pi * t) * pattern, sup_source)
 
     kernel = cosine_bump_kernel(4.0)
     g = g_mollified_integral(kernel, [(0.0, 0.5)], space)
@@ -283,7 +281,6 @@ def preset_evi(n_modes: int, n_steps: int, phi: ConvexFunctional) -> NonlocalPro
         eval=lambda t, x: -np.asarray(phi.gradient(x), dtype=float),
         growth_a=float(phi.lipschitz_grad),
         growth_b=lambda t: grad0,
-        label="gradient_flow",
     )
     return NonlocalProblem(
         form=form,

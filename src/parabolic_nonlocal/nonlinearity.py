@@ -53,7 +53,6 @@ class Nonlinearity:
     eval: Callable[[float, Vector], Vector]
     growth_a: float
     growth_b: Callable[[float], float]
-    label: str = ""
     affine_rate: float | None = None
 
     def __post_init__(self) -> None:
@@ -63,11 +62,11 @@ class Nonlinearity:
 
 
 def zero_nonlinearity() -> Nonlinearity:
-    return Nonlinearity(lambda t, x: np.zeros_like(x), 0.0, lambda t: 0.0, "zero", 0.0)
+    return Nonlinearity(lambda t, x: np.zeros_like(x), 0.0, lambda t: 0.0, affine_rate=0.0)
 
 
 def negated_identity() -> Nonlinearity:
-    return Nonlinearity(lambda t, x: -x, 1.0, lambda t: 0.0, "negated_identity", 1.0)
+    return Nonlinearity(lambda t, x: -x, 1.0, lambda t: 0.0, affine_rate=1.0)
 
 
 def saturating_drift(space: GalerkinSpace) -> Nonlinearity:
@@ -80,14 +79,13 @@ def saturating_drift(space: GalerkinSpace) -> Nonlinearity:
     def f(t: float, x: Vector) -> Vector:
         return -x / (1.0 + space.h_norm(x)[..., None]) + math.sin(t) * e_1
 
-    return Nonlinearity(f, 1.0, lambda t: 1.0, "saturating_drift")
+    return Nonlinearity(f, 1.0, lambda t: 1.0)
 
 
-def bounded_source(values_at: Callable[[float], Vector], sup_norm: float,
-                   label: str = "bounded_source") -> Nonlinearity:
+def bounded_source(values_at: Callable[[float], Vector], sup_norm: float) -> Nonlinearity:
     """State-independent source f(t, x) = h(t) with |h(t)|_H <= sup_norm."""
     return Nonlinearity(lambda t, x: np.asarray(values_at(t), dtype=float),
-                        0.0, lambda t: sup_norm, label, 0.0)
+                        0.0, lambda t: sup_norm, affine_rate=0.0)
 
 
 def apply_superposition(f: Nonlinearity, traj: Trajectory) -> np.ndarray:
@@ -224,6 +222,14 @@ def check_row_contract(fn: Callable[[np.ndarray], np.ndarray], core: int | tuple
                          f"it must equal np.vectorize({name}, signature='{signature}')")
 
 
+def _check_agree(full: np.ndarray, declared: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` starting with ``what`` unless ``full`` and ``declared`` agree
+    to 1e-12 relative, the standard every declaration is enforced to (NaN fails too)."""
+    gap, scale = np.abs(full - declared).max(), max(np.abs(full).max(), np.abs(declared).max())
+    if not gap <= 1e-12 * scale:
+        raise ValueError(f"{what} they differ by {gap:.2e} on values of size {scale:.2e}")
+
+
 def check_affine_rate(f: Nonlinearity, n: int, horizon: float) -> None:
     """Raise ``ValueError`` naming ``affine_rate`` unless ``f(t, X) = f(t, 0) - c X``
     to 1e-12 relative, for c = ``f.affine_rate``, at t in {0, horizon/2, horizon}, on
@@ -232,11 +238,8 @@ def check_affine_rate(f: Nonlinearity, n: int, horizon: float) -> None:
     for t in (0.0, 0.5 * horizon, horizon):
         full = np.broadcast_to(np.asarray(f.eval(t, block), dtype=float), block.shape)
         folded = np.asarray(f.eval(t, np.zeros(n)), dtype=float) - c * block
-        gap, scale = np.abs(full - folded).max(), max(np.abs(full).max(), np.abs(folded).max())
-        if not gap <= 1e-12 * scale:  # NaN fails too
-            raise ValueError(f"f.affine_rate = {c!r} is wrong: f(t, x) must equal "
-                             f"f(t, 0) - {c!r} x, but at t = {t!r} they differ by {gap:.2e} "
-                             f"on values of size {scale:.2e}")
+        _check_agree(full, folded, f"f.affine_rate = {c!r} is wrong: f(t, x) must equal "
+                                   f"f(t, 0) - {c!r} x, but at t = {t!r}")
 
 
 def check_monotone(phi: ConvexFunctional, n_pairs: int, seed=0,

@@ -30,8 +30,9 @@ from .evolution import (
     zero_trajectory,
 )
 from .galerkin import GalerkinSpace, Matrix, Projection, TimeForm, Vector, stiffness_stack
-from .nonlinearity import (ROW_CHUNK, Nonlinearity, _rng, apply_superposition,
-                           check_affine_rate, check_row_contract, scan_transversality)
+from .nonlinearity import (ROW_CHUNK, Nonlinearity, _check_agree, _rng, _row_block,
+                           apply_superposition, check_affine_rate, check_row_contract,
+                           scan_transversality)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,24 +88,26 @@ class NonlocalCondition:
     may.  So g reads node j as ``values[..., j, :]`` and integrates in time
     along ``axis=-2``.
 
-    ``path_linear``, when given, declares g path-linear, and ``eval`` is then
-    its :meth:`PathLinear.eval` (build such a g with :func:`g_path_linear`).
-    The g* estimate and the g-bound audits read their closed forms from it
-    instead of sampling paths.
+    ``path_linear``, when given, declares g path-linear, and ``eval`` must then
+    equal its :meth:`PathLinear.eval` (build such a g with :func:`g_path_linear`);
+    :class:`NonlocalProblem` enforces this.  The g* estimate and the g-bound
+    audits read their closed forms from it instead of sampling paths.
+
+    ``solver_ok`` False marks g unusable for solves: :func:`audit_problem` then
+    fails.
     """
 
     eval: Callable[[Trajectory], Vector]
-    kind: str
-    bound_params: dict
     path_linear: PathLinear | None = None
+    solver_ok: bool = True
 
 
-def g_path_linear(offset: Vector, matrix: Matrix, weights: Callable[[TimeGrid], np.ndarray],
-                  kind: str = "path_linear", bound_params: dict | None = None) -> NonlocalCondition:
+def g_path_linear(offset: Vector, matrix: Matrix,
+                  weights: Callable[[TimeGrid], np.ndarray]) -> NonlocalCondition:
     """The condition ``g(u) = offset + matrix (w^T U)``, w = ``weights(grid)`` (see
     :class:`PathLinear`), with ``eval`` derived from these data."""
     data = PathLinear(offset, matrix, weights)
-    return NonlocalCondition(data.eval, kind, {} if bound_params is None else bound_params, data)
+    return NonlocalCondition(data.eval, data)
 
 
 def g_constant(x0: Vector) -> NonlocalCondition:
@@ -113,7 +116,7 @@ def g_constant(x0: Vector) -> NonlocalCondition:
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
     return g_path_linear(x0, np.zeros((x0.size, x0.size)),
-                         lambda grid: np.zeros(grid.n_steps + 1), "constant")
+                         lambda grid: np.zeros(grid.n_steps + 1))
 
 
 def _hat_weights(grid: TimeGrid, a: float, b: float) -> np.ndarray:
@@ -155,18 +158,13 @@ def _kernel_cosine_coefficients(kernel, space: GalerkinSpace) -> np.ndarray:
     return np.cos(np.outer(k, ys) * math.pi / length) @ (ws * profile)
 
 
-def _check_span(span: tuple[float, float] | None, horizon: float) -> None:
-    if span is not None and (span[0] < -1e-12 or span[1] > horizon * (1 + 1e-12)):
-        raise ValueError("intervals must lie inside the trajectory horizon")
-
-
 def g_mollified_integral(kernel, intervals, traj_space: GalerkinSpace) -> NonlocalCondition:
     """Smoothed time-integral condition: u(0) = sum_i int_{s_i}^{t_i} (kernel (*) u)(t) dt.
 
-    The convolution is a matrix on basis coordinates; its squared pivot-to-energy
-    operator norm ``theta`` is the audited smoothing bound, with
-    ``|g(u)|_V^2 <= theta * int |u(t)|_H^2 dt`` for total interval length <= 1.
-    Kernels whose derivative mass reaches 1 are flagged unusable for solves.
+    The convolution is a diagonal matrix on basis coordinates, so g is path-linear
+    with offset 0.  The intervals must lie in the horizon of every grid g is
+    evaluated on.  A kernel whose derivative mass reaches 1 makes g unusable
+    for solves (``solver_ok`` False).
     """
     ivals = sorted((float(s), float(t)) for s, t in intervals)
     if any(t1 > s2 for (_, t1), (s2, _) in zip(ivals, ivals[1:])):
@@ -174,25 +172,15 @@ def g_mollified_integral(kernel, intervals, traj_space: GalerkinSpace) -> Nonloc
     if any(t < s for s, t in ivals):
         raise ValueError("intervals must be ordered pairs (s, t) with s <= t")
 
-    coeffs = _kernel_cosine_coefficients(kernel, traj_space)
-    theta = _gain_sq(traj_space, np.diag(coeffs), traj_space.gram_V)
-    span = (ivals[0][0], ivals[-1][1]) if ivals else None
+    conv = np.diag(_kernel_cosine_coefficients(kernel, traj_space))
 
     def weights(grid: TimeGrid) -> np.ndarray:
-        _check_span(span, grid.horizon)
+        if ivals and (ivals[0][0] < -1e-12 or ivals[-1][1] > grid.horizon * (1 + 1e-12)):
+            raise ValueError("intervals must lie inside the trajectory horizon")
         return sum((_hat_weights(grid, s, t) for s, t in ivals), np.zeros(grid.n_steps + 1))
 
-    return g_path_linear(
-        np.zeros(traj_space.n_modes), np.diag(coeffs), weights,
-        kind="mollified_integral",
-        bound_params={
-            "theta": theta,
-            "derivative_mass": float(kernel.derivative_mass),
-            "interval_length": float(sum(t - s for s, t in ivals)),
-            "interval_span": span,
-            "solver_ok": bool(kernel.derivative_mass < 1.0),
-        },
-    )
+    data = PathLinear(np.zeros(traj_space.n_modes), conv, weights)
+    return NonlocalCondition(data.eval, data, bool(kernel.derivative_mass < 1.0))
 
 
 def _gain_sq(space: GalerkinSpace, matrix: Matrix, gram: Matrix) -> float:
@@ -300,11 +288,13 @@ class NonlocalProblem:
     ``shift_mu`` records the exponential-substitution rate applied to reach
     this problem (0 when it is stated in the user's frame); trajectories are
     mapped back with :func:`unshift_trajectory`.  When the problem is built,
-    before any march, g's recorded ``interval_span`` must lie in the grid's
-    horizon, ``f`` must follow the row contract of :class:`Nonlinearity` (it
-    is checked at t = 0), a declared ``f.affine_rate`` must hold
-    (:func:`check_affine_rate`), and g must follow the block contract of
-    :class:`NonlocalCondition`.
+    before any march, ``f`` must follow the row contract of :class:`Nonlinearity`
+    (it is checked at t = 0), a declared ``f.affine_rate`` must hold
+    (:func:`check_affine_rate`), g must follow the block contract of
+    :class:`NonlocalCondition` on the grid (a g that cannot be evaluated on it,
+    say with intervals past its horizon, raises there), and declared
+    ``g.path_linear`` data must agree with ``g.eval`` to 1e-12 relative on the
+    same probe block of paths.
     """
 
     form: TimeForm
@@ -322,15 +312,20 @@ class NonlocalProblem:
         space, grid, n = self.form.space, self.grid, self.form.space.n_modes
         if grid.horizon > self.form.horizon * (1.0 + 1e-12):
             raise ValueError("grid horizon exceeds the form's horizon")
-        _check_span(self.g.bound_params.get("interval_span"), grid.horizon)
         # a state-free f or g may return one (n,) row, so each is compared broadcast
         check_row_contract(lambda x: np.broadcast_to(self.f.eval(0.0, x), np.shape(x)),
                            n, "(n)->(n)", "f.eval(t, .)")
         if self.f.affine_rate is not None:
             check_affine_rate(self.f, n, grid.horizon)
+        core = (grid.n_steps + 1, n)
         check_row_contract(lambda v: np.broadcast_to(self.g.eval(make_trajectory(space, grid, v)),
                                                      np.shape(v)[:-2] + (n,)),
-                           (grid.n_steps + 1, n), "(m,n)->(n)", "g.eval")
+                           core, "(m,n)->(n)", "g.eval")
+        if self.g.path_linear is not None:
+            paths = make_trajectory(space, grid, _row_block(core))
+            _check_agree(np.asarray(self.g.eval(paths), dtype=float),
+                         self.g.path_linear.eval(paths),
+                         "g.path_linear disagrees with g.eval: on a block of paths")
 
 
 def audit_problem(prob: NonlocalProblem, n_samples: int = 300, seed=0) -> dict:
@@ -346,16 +341,14 @@ def audit_problem(prob: NonlocalProblem, n_samples: int = 300, seed=0) -> dict:
     margins = radii - _g_sup(prob.g, False, radii * math.sqrt(grid.horizon),
                              max(20, n_samples // 10), grid, space, seed)
     g_ok = bool((margins > 0.0).all())
-    # a kernel whose derivative mass reaches 1 makes g inadmissible for solves
-    solver_ok = prob.g.bound_params.get("solver_ok") is not False
     return {
         "transversality": scan,
         "transversality_ok": scan.passed,
         "g_bound_margins": margins.tolist(),
         "g_bound_ok": g_ok,
         "g_star_method": _sup_method(prob.g),
-        "g_solver_ok": solver_ok,
-        "passed": bool(scan.passed and g_ok and solver_ok),
+        "g_solver_ok": prob.g.solver_ok,
+        "passed": bool(scan.passed and g_ok and prob.g.solver_ok),
     }
 
 
@@ -429,18 +422,9 @@ class _StageMarch(NamedTuple):
     f_values: np.ndarray | None
 
 
-def _affine_rest(prob: NonlocalProblem) -> np.ndarray | None:
-    """``f(t_j, 0) P^T`` at every node, one f call per node, when f declares an affine
-    rate; None otherwise."""
-    if prob.f.affine_rate is None:
-        return None
-    origin = np.zeros(prob.form.space.n_modes)
-    return np.array([np.broadcast_to(prob.f.eval(float(t), origin), origin.shape)
-                     for t in prob.grid.nodes], dtype=float) @ prob.proj.matrix.T
-
-
 def _stage_march(prob: NonlocalProblem, lam: float, rest: np.ndarray | None) -> _StageMarch:
-    """The march of stage ``lam``; ``rest`` is :func:`_affine_rest`.
+    """The march of stage ``lam``; ``rest`` is ``f(t_j, 0) P^T`` at every node when f
+    declares an affine rate, else None.
 
     For ``f(t, x) = f(t, 0) - c x``, the trapezoid rule on ``-lam c P x`` is the
     Cayley step of the stiffness plus ``lam c G_H``: added before projection, the
@@ -575,16 +559,19 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
     raises ValueError from the g* estimate; an error raised by f propagates.
 
     An f that declares ``affine_rate`` c is evaluated only at the state 0, once
-    per node and solve: each stage folds ``lam c`` into its own propagator (see
-    :func:`_stage_march`), and its marches take no per-step iteration.
+    per node and solve (:func:`apply_superposition` on the zero path): each stage
+    folds ``lam c`` into its own propagator (see :func:`_stage_march`), and its
+    marches take no per-step iteration.  If such an f is not finite at some
+    node, that raises ValueError naming the node's t, before any march.
     """
     cfg = cfg or SolverConfig()
     space, grid = prob.form.space, prob.grid
-    rest = _affine_rest(prob)
+    zero = zero_trajectory(space, grid)
+    rest = (None if prob.f.affine_rate is None
+            else apply_superposition(prob.f, zero) @ prob.proj.matrix.T)
     march = _stage_march(prob, 1.0, rest)
     sqrt_t = math.sqrt(grid.horizon)
 
-    zero = zero_trajectory(space, grid)
     status, solution, marches, res = "non_finite", zero, 0, math.inf
     try:
         x0 = prob.proj.matrix @ np.asarray(prob.g.eval(zero), dtype=float)
@@ -669,7 +656,6 @@ def _exp_shift_fields(form: TimeForm, f: Nonlinearity, g: NonlocalCondition, mu:
 
     new_f = Nonlinearity(eval=f_hat, growth_a=f.growth_a + eps,
                          growth_b=lambda t: math.exp(-mu * t) * f.growth_b(t),
-                         label=f.label + f"+shift({mu:g})",
                          affine_rate=None if f.affine_rate is None else f.affine_rate + eps)
 
     if g.path_linear is not None:  # the weights absorb the scaling

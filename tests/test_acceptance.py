@@ -150,10 +150,9 @@ def test_c07_nonlocal_fixed_point():
     form = pn.constant_form(space, np.array([[1.0]]), 1.0)
     grid = pn.TimeGrid(1.0, 512)
     c, h = 0.8, 0.3
-    f = pn.Nonlinearity(lambda t, x: np.array([h]), 0.0, lambda t: h, "const")
+    f = pn.Nonlinearity(lambda t, x: np.array([h]), 0.0, lambda t: h)
     g = pn.NonlocalCondition(
-        lambda traj: (c / 1.0) * np.trapezoid(traj.values, dx=traj.grid.dt, axis=-2),
-        "multipoint", {})
+        lambda traj: (c / 1.0) * np.trapezoid(traj.values, dx=traj.grid.dt, axis=-2))
     prob = pn.NonlocalProblem(form=form, proj=pn.project(space, 1), f=f, g=g,
                               grid=grid, r0=0.31, R0=math.inf)
     rep = pn.solve_nonlocal(prob, pn.SolverConfig(inner_tol=1e-12, lambda_steps=5))
@@ -201,7 +200,7 @@ def test_c09_shift_equivalence():
     form = pn.constant_form(space, np.array([[1.0]]), 1.0)
     grid = pn.TimeGrid(1.0, 2048)
     f = pn.Nonlinearity(lambda t, x: np.array([0.3 * math.cos(t)]), 0.0,
-                        lambda t: 0.3, "cos")
+                        lambda t: 0.3)
     prob = pn.NonlocalProblem(form=form, proj=pn.project(space, 1), f=f,
                               g=pn.g_constant(np.array([0.2])), grid=grid,
                               r0=1.0, R0=math.inf)
@@ -289,7 +288,7 @@ def test_c12_growth_and_transversality():
                                     n_samples=1000, max_radius=1e3, seed=12)
         if not ok:
             failures.append(f"{name} (excess {worst:.2e})")
-    outward = pn.Nonlinearity(lambda t, x: +x, 1.0, lambda t: 0.0, "outward")
+    outward = pn.Nonlinearity(lambda t, x: +x, 1.0, lambda t: 0.0)
     scan = pn.scan_transversality(outward, 0.5, 5.0, 400, np.linspace(0, 1, 5),
                                   space=pn.build_sine_space(4, math.pi), seed=12)
     negative_control = scan.violations == scan.samples

@@ -148,6 +148,23 @@ class TestSolve:
         res = read_report(out)["results"]
         assert res["converged"] and res["g_star_method"] == "closed_form"
 
+    def test_affine_f_not_finite_at_a_node_exits_1(self, tmp_path, monkeypatch):
+        # f(t, 0) is infinite at t = 1/64 only, a node that neither check_affine_rate nor
+        # the transversality scan reads: the solve raises naming t, before any march
+        import parabolic_nonlocal.cli as cli
+        from parabolic_nonlocal.nonlinearity import Nonlinearity
+
+        spiked = Nonlinearity(lambda t, x: np.where(t == 1 / 64, math.inf, 0.0) - x, 1.0,
+                              lambda t: 0.0, affine_rate=1.0)
+        monkeypatch.setitem(cli.NONLINEARITIES, "spiked", lambda space: spiked)
+        cfg = write_config(tmp_path, "cfg.json", {
+            "command": "solve",
+            "problem": {"n_modes": 2, "n_steps": 64, "nonlinearity": "spiked", "r0": 0.5},
+        })
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--output", str(out), "--quiet"]) == 1
+        assert "t=0.015625" in read_report(out)["error"]
+
     def test_kernel_unusable_for_solves_exits_2(self, tmp_path):
         # a width-1 cosine bump has derivative mass 2, so g is flagged unusable
         cfg = write_config(tmp_path, "cfg.json", {

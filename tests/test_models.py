@@ -246,7 +246,7 @@ class TestHeatPreset:
 
     def test_audits_pass_before_solve(self):
         prob = preset_heat_timevarying(4, 64)
-        assert prob.g.bound_params["solver_ok"]
+        assert prob.g.solver_ok
         audit = audit_problem(prob, seed=1)
         assert audit["passed"]
 

@@ -142,8 +142,7 @@ class TestGrowthAudit:
 
     def test_understated_constants_fail(self):
         calls = []  # one f call per drawn time, on the block of ceil(500 / 16) points
-        lying = Nonlinearity(counted(lambda t, x: 2.0 * x, calls), 1.0, lambda t: 0.0,
-                             "understated")
+        lying = Nonlinearity(counted(lambda t, x: 2.0 * x, calls), 1.0, lambda t: 0.0)
         ok, worst = growth_audit(lying, build_sine_space(3, math.pi), horizon=1.0, n_samples=500)
         assert not ok and worst > 0
         assert calls == [(32, 3)] * GROWTH_TIMES
@@ -161,13 +160,13 @@ class TestTransversality:
         beta = 0.3
         h = np.zeros(3)
         h[0] = beta
-        f = Nonlinearity(lambda t, x: -x + h, 1.0, lambda t: beta, "drifted")
+        f = Nonlinearity(lambda t, x: -x + h, 1.0, lambda t: beta)
         rep = scan_transversality(f, 0.5, 5.0, 400, np.linspace(0, 1, 5),
                                   build_sine_space(3, math.pi))
         assert rep.passed
 
     def test_outward_field_fails_everywhere(self):
-        f = Nonlinearity(lambda t, x: +x, 1.0, lambda t: 0.0, "outward")
+        f = Nonlinearity(lambda t, x: +x, 1.0, lambda t: 0.0)
         rep = scan_transversality(f, 0.5, 5.0, 400, np.linspace(0, 1, 5),
                                   build_sine_space(3, math.pi))
         assert not rep.passed

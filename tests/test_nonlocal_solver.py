@@ -31,6 +31,7 @@ from parabolic_nonlocal.nonlinearity import (
 from parabolic_nonlocal.nonlocal_solver import (
     NonlocalCondition,
     NonlocalProblem,
+    PathLinear,
     SolverConfig,
     annulus_energy_check,
     audit_g_bound,
@@ -64,7 +65,7 @@ def time_average_condition(c, horizon):
     def eval_g(traj):
         return (c / horizon) * np.trapezoid(traj.values, dx=traj.grid.dt, axis=-2)
 
-    return NonlocalCondition(eval_g, "multipoint", {"factor": c})
+    return NonlocalCondition(eval_g)
 
 
 def per_path(eval_one):
@@ -125,28 +126,30 @@ class TestGMollified:
         with pytest.raises(ValueError):
             g_mollified_integral(self.kernel, [(0.0, 0.5), (0.4, 0.8)], self.space)
 
+    def g_star_at(self, g, tr):
+        # the closed-form sup of |g(u)|_V over paths of L2 pivot norm at most tr.l2_h
+        return estimate_g_star(g, float(tr.l2_h), 1, self.grid, self.space)
+
     def test_smoothing_estimate_constant_path(self):
-        # |g(u)|_V <= sqrt(theta) |u0|_H sqrt(T) for a constant path
+        # |g(u)|_V <= g*(rho) for a constant path of L2 pivot norm rho = |u0|_H sqrt(T)
         g = g_mollified_integral(self.kernel, [(0.0, 1.0)], self.space)
-        theta = g.bound_params["theta"]
         u0 = np.array([0.7, -0.2, 0.4, 0.1])
         tr = make_trajectory(self.space, self.grid, np.tile(u0, (65, 1)))
-        lhs = self.space.v_norm(g.eval(tr))
-        assert lhs <= math.sqrt(theta) * self.space.h_norm(u0) + 1e-12
+        assert self.space.v_norm(g.eval(tr)) <= self.g_star_at(g, tr) * (1 + 1e-12)
 
     def test_smoothing_estimate_random_paths(self):
         g = g_mollified_integral(self.kernel, [(0.0, 1.0)], self.space)
-        theta = g.bound_params["theta"]
         rng = np.random.default_rng(5)
         for _ in range(10):
             tr = make_trajectory(self.space, self.grid, rng.standard_normal((65, 4)))
-            assert self.space.v_norm(g.eval(tr)) ** 2 <= theta * tr.l2_h**2 + 1e-10
+            assert self.space.v_norm(g.eval(tr)) <= self.g_star_at(g, tr) * (1 + 1e-12)
 
     def test_sharp_kernel_flagged_unusable(self):
         sharp = cosine_bump_kernel(1.0)  # derivative mass 2 >= 1
         g = g_mollified_integral(sharp, [(0.0, 0.5)], self.space)
-        assert not g.bound_params["solver_ok"]
-        assert g.bound_params["derivative_mass"] == pytest.approx(2.0, rel=1e-3)
+        assert not g.solver_ok
+        assert sharp.derivative_mass == pytest.approx(2.0, rel=1e-3)
+        assert g_mollified_integral(self.kernel, [(0.0, 0.5)], self.space).solver_ok
 
     def test_off_grid_interval_exact_for_linear_path(self):
         alpha = np.array([0.3, -1.1, 0.5, 2.0])
@@ -188,7 +191,7 @@ class TestAuditGBound:
     def test_zero_condition_full_margin(self):
         sp = build_sine_space(2, math.pi)
         grid = TimeGrid(1.0, 16)
-        g = NonlocalCondition(lambda tr: np.zeros(2), "constant", {})
+        g = NonlocalCondition(lambda tr: np.zeros(2))
         audit = audit_g_bound(g, 2.0, 40, grid, sp, seed=0)
         assert audit.passed and audit.margin == pytest.approx(2.0)
 
@@ -205,14 +208,14 @@ class TestAuditGBound:
     def test_amplifying_condition_fails(self):
         sp = build_sine_space(2, math.pi)
         grid = TimeGrid(1.0, 16)
-        g = NonlocalCondition(lambda tr: 2.0 * tr.values[..., 0, :], "multipoint", {})
+        g = NonlocalCondition(lambda tr: 2.0 * tr.values[..., 0, :])
         audit = audit_g_bound(g, 1.0, 60, grid, sp, seed=3)
         assert not audit.passed
 
     def test_nan_condition_fails_every_g_audit(self):
         # a NaN norm counts as +inf: the bound fails, g* is infinite, the audits fail
         sp, grid = build_sine_space(2, math.pi), TimeGrid(1.0, 16)
-        g = NonlocalCondition(lambda tr: np.full(2, np.nan), "constant", {})
+        g = NonlocalCondition(lambda tr: np.full(2, np.nan))
         assert audit_g_bound(g, 1.0, 20, grid, sp) == (False, -math.inf)
         assert estimate_g_star(g, 1.0, 20, grid, sp) == math.inf
         prob = NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, 2),
@@ -227,7 +230,7 @@ class TestAuditGBound:
         # an empty sample would pass with the full margin without testing a path; a
         # path-linear g, which draws none, rejects the count too
         sp = build_sine_space(2, math.pi)
-        g = NonlocalCondition(lambda tr: 2.0 * tr.values[..., 0, :], "multipoint", {})
+        g = NonlocalCondition(lambda tr: 2.0 * tr.values[..., 0, :])
         for g in (g, g_constant(np.ones(2))):
             with pytest.raises(ValueError, match="n_samples"):
                 audit_g_bound(g, 1.0, n_samples, TimeGrid(1.0, 16), sp)
@@ -243,7 +246,7 @@ class TestSampledBlocks:
 
         sp, grid = build_sine_space(3, math.pi), TimeGrid(1.0, 64)
         block = time_average_condition(0.6, 1.0)
-        one = NonlocalCondition(per_path(block.eval), "multipoint", {})
+        one = NonlocalCondition(per_path(block.eval))
         blocked = [estimate_g_star(block, 1.0, 50, grid, sp, seed=4),
                    audit_g_bound(block, 1.5, 50, grid, sp, seed=4).margin]
         monkeypatch.setattr(ns, "ROW_CHUNK", 1)  # one path per block
@@ -264,7 +267,7 @@ class TestSampledBlocks:
 
     def test_state_free_row_broadcasts(self):
         sp, grid = build_sine_space(2, math.pi), TimeGrid(1.0, 16)
-        g = NonlocalCondition(lambda tr: np.array([0.3, 0.4]), "constant", {})
+        g = NonlocalCondition(lambda tr: np.array([0.3, 0.4]))
         assert audit_g_bound(g, 1.0, 20, grid, sp).margin == pytest.approx(0.5, abs=1e-15)
 
 
@@ -423,7 +426,7 @@ class TestShooting:
         h, x0 = rng.standard_normal((2, n))
         j = int(rng.integers(0, n_steps + 1))
         f = Nonlinearity(lambda t, x: x @ b.T + math.cos(t) * h, 0.5, lambda t: float(np.abs(h).sum()))
-        g = NonlocalCondition(lambda tr: x0 + tr.values[..., j, :] @ c.T, "node", {})
+        g = NonlocalCondition(lambda tr: x0 + tr.values[..., j, :] @ c.T)
         prob = NonlocalProblem(form=random_accretive_form(sp, rng), proj=project(sp, n), f=f,
                                g=g, grid=TimeGrid(1.0, n_steps), r0=1.0, R0=math.inf)
         rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12))
@@ -502,7 +505,7 @@ class TestShooting:
         # u(0) = 3 - 2 u(0) has the root 1 inside R0, but x0 = g(0) = 3 marches
         # outside it; the homotopy stages reach the root from lam = 0
         grid = TimeGrid(1.0, 64)
-        g = NonlocalCondition(lambda tr: 3.0 - 2.0 * tr.values[..., 0, :], "multipoint", {})
+        g = NonlocalCondition(lambda tr: 3.0 - 2.0 * tr.values[..., 0, :])
         prob = scalar_problem(grid, zero_nonlinearity(), g, r0=1.0, R0=1.5)
         rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12))
         assert rep.lambda_path[0][:2] == (1.0, 1)
@@ -515,8 +518,7 @@ class TestShooting:
         # lands near x = 109, far outside R0; halving it reaches the root 10
         grid = TimeGrid(1.0, 64)
         g = NonlocalCondition(
-            lambda tr: tr.values[..., 0, :] - np.arctan(tr.values[..., 0, :] - 10.0),
-            "multipoint", {})
+            lambda tr: tr.values[..., 0, :] - np.arctan(tr.values[..., 0, :] - 10.0))
         prob = scalar_problem(grid, zero_nonlinearity(), g, R0=20.0)
         rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12, lambda_steps=1))
         assert rep.status == "converged" and rep.converged
@@ -527,8 +529,7 @@ class TestShooting:
         # r(x) = 3 (x - 1) from x0 = g(0) = 3, whose path sits just inside R0:
         # the forward-difference march leaves R0, the backward one does not
         grid = TimeGrid(1.0, 64)
-        g = NonlocalCondition(lambda tr: tr.values[..., 0, :] - 3.0 * (tr.values[..., 0, :] - 1.0),
-                              "multipoint", {})
+        g = NonlocalCondition(lambda tr: tr.values[..., 0, :] - 3.0 * (tr.values[..., 0, :] - 1.0))
         probe = scalar_problem(grid, zero_nonlinearity(), g)
         unit = propagate(probe.form, probe.proj, grid, np.array([1.0])).mean_radius
         prob = scalar_problem(grid, zero_nonlinearity(), g, R0=3.02 * unit)
@@ -545,7 +546,7 @@ class TestShooting:
             return np.array([0.1])
 
         grid = TimeGrid(1.0, 32)
-        g = NonlocalCondition(eval_g, "multipoint", {})
+        g = NonlocalCondition(eval_g)
         prob = scalar_problem(grid, zero_nonlinearity(), g)
         rep = solve_nonlocal(prob, SolverConfig(lambda_steps=1, g_star_samples=4))
         assert rep.status == "non_finite" and not rep.converged
@@ -570,7 +571,6 @@ class TestShooting:
         grid = TimeGrid(1.0, 32)
         g = g_mollified_integral(cosine_bump_kernel(0.1), [(0.5, 2.0)],
                                  build_sine_space(1, math.pi))
-        assert g.bound_params["interval_span"] == (0.5, 2.0)
         with pytest.raises(ValueError, match="horizon"):
             exp_shift(scalar_problem(grid, zero_nonlinearity(), g), 0.4)
 
@@ -604,8 +604,7 @@ class TestBlockShooting:
         grid = TimeGrid(1.0, 64)
         form = constant_form(sp, sp.gram_V, 1.0)
         e1 = np.array([1.0, 0.0])
-        g = NonlocalCondition(lambda tr: tr.values[..., 0, :] - 3.0 * (tr.values[..., 0, :] - e1),
-                              "multipoint", {})
+        g = NonlocalCondition(lambda tr: tr.values[..., 0, :] - 3.0 * (tr.values[..., 0, :] - e1))
         unit = propagate(form, None, grid, e1).mean_radius
         prob = NonlocalProblem(form=form, proj=project(sp, 2), f=zero_nonlinearity(), g=g,
                                grid=grid, r0=1.0, R0=3.02 * unit)
@@ -630,7 +629,7 @@ class TestBlockShooting:
             return tr.values[..., 0, :] - 3.0 * (tr.values[..., 0, :] - e1)
 
         prob = NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, 2),
-                               f=zero_nonlinearity(), g=NonlocalCondition(eval_g, "multipoint", {}),
+                               f=zero_nonlinearity(), g=NonlocalCondition(eval_g),
                                grid=grid, r0=1.0, R0=math.inf)
         block, flagged = ns._light_s_apply, []
 
@@ -653,8 +652,7 @@ class TestBlockShooting:
     def root_problem(phi):
         # f = 0 and g(u) = u(0) - phi(u(0)): the shooting residual is r(x) = phi(x)
         sp = build_sine_space(1, math.pi)
-        g = NonlocalCondition(lambda tr: tr.values[..., 0, :] - phi(tr.values[..., 0, :]),
-                              "multipoint", {})
+        g = NonlocalCondition(lambda tr: tr.values[..., 0, :] - phi(tr.values[..., 0, :]))
         return NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, 1),
                                f=zero_nonlinearity(), g=g, grid=TimeGrid(1.0, 8), r0=1.0,
                                R0=math.inf)
@@ -694,7 +692,7 @@ class TestBlockShooting:
             return 0.5 * tr.values[..., 0, :] + 0.1
 
         prob = NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, 2),
-                               f=zero_nonlinearity(), g=NonlocalCondition(eval_g, "multipoint", {}),
+                               f=zero_nonlinearity(), g=NonlocalCondition(eval_g),
                                grid=TimeGrid(1.0, 32), r0=1.0, R0=math.inf)
         armed.append(True)
         rep = solve_nonlocal(prob, SolverConfig(lambda_steps=1, g_star_samples=1))
@@ -721,8 +719,7 @@ class TestAffineFold:
         rng, proj = np.random.default_rng(8), project(space, m)
         form = random_accretive_form(space, rng)
         a = proj.matrix @ rng.standard_normal(space.n_modes)
-        g = NonlocalCondition(lambda tr: a + 0.8 * np.trapezoid(tr.values, dx=tr.grid.dt, axis=-2),
-                              "average", {})
+        g = NonlocalCondition(lambda tr: a + 0.8 * np.trapezoid(tr.values, dx=tr.grid.dt, axis=-2))
         prob = NonlocalProblem(form=form, proj=proj, f=f, g=g,
                                grid=TimeGrid(1.0, 64), r0=1e-3, R0=R0)
         return exp_shift(prob, mu)
@@ -781,6 +778,22 @@ class TestAffineFold:
         rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12))
         assert rep.converged and rep.lambda_path[0][1] == 4 + 2
         assert steps == [] and len(calls) <= prob.grid.n_steps + 1
+
+    def test_non_finite_node_raises_naming_t_before_any_march(self, monkeypatch):
+        # check_affine_rate reads t = 0, T/2 and T only; f(t_j, 0) is read at every node
+        # on the zero path before the first march, and a non-finite value raises there
+        import parabolic_nonlocal.nonlocal_solver as ns
+
+        def no_march(*args, **kwargs):
+            raise AssertionError("marched with a non-finite nodal source")
+
+        grid = TimeGrid(1.0, 32)
+        f = Nonlinearity(lambda t, x: np.where(t == grid.nodes[1], math.inf, 0.0) - x, 1.0,
+                         lambda t: 0.0, affine_rate=1.0)
+        prob = scalar_problem(grid, f, g_constant(np.ones(1)))
+        monkeypatch.setattr(ns, "_march", no_march)
+        with pytest.raises(ValueError, match=f"t={grid.nodes[1]}"):
+            solve_nonlocal(prob)
 
     def test_undeclared_f_still_iterates(self, monkeypatch):
         import parabolic_nonlocal.evolution as ev
@@ -896,7 +909,7 @@ class TestExpShift:
                         bound_M=1.5, coercivity_alpha=1.0, horizon=1.0, shift_delta=1.5)
         x0 = np.array([0.4, -0.2, 0.1])
         g = NonlocalCondition(
-            lambda tr: x0 + 0.5 * np.trapezoid(tr.values, dx=tr.grid.dt, axis=-2), "average", {})
+            lambda tr: x0 + 0.5 * np.trapezoid(tr.values, dx=tr.grid.dt, axis=-2))
         prob = NonlocalProblem(form=form, proj=project(sp, 3), f=saturating_drift(sp), g=g,
                                grid=TimeGrid(1.0, 512), r0=1.0, R0=math.inf)
         shifted = exp_shift(prob, mu)
@@ -945,7 +958,7 @@ class TestGStar:
     def test_zero_condition(self):
         sp = build_sine_space(2, math.pi)
         grid = TimeGrid(1.0, 8)
-        g = NonlocalCondition(lambda tr: np.zeros(2), "constant", {})
+        g = NonlocalCondition(lambda tr: np.zeros(2))
         assert estimate_g_star(g, 1.0, 50, grid, sp, seed=0) == 0.0
 
     def test_constant_condition(self):
@@ -1099,6 +1112,20 @@ class TestPathLinear:
             g = g_path_linear(offset, matrix, weights)
             g.eval(zero_trajectory(sp, grid))
 
+    def test_eval_disagreeing_with_its_data_rejected_when_built(self):
+        # eval reads 10 u(T) while the declared data say u(0), so the closed-form g*
+        # would read the data, not eval: the problem is refused, naming path_linear
+        sp, grid = build_sine_space(2, math.pi), TimeGrid(1.0, 32)
+        data = PathLinear(np.zeros(2), np.eye(2), lambda grid: np.r_[1.0, np.zeros(grid.n_steps)])
+
+        def problem(g):
+            return NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, 2),
+                                   f=zero_nonlinearity(), g=g, grid=grid, r0=1.0, R0=math.inf)
+
+        with pytest.raises(ValueError, match="path_linear"):
+            problem(NonlocalCondition(lambda tr: 10.0 * tr.values[..., -1, :], data))
+        problem(NonlocalCondition(lambda tr: tr.values[..., 0, :], data))  # agrees: accepted
+
     def test_heat_preset_built_once(self, monkeypatch):
         # the preset builds its problem shifted: the construction gates run once
         import parabolic_nonlocal.nonlocal_solver as ns
@@ -1118,7 +1145,7 @@ class TestRowContractGate:
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_row_only_f_rejected_when_built(self, n):
         sp = build_sine_space(n, math.pi)
-        f = Nonlinearity(coordinate_rotation(n), 0.1, lambda t: 0.0, "rotation")
+        f = Nonlinearity(coordinate_rotation(n), 0.1, lambda t: 0.0)
         with pytest.raises(ValueError, match=r"f.eval\(t, .\) breaks the row contract"):
             NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, n), f=f,
                             g=g_constant(np.ones(n)), grid=TimeGrid(1.0, 16), r0=1.0, R0=math.inf)
@@ -1132,7 +1159,7 @@ class TestRowContractGate:
         solutions = []
         for fn in (rows, lambda t, x: -0.1 * x @ shift.T):
             prob = NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, n),
-                                   f=Nonlinearity(fn, 0.1, lambda t: 0.0, "rotation"),
+                                   f=Nonlinearity(fn, 0.1, lambda t: 0.0),
                                    g=g_constant(np.ones(n)), grid=TimeGrid(1.0, 16), r0=1.0,
                                    R0=math.inf)
             rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12))
@@ -1143,7 +1170,7 @@ class TestRowContractGate:
     def test_state_free_row_accepted(self):
         sp = build_sine_space(3, math.pi)
         f = Nonlinearity(lambda t, x: np.array([1.0, 0.0, -1.0]) * math.cos(t), 0.0,
-                         lambda t: math.sqrt(2.0), "state_free")
+                         lambda t: math.sqrt(2.0))
         NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, 3), f=f,
                         g=g_constant(np.ones(3)), grid=TimeGrid(1.0, 16), r0=1.0, R0=math.inf)
 
@@ -1151,7 +1178,7 @@ class TestRowContractGate:
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_per_path_g_rejected_when_built(self, n):
         sp = build_sine_space(n, math.pi)
-        g = NonlocalCondition(lambda tr: 0.5 * tr.values[0], "multipoint", {})
+        g = NonlocalCondition(lambda tr: 0.5 * tr.values[0])
         with pytest.raises(ValueError, match=r"g.eval breaks the row contract"):
             NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, n),
                             f=zero_nonlinearity(), g=g, grid=TimeGrid(1.0, 16), r0=1.0,
@@ -1162,7 +1189,7 @@ class TestRowContractGate:
         sp, grid = build_sine_space(2, math.pi), TimeGrid(1.0, 32)
         block = time_average_condition(0.8, 1.0)
         solutions = []
-        for g in (block, NonlocalCondition(per_path(block.eval), "multipoint", {})):
+        for g in (block, NonlocalCondition(per_path(block.eval))):
             prob = NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, 2),
                                    f=saturating_drift(sp), g=g, grid=grid, r0=1.0, R0=math.inf)
             rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12))
