@@ -286,8 +286,9 @@ def _march(prop: Propagator, x: np.ndarray, f_values: np.ndarray | None,
             live = np.flatnonzero(np.isfinite(s_prev).all(-1))
             u, s_prev = u[live], s_prev[live]
             s_old = s_prev
-    elif f_values is not None:
+    elif f_values is not None:  # every step's increment B_j (f_j + f_{j+1}) / 2 at once
         f_mid = 0.5 * (f_values[:-1] + f_values[1:])
+        inc = np.matmul(prop.source_factors, f_mid[..., None])[..., 0]
     for j in range(prop.grid.n_steps):
         if not len(u):
             break
@@ -300,7 +301,7 @@ def _march(prop: Propagator, x: np.ndarray, f_values: np.ndarray | None,
                 s_prev = np.broadcast_to(s_prev, u.shape)[kept]
             u, s_old, s_prev = v, s_prev, s_next
         elif f_values is not None:
-            u = u + f_mid[j] @ prop.source_factors[j].T
+            u += inc[j]  # u is the fresh product above, never the caller's x
         out[live, j + 1] = u
     out[~np.isfinite(out[:, -1]).all(-1)] = np.nan  # a row that left has no end value
     return out[0] if x.ndim == 1 else out
@@ -461,8 +462,10 @@ def weighted_diagnostic(form: TimeForm, proj: Projection | None, traj: Trajector
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write one row per node: time, coordinates, pivot and energy norms."""
     n = traj.space.n_modes
+    table = np.column_stack((traj.grid.nodes, traj.values, traj.h_norms, traj.v_norms))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"c{i}" for i in range(n)] + ["h_norm", "v_norm"])
-        for t, row, h, v in zip(traj.grid.nodes, traj.values, traj.h_norms, traj.v_norms):
-            writer.writerow([repr(float(x)) for x in (t, *row, h, v)])
+        end = writer.dialect.lineterminator  # no float repr needs quoting
+        # one row of Python floats at a time: the whole table as floats raised peak RSS
+        fh.writelines(",".join(map(repr, row.tolist())) + end for row in table)

@@ -89,12 +89,15 @@ def bounded_source(values_at: Callable[[float], Vector], sup_norm: float) -> Non
 
 
 def apply_superposition(f: Nonlinearity, traj: Trajectory) -> np.ndarray:
-    """Apply f node-by-node along a trajectory."""
+    """Apply f node-by-node along a trajectory; a non-finite value raises ValueError
+    naming the first such node's t, after f has been called at every node."""
     out = np.empty_like(traj.values)
-    for j, t in enumerate(traj.grid.nodes):
-        out[j] = f.eval(float(t), traj.values[j])
-        if not np.all(np.isfinite(out[j])):
-            raise ValueError(f"nonlinearity returned non-finite values at t={t}")
+    for j, t in enumerate(traj.grid.nodes.tolist()):
+        out[j] = f.eval(t, traj.values[j])
+    finite = np.isfinite(out).all(-1)
+    if not finite.all():
+        t = float(traj.grid.nodes[finite.argmin()])
+        raise ValueError(f"nonlinearity returned non-finite values at t={t}")
     return out
 
 

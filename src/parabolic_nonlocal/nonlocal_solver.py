@@ -352,24 +352,6 @@ def audit_problem(prob: NonlocalProblem, n_samples: int = 300, seed=0) -> dict:
     }
 
 
-def homotopy_map(prob: NonlocalProblem, lam: float, w: Trajectory,
-                 propagator: Propagator | None = None) -> Trajectory:
-    """One application of the data-to-solution map at homotopy stage ``lam``.
-
-    Solves the linear problem with initial value ``lam P g(w)`` and source
-    ``lam P f(t, w(t))``; stage 0 returns the zero path.  Its fixed points are
-    the paths :func:`solve_nonlocal` finds at that stage.
-    """
-    if w.grid.n_steps != prob.grid.n_steps or w.grid.horizon != prob.grid.horizon:
-        raise ValueError("iterate lives on the wrong grid")
-    prop = propagator if propagator is not None else build_propagator(prob.form, prob.proj,
-                                                                      prob.grid)
-    p = prob.proj.matrix
-    vals = _march(prop, lam * (p @ np.asarray(prob.g.eval(w), dtype=float)),
-                  lam * (apply_superposition(prob.f, w) @ p.T))
-    return make_trajectory(prob.form.space, prob.grid, vals)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Shooting and continuation settings (see :func:`solve_nonlocal`).

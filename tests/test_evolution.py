@@ -1,3 +1,4 @@
+import csv
 import math
 import tracemalloc
 import warnings
@@ -282,6 +283,29 @@ class TestDuhamel:
         sp, form = scalar_form()
         with pytest.raises(ValueError):
             duhamel_solve(form, None, TimeGrid(1.0, 8), np.array([0.0]), np.ones((5, 1)))
+
+    @pytest.mark.parametrize("case", ["vector", "block", "coupled_gram"])
+    def test_nodal_march_matches_step_loop(self, case):
+        # u_{j+1} = F_j u_j + B_j (f_j + f_{j+1}) / 2, one step at a time
+        rng = np.random.default_rng(11)
+        n = 3
+        sp = coupled_gram_space(n, rng) if case == "coupled_gram" else build_sine_space(n, math.pi)
+        grid = TimeGrid(1.0, 40)
+        prop = build_propagator(random_accretive_form(sp, rng), None, grid)
+        x = rng.standard_normal(n if case == "vector" else (3, n))
+        f_values = rng.standard_normal((grid.n_steps + 1, n))
+        x_before, f_before = x.copy(), f_values.copy()
+        ref = [np.atleast_2d(x)]
+        for j in range(grid.n_steps):
+            half = 0.5 * (f_values[j] + f_values[j + 1])
+            ref.append(ref[-1] @ prop.step_factors[j].T + prop.source_factors[j] @ half)
+        ref = np.stack(ref, axis=1)
+        got = _march(prop, x, f_values)
+        if case == "vector":
+            ref = ref[0]
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.array_equal(x, x_before) and np.array_equal(f_values, f_before)
 
 
 class TestStateDependentSource:
@@ -832,7 +856,52 @@ class TestWeightedDiagnostic:
                                                       np.array([0.0])))
 
 
+def reference_csv(traj, path):
+    """The CSV written one row at a time by ``csv.writer``, each field ``repr(float(x))``."""
+    n = traj.space.n_modes
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"c{i}" for i in range(n)] + ["h_norm", "v_norm"])
+        for t, row, h, v in zip(traj.grid.nodes, traj.values, traj.h_norms, traj.v_norms):
+            writer.writerow([repr(float(x)) for x in (t, *row, h, v)])
+
+
+def written_and_reference(traj, tmp_path):
+    """The bytes :func:`trajectory_to_csv` writes for a path, and the reference's."""
+    with np.errstate(all="ignore"):  # huge and non-finite entries give non-finite norms
+        trajectory_to_csv(traj, tmp_path / "written.csv")
+        reference_csv(traj, tmp_path / "reference.csv")
+    return (tmp_path / "written.csv").read_bytes(), (tmp_path / "reference.csv").read_bytes()
+
+
 class TestCsvExport:
+    def test_bytes_match_row_writer_on_extreme_values(self, tmp_path):
+        sp = build_sine_space(3, math.pi)
+        values = np.array([[-0.0, 5e-324, 1e300],
+                           [1.0, 0.1 + 0.2, 1.0 / 3.0],
+                           [-2.718281828459045, math.pi, 1.2345678901234567e-8],
+                           [np.inf, -np.inf, np.nan],
+                           [-0.0, 0.0, -1e-300]])
+        tr = make_trajectory(sp, TimeGrid(1.0, 4), values)
+        written, reference = written_and_reference(tr, tmp_path)
+        assert written == reference
+        lines = written.split(b"\r\n")
+        assert lines[0] == b"t,c0,c1,c2,h_norm,v_norm" and lines[-1] == b""
+        assert lines[1].startswith(b"0.0,-0.0,5e-324,1e+300,")
+        assert lines[2].split(b",")[2:4] == [b"0.30000000000000004", b"0.3333333333333333"]
+        assert lines[4].split(b",")[1:4] == [b"inf", b"-inf", b"nan"]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 4), n_steps=st.integers(1, 6),
+           horizon=st.floats(1e-3, 1e3), data=st.data())
+    def test_bytes_match_row_writer(self, tmp_path_factory, n, n_steps, horizon, data):
+        values = data.draw(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                                    min_size=(n_steps + 1) * n, max_size=(n_steps + 1) * n))
+        tr = make_trajectory(build_sine_space(n, math.pi), TimeGrid(horizon, n_steps),
+                             np.reshape(values, (n_steps + 1, n)))
+        written, reference = written_and_reference(tr, tmp_path_factory.mktemp("csv"))
+        assert written == reference
+
     def test_round_trip_columns(self, tmp_path):
         sp, form = scalar_form()
         tr = propagate(form, None, TimeGrid(1.0, 4), np.array([1.0]))

@@ -65,8 +65,30 @@ class TestSuperposition:
         tr = random_trajectory(sp, TimeGrid(1.0, 4))
         bad = Nonlinearity(lambda t, x: np.full_like(x, np.inf) if t > 0.5 else x,
                            1.0, lambda t: 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"at t=0\.75$"):
             apply_superposition(bad, tr)
+
+    def test_first_nonfinite_node_named(self):
+        # NaN at t = 0.25 and t = 0.75: the earlier node is named, and f has seen every node
+        sp = build_sine_space(2, math.pi)
+        tr = random_trajectory(sp, TimeGrid(1.0, 4))
+        times = []
+
+        def f(t, x):
+            times.append(t)
+            return np.full_like(x, np.nan) if t in (0.25, 0.75) else x
+
+        with pytest.raises(ValueError, match=r"at t=0\.25$"):
+            apply_superposition(Nonlinearity(f, 1.0, lambda t: 0.0), tr)
+        assert times == tr.grid.nodes.tolist()
+
+    def test_nonfinite_at_start_named(self):
+        sp = build_sine_space(1, math.pi)
+        tr = random_trajectory(sp, TimeGrid(1.0, 4))
+        bad = Nonlinearity(lambda t, x: x / t, 1.0, lambda t: 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=r"at t=0\.0$"):
+                apply_superposition(bad, tr)
 
 
 def bundled_nonlinearities(n):

@@ -11,6 +11,7 @@ from test_evolution import RANDOM_FORM_SETTINGS, coupled_gram_space, random_accr
 from parabolic_nonlocal.evolution import (
     TimeGrid,
     build_propagator,
+    duhamel_solve,
     l2h_distance,
     make_trajectory,
     projected_convergence_study,
@@ -21,6 +22,7 @@ from parabolic_nonlocal.galerkin import TimeForm, build_sine_space, constant_for
 from parabolic_nonlocal.models import cosine_bump_kernel, preset_evi, preset_heat_timevarying
 from parabolic_nonlocal.nonlinearity import (
     Nonlinearity,
+    apply_superposition,
     bounded_source,
     negated_identity,
     pseudo_huber_functional,
@@ -42,7 +44,6 @@ from parabolic_nonlocal.nonlocal_solver import (
     _kernel_cosine_coefficients,
     g_mollified_integral,
     g_path_linear,
-    homotopy_map,
     solve_nonlocal,
     unshift_trajectory,
 )
@@ -59,6 +60,15 @@ def scalar_problem(grid, f, g, r0=1.0, R0=math.inf):
     form = constant_form(sp, np.array([[1.0]]), grid.horizon)
     return NonlocalProblem(form=form, proj=project(sp, 1), f=f, g=g,
                            grid=grid, r0=r0, R0=R0)
+
+
+def homotopy_map(prob, lam, w, propagator=None):
+    """The stage map S(lam, w): the linear solve with initial value ``lam P g(w)`` and
+    nodal source ``lam P f(t, w(t))``.  Its fixed points are the paths
+    :func:`solve_nonlocal` finds at stage lam; stage 0 gives the zero path."""
+    p = prob.proj.matrix
+    return duhamel_solve(prob.form, prob.proj, prob.grid, lam * (p @ prob.g.eval(w)),
+                         lam * (apply_superposition(prob.f, w) @ p.T), propagator=propagator)
 
 
 def time_average_condition(c, horizon):
@@ -305,7 +315,7 @@ class TestHomotopyMap:
         grid = TimeGrid(1.0, 16)
         prob = scalar_problem(grid, zero_nonlinearity(), g_constant(np.array([0.0])))
         w = zero_trajectory(prob.form.space, TimeGrid(1.0, 8))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="every grid node"):
             homotopy_map(prob, 0.5, w)
 
 
