@@ -236,7 +236,7 @@ def preset_heat_timevarying(n_modes: int, n_steps: int) -> NonlocalProblem:
 
     sup_source = 0.1
     pattern = sup_source * heat_source_pattern(space)
-    f = bounded_source(lambda t: math.sin(math.pi * t) * pattern, sup_source)
+    f = bounded_source(lambda ts: np.sin(np.pi * ts)[:, None] * pattern, sup_source)
 
     kernel = cosine_bump_kernel(4.0)
     g = g_mollified_integral(kernel, [(0.0, 0.5)], space)

@@ -29,6 +29,34 @@ def _rng(seed_or_rng) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
+class AffineSource:
+    """Data of an affine f: ``f(t, x) = rest(t) - rate x``.
+
+    ``rest`` maps a ``(k,)`` array of times to a ``(k, n)`` array, or to one that
+    broadcasts to it (a zero rest may be ``(k, 1)``): the stack contract of
+    ``TimeForm.stiffness_at``, for the source.  ``rate`` is finite and at least 0,
+    so the form with the rate folded in stays accretive.
+    """
+
+    rate: float
+    rest: Callable[[np.ndarray], np.ndarray]
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.rate) and self.rate >= 0.0):
+            raise ValueError(f"the affine rate must be finite and at least 0, got {self.rate!r}")
+
+    def rest_at(self, times: np.ndarray, n: int) -> np.ndarray:
+        """``rest(times)`` as a ``(k, n)`` array; a non-finite row raises ValueError
+        naming its time (see :func:`_finite_at`)."""
+        times = np.asarray(times, dtype=float)
+        return _finite_at(np.broadcast_to(np.asarray(self.rest(times), dtype=float),
+                                          (times.size, n)), times)
+
+    def eval(self, t: float, x: Vector) -> Vector:
+        return np.asarray(self.rest(np.array([t], dtype=float)), dtype=float)[0] - self.rate * x
+
+
+@dataclass(frozen=True)
 class Nonlinearity:
     """A source term f(t, x) with declared sublinear growth.
 
@@ -42,31 +70,38 @@ class Nonlinearity:
     The declared constants promise ``|f(t,x)|_H <= growth_a |x|_H + growth_b(t)``;
     :func:`growth_audit` spot-checks the promise.
 
-    ``affine_rate`` c, when given, declares f affine with a scalar linear part:
-    ``f(t, x) = f(t, 0) - c x``, with c finite and at least 0 (so the folded
-    form stays accretive).  The solver then folds c into the step factors and
-    marches the nodal values ``f(t_j, 0)`` with no per-step iteration;
-    :func:`check_affine_rate` enforces the declaration when a problem is
-    built.  ``eval`` stays the full f, which every audit reads.
+    ``affine``, when given, declares f affine: ``f(t, x) = rest(t) - rate x``
+    (see :class:`AffineSource`; build such an f with :func:`f_affine`).  The
+    solver then folds the rate into the step factors and marches the nodal
+    values ``rest(t_j)``, read in one call, with no per-step iteration;
+    :func:`check_affine` enforces the declaration when a problem is built.
+    ``eval`` stays the full f, which every audit reads.
     """
 
     eval: Callable[[float, Vector], Vector]
     growth_a: float
     growth_b: Callable[[float], float]
-    affine_rate: float | None = None
+    affine: AffineSource | None = None
 
-    def __post_init__(self) -> None:
-        c = self.affine_rate
-        if c is not None and not (math.isfinite(c) and c >= 0.0):
-            raise ValueError(f"affine_rate must be finite and at least 0, got {c!r}")
+
+def f_affine(rate: float, rest: Callable[[np.ndarray], np.ndarray], growth_a: float,
+             growth_b: Callable[[float], float]) -> Nonlinearity:
+    """The f ``f(t, x) = rest(t) - rate x`` (see :class:`AffineSource`) with the declared
+    growth constants, and ``eval`` derived from the data."""
+    data = AffineSource(rate, rest)
+    return Nonlinearity(data.eval, growth_a, growth_b, data)
+
+
+def _no_rest(times: np.ndarray) -> np.ndarray:
+    return np.zeros((np.size(times), 1))
 
 
 def zero_nonlinearity() -> Nonlinearity:
-    return Nonlinearity(lambda t, x: np.zeros_like(x), 0.0, lambda t: 0.0, affine_rate=0.0)
+    return f_affine(0.0, _no_rest, 0.0, lambda t: 0.0)
 
 
 def negated_identity() -> Nonlinearity:
-    return Nonlinearity(lambda t, x: -x, 1.0, lambda t: 0.0, affine_rate=1.0)
+    return f_affine(1.0, _no_rest, 1.0, lambda t: 0.0)
 
 
 def saturating_drift(space: GalerkinSpace) -> Nonlinearity:
@@ -82,10 +117,20 @@ def saturating_drift(space: GalerkinSpace) -> Nonlinearity:
     return Nonlinearity(f, 1.0, lambda t: 1.0)
 
 
-def bounded_source(values_at: Callable[[float], Vector], sup_norm: float) -> Nonlinearity:
-    """State-independent source f(t, x) = h(t) with |h(t)|_H <= sup_norm."""
-    return Nonlinearity(lambda t, x: np.asarray(values_at(t), dtype=float),
-                        0.0, lambda t: sup_norm, affine_rate=0.0)
+def bounded_source(rest: Callable[[np.ndarray], np.ndarray], sup_norm: float) -> Nonlinearity:
+    """State-independent source f(t, x) = rest(t) with |rest(t)|_H <= sup_norm; ``rest``
+    maps a ``(k,)`` array of times to ``(k, n)`` (see :class:`AffineSource`)."""
+    return f_affine(0.0, rest, 0.0, lambda t: sup_norm)
+
+
+def _finite_at(values: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``values``, one row per time, unless a row is not finite: then ValueError naming
+    the first such row's t."""
+    finite = np.isfinite(values).all(-1)
+    if not finite.all():
+        t = float(times[finite.argmin()])
+        raise ValueError(f"nonlinearity returned non-finite values at t={t}")
+    return values
 
 
 def apply_superposition(f: Nonlinearity, traj: Trajectory) -> np.ndarray:
@@ -94,11 +139,7 @@ def apply_superposition(f: Nonlinearity, traj: Trajectory) -> np.ndarray:
     out = np.empty_like(traj.values)
     for j, t in enumerate(traj.grid.nodes.tolist()):
         out[j] = f.eval(t, traj.values[j])
-    finite = np.isfinite(out).all(-1)
-    if not finite.all():
-        t = float(traj.grid.nodes[finite.argmin()])
-        raise ValueError(f"nonlinearity returned non-finite values at t={t}")
-    return out
+    return _finite_at(out, traj.grid.nodes)
 
 
 def _points_of_radii(space: GalerkinSpace, radii: np.ndarray,
@@ -233,16 +274,19 @@ def _check_agree(full: np.ndarray, declared: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} they differ by {gap:.2e} on values of size {scale:.2e}")
 
 
-def check_affine_rate(f: Nonlinearity, n: int, horizon: float) -> None:
-    """Raise ``ValueError`` naming ``affine_rate`` unless ``f(t, X) = f(t, 0) - c X``
-    to 1e-12 relative, for c = ``f.affine_rate``, at t in {0, horizon/2, horizon}, on
-    the probe block of :func:`check_row_contract` with rows of n coordinates."""
-    c, block = f.affine_rate, _row_block((n,))
-    for t in (0.0, 0.5 * horizon, horizon):
+def check_affine(f: Nonlinearity, n: int, horizon: float) -> None:
+    """Raise ``ValueError`` naming ``f.affine`` unless, at t in {0, horizon/2, horizon},
+    ``f(t, X) = f(t, 0) - rate X`` on the probe block of :func:`check_row_contract` with
+    rows of n coordinates, and ``rest(t) = f(t, 0)``, each to 1e-12 relative."""
+    c, block = f.affine.rate, _row_block((n,))
+    times = np.array([0.0, 0.5 * horizon, horizon])
+    for t, rest in zip(times.tolist(), f.affine.rest_at(times, n)):
+        zero = np.broadcast_to(np.asarray(f.eval(t, np.zeros(n)), dtype=float), (n,))
         full = np.broadcast_to(np.asarray(f.eval(t, block), dtype=float), block.shape)
-        folded = np.asarray(f.eval(t, np.zeros(n)), dtype=float) - c * block
-        _check_agree(full, folded, f"f.affine_rate = {c!r} is wrong: f(t, x) must equal "
-                                   f"f(t, 0) - {c!r} x, but at t = {t!r}")
+        _check_agree(full, zero - c * block, f"f.affine.rate = {c!r} is wrong: f(t, x) must "
+                                             f"equal f(t, 0) - {c!r} x, but at t = {t!r}")
+        _check_agree(rest, zero, f"f.affine.rest is wrong: rest(t) must equal f(t, 0), but "
+                                 f"at t = {t!r}")
 
 
 def check_monotone(phi: ConvexFunctional, n_pairs: int, seed=0,

@@ -2,8 +2,12 @@
 
 The problem is reduced to the n unknowns of x = u(0): a forward march from x
 solves every step's implicit trapezoid equation (directly, with no iteration,
-for an f that declares an affine rate), and Newton on R^n drives
+for an f that declares affine data), and Newton on R^n drives
 x - P g(U(x)) to zero, with the Leray-Schauder homotopy as the fallback.
+When f declares affine data and g path-linear data, that map is affine in x,
+and Newton's first step is exact: one block pass of n + 1 rows gives the
+Jacobian, one n x n solve the root, and the solution path is a combination
+of the marched rows.
 Existence theory gives no algorithm, so non-convergence is a first-class
 reported outcome, never an exception: reports carry a status and the
 homotopy stages reached.
@@ -30,9 +34,8 @@ from .evolution import (
     zero_trajectory,
 )
 from .galerkin import GalerkinSpace, Matrix, Projection, TimeForm, Vector, stiffness_stack
-from .nonlinearity import (ROW_CHUNK, Nonlinearity, _check_agree, _rng, _row_block,
-                           apply_superposition, check_affine_rate, check_row_contract,
-                           scan_transversality)
+from .nonlinearity import (ROW_CHUNK, Nonlinearity, _check_agree, _rng, _row_block, check_affine,
+                           check_row_contract, f_affine, scan_transversality)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,8 +292,8 @@ class NonlocalProblem:
     this problem (0 when it is stated in the user's frame); trajectories are
     mapped back with :func:`unshift_trajectory`.  When the problem is built,
     before any march, ``f`` must follow the row contract of :class:`Nonlinearity`
-    (it is checked at t = 0), a declared ``f.affine_rate`` must hold
-    (:func:`check_affine_rate`), g must follow the block contract of
+    (it is checked at t = 0), declared ``f.affine`` data must hold
+    (:func:`check_affine`), g must follow the block contract of
     :class:`NonlocalCondition` on the grid (a g that cannot be evaluated on it,
     say with intervals past its horizon, raises there), and declared
     ``g.path_linear`` data must agree with ``g.eval`` to 1e-12 relative on the
@@ -315,8 +318,8 @@ class NonlocalProblem:
         # a state-free f or g may return one (n,) row, so each is compared broadcast
         check_row_contract(lambda x: np.broadcast_to(self.f.eval(0.0, x), np.shape(x)),
                            n, "(n)->(n)", "f.eval(t, .)")
-        if self.f.affine_rate is not None:
-            check_affine_rate(self.f, n, grid.horizon)
+        if self.f.affine is not None:
+            check_affine(self.f, n, grid.horizon)
         core = (grid.n_steps + 1, n)
         check_row_contract(lambda v: np.broadcast_to(self.g.eval(make_trajectory(space, grid, v)),
                                                      np.shape(v)[:-2] + (n,)),
@@ -378,7 +381,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a nonlocal solve, converged or not.  ``g_star_method`` is
+    """Outcome of a nonlocal solve, converged or not.  ``status`` is one of
+    ``converged``, ``max_iterations``, ``boundary_hit``, ``non_finite`` and
+    ``singular`` (see :func:`solve_nonlocal`).  ``g_star_method`` is
     ``closed_form`` or ``sampled`` (see :func:`estimate_g_star`)."""
 
     solution: Trajectory
@@ -394,28 +399,31 @@ class SolveReport:
 
 # forward-difference step bounds, relative to 1 + |x|_inf, and the shortest backtracked step
 _FD_MIN, _FD_MAX, _MIN_STEP = 1.5e-8, 1e-2, 1e-3
+# an exact Jacobian J with a smaller reciprocal condition number s_min / max(s_max, 1) is
+# singular; J = I - lam P dg/dx holds the identity, so a J of rounding size is singular too
+_RCOND_MIN = 1e-12
 
 
 class _StageMarch(NamedTuple):
     """What every pass of one homotopy stage marches with: the propagator and, for an
-    f that declares an affine rate, the stage's nodal source (None for any other f)."""
+    f that declares affine data, the stage's nodal source (None for any other f)."""
 
     prop: Propagator
     f_values: np.ndarray | None
 
 
 def _stage_march(prob: NonlocalProblem, lam: float, rest: np.ndarray | None) -> _StageMarch:
-    """The march of stage ``lam``; ``rest`` is ``f(t_j, 0) P^T`` at every node when f
-    declares an affine rate, else None.
+    """The march of stage ``lam``; ``rest`` is ``rest(t_j) P^T`` at every node when f
+    declares affine data, else None.
 
-    For ``f(t, x) = f(t, 0) - c x``, the trapezoid rule on ``-lam c P x`` is the
+    For ``f(t, x) = rest(t) - c x``, the trapezoid rule on ``-lam c P x`` is the
     Cayley step of the stiffness plus ``lam c G_H``: added before projection, the
     reduced form gains ``lam c G_H P``, and the source left is ``lam rest``.
     """
     if rest is None:
         return _StageMarch(build_propagator(prob.form, prob.proj, prob.grid), None)
     stack = stiffness_stack(prob.form, None, prob.grid.midpoints)
-    stack += (lam * prob.f.affine_rate) * prob.form.space.gram_H
+    stack += (lam * prob.f.affine.rate) * prob.form.space.gram_H
     return _StageMarch(build_propagator(prob.form, prob.proj, prob.grid, stack=stack),
                        lam * rest)
 
@@ -433,6 +441,14 @@ class _Halt(Exception):
     """The stage stops; ``args[0]`` is the status."""
 
 
+def _is_affine(prob: NonlocalProblem) -> bool:
+    """Whether ``r(x) = x - lam P g(U(x))`` is affine in x and reads the path: f declares
+    affine data, and g path-linear data with a nonzero matrix and nonzero node weights."""
+    data = prob.g.path_linear
+    return bool(prob.f.affine is not None and data is not None and data.matrix.any()
+                and data.node_weights(prob.grid).any())
+
+
 def _solve_stage(prob: NonlocalProblem, march: _StageMarch, lam: float, x: Vector,
                  path: Trajectory, cfg: SolverConfig) -> tuple:
     """Drive ``r(x) = x - lam P g(U(x))`` to zero from ``x``; ``U(x)`` marches from u(0) = x.
@@ -448,6 +464,20 @@ def _solve_stage(prob: NonlocalProblem, march: _StageMarch, lam: float, x: Vecto
     the step is halved; a failed march at the starting point ends the stage
     with its status.  Returns ``(status, x, path, marches, residual)`` of the
     last accepted iterate (``path`` and an infinite residual if none was).
+
+    An affine problem (:func:`_is_affine`) takes Newton's step once, exactly.
+    One block pass marches ``[x; x + h e_1; ...; x + h e_n]`` with
+    ``h = 1 + |x|_inf``.  Row 0 is the start, a fixed point if its residual is
+    within ``inner_tol``.  U is affine in x, so ``(r(x + h e_i) - r(x)) / h``
+    is the Jacobian for any h (the scale keeps the differences' cancellation
+    relative), and the path from the root x + dx is
+    ``U(x) + sum_i (dx_i / h) (U(x + h e_i) - U(x))``, with no further march;
+    g checks it once.  A probe row that is not finite ends the stage
+    ``non_finite``; its ``R0`` is not checked, as it is no iterate.  A Jacobian
+    whose reciprocal condition number ``s_min / max(s_max, 1)`` is below 1e-12
+    ends it ``singular``, and a root whose path fails ends it with the root's
+    status.  A root whose residual is still above ``inner_tol`` (a tolerance
+    at rounding level) goes on as Newton, from the exact Jacobian.
     """
     p, space, marches = prob.proj.matrix, prob.form.space, 0
 
@@ -458,48 +488,84 @@ def _solve_stage(prob: NonlocalProblem, march: _StageMarch, lam: float, x: Vecto
         marches += k
 
     def checked(xs: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Residual rows of a (k, n) block of starts marched into ``values``, and each
-        row's status, '' if usable.  A NaN row (a flagged march) never reaches g, and
-        a g that raises fails every row of its block."""
-        r, radius = np.full(xs.shape, np.nan), np.full(len(xs), np.nan)
+        """Residual rows of a (k, n) block of starts marched into ``values``, and whether
+        each is finite.  A NaN row (a flagged march) never reaches g, and a g that raises
+        fails every row of its block."""
+        r = np.full(xs.shape, np.nan)
         marched = np.isfinite(values).all(axis=(1, 2))
         if marched.any():
             paths = make_trajectory(space, prob.grid, values if marched.all() else values[marched])
-            radius[marched] = paths.mean_radius
             with suppress(ValueError, FloatingPointError):
                 r[marched] = xs[marched] - lam * (np.asarray(prob.g.eval(paths), dtype=float) @ p.T)
-        return r, np.where(~np.isfinite(r).all(axis=1), "non_finite",
-                           np.where(radius >= prob.R0, "boundary_hit", ""))
+        return r, np.isfinite(r).all(axis=1)
 
-    def shoot(x: Vector) -> tuple[str, Trajectory | None, Vector, float]:
-        """Status ('' if usable), path, residual and residual norm of the march from
-        ``x``; the norm is inf when the march failed."""
-        spend(1)
-        values = _light_s_apply(prob, march, lam, x)
-        r, status = checked(x[None], values[None])  # the k = 1 block
-        if status[0]:
-            return str(status[0]), None, r[0], math.inf
-        return "", make_trajectory(space, prob.grid, values), r[0], float(space.h_norm(r[0]))
+    def outcome(r: Vector, finite: bool, values: np.ndarray) -> tuple:
+        """Status ('' if usable), path, residual and residual norm of one checked row: it
+        fails ``non_finite`` unless ``finite``, and ``boundary_hit`` when its path reaches
+        R0.  The norm is inf when the row failed."""
+        if not finite:
+            return "non_finite", None, r, math.inf
+        path = make_trajectory(space, prob.grid, values)
+        if path.mean_radius >= prob.R0:
+            return "boundary_hit", None, r, math.inf
+        return "", path, r, float(space.h_norm(r))
+
+    def shoot(x: Vector, values: np.ndarray | None = None) -> tuple:
+        """:func:`outcome` of the path ``values`` from ``x``, marched when not given."""
+        if values is None:
+            spend(1)
+            values = _light_s_apply(prob, march, lam, x)
+        r, finite = checked(x[None], values[None])  # the k = 1 block
+        return outcome(r[0], finite[0], values)
 
     def jacobian(x: Vector, r: Vector, h: float) -> Matrix:
         jac, cols = np.empty((x.size, x.size)), np.arange(x.size)
         for dx in (h, -h):  # columns whose forward row failed go again backwards
             spend(len(cols))
             xs = x + dx * np.eye(x.size)[cols]
-            r_cols, status = checked(xs, _light_s_apply(prob, march, lam, xs))
-            done = status == ""
+            block = _light_s_apply(prob, march, lam, xs)
+            r_cols, finite = checked(xs, block)
+            done = finite & ~(make_trajectory(space, prob.grid, block).mean_radius >= prob.R0)
             jac[:, cols[done]] = ((r_cols[done] - r) / dx).T
             cols = cols[~done]
             if not cols.size:
                 return jac
         raise _Halt("max_iterations")
 
-    res, jac = math.inf, None
+    def exact_step(x: Vector, r: Vector, h: float, rows: np.ndarray,
+                   r_rows: np.ndarray) -> tuple:
+        """The affine case's root from the block ``rows`` of x and x + h e_i, with its
+        residual rows ``r_rows``: the root, its :func:`outcome` and the Jacobian."""
+        jac = ((r_rows[1:] - r) / h).T
+        if not np.isfinite(jac).all():  # a probe row failed
+            raise _Halt("non_finite")
+        sv = np.linalg.svd(jac, compute_uv=False)
+        if not sv[-1] >= _RCOND_MIN * max(sv[0], 1.0):
+            raise _Halt("singular")
+        dx = np.linalg.solve(jac, -r)
+        diffs = rows[1:]
+        diffs -= rows[0]
+        root = shoot(x + dx, rows[0] + np.tensordot(dx / h, diffs, axes=1))
+        if root[0]:
+            raise _Halt(root[0])
+        return x + dx, root, jac
+
+    res, jac, affine = math.inf, None, _is_affine(prob)
     try:
-        status, start, r, res = shoot(x)
+        if affine:
+            h = 1.0 + float(np.abs(x).max())
+            xs = x + np.vstack([np.zeros(x.size), h * np.eye(x.size)])
+            spend(len(xs))
+            rows = _light_s_apply(prob, march, lam, xs)
+            r_rows, finite = checked(xs, rows)  # the probe rows are no iterates: no R0
+            status, start, r, res = outcome(r_rows[0], finite[0], rows[0])
+        else:
+            status, start, r, res = shoot(x)
         if status:
             raise _Halt(status)
         path = start
+        if affine and res > cfg.inner_tol:
+            x, (_, path, r, res), jac = exact_step(x, r, h, rows, r_rows)
         while res > cfg.inner_tol:
             fresh = jac is None
             if fresh:
@@ -528,29 +594,32 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
 
     The unknown is x = u(0) in R^n: the forward march ``U(x)`` solves every
     step's trapezoid equation, and Newton drives ``r(x) = x - P g(U(x))`` to
-    zero from ``x0 = P g(0)``: a constant g takes one march, an affine problem
-    three passes (the start, the Jacobian's n rows as one block, the step).
-    Only if that fails do the Leray-Schauder stages ``lam = k / lambda_steps``
-    run, each warm-started from the last (the first from zero if g fails on the
-    zero path).  ``lambda_path`` holds ``(lam, marches, residual)`` per stage.
-    Statuses: ``converged``, ``max_iterations`` (march budget spent or no
-    descent), ``boundary_hit`` (an iterate's path reached the outer radius,
-    contradicting the standing annulus bound), ``non_finite`` (a starting
-    step equation turned non-finite or was not solved, a residual is not
-    finite, or g fails on the zero path).  A condition that fails on the grid
-    raises ValueError from the g* estimate; an error raised by f propagates.
+    zero from ``x0 = P g(0)``: a constant g takes one march, and an affine f with
+    a path-linear g one block pass of n + 1 rows and one n x n solve (see
+    :func:`_solve_stage`).  Only if that fails do the Leray-Schauder stages
+    ``lam = k / lambda_steps`` run, each warm-started from the last (the first
+    from zero if g fails on the zero path).  ``lambda_path`` holds
+    ``(lam, marches, residual)`` per stage.  Statuses: ``converged``,
+    ``max_iterations`` (march budget spent or no descent), ``boundary_hit`` (an
+    iterate's path reached the outer radius, contradicting the standing annulus
+    bound), ``non_finite`` (a starting step equation turned non-finite or was
+    not solved, a residual is not finite, or g fails on the zero path),
+    ``singular`` (an affine problem's Jacobian has a reciprocal condition number
+    below 1e-12; it is the same matrix from any start, so no continuation stage
+    runs).  A condition that fails on the grid raises ValueError from the g*
+    estimate; an error raised by f propagates.
 
-    An f that declares ``affine_rate`` c is evaluated only at the state 0, once
-    per node and solve (:func:`apply_superposition` on the zero path): each stage
-    folds ``lam c`` into its own propagator (see :func:`_stage_march`), and its
-    marches take no per-step iteration.  If such an f is not finite at some
-    node, that raises ValueError naming the node's t, before any march.
+    An f that declares ``affine`` data is not evaluated by the solve: its nodal
+    source is ``rest(t_j)``, one call on the grid's nodes, and each stage folds
+    ``lam`` times its rate into its own propagator (see :func:`_stage_march`),
+    so its marches take no per-step iteration.  A nodal source that is not
+    finite raises ValueError naming the first such node's t, before any march.
     """
     cfg = cfg or SolverConfig()
     space, grid = prob.form.space, prob.grid
     zero = zero_trajectory(space, grid)
-    rest = (None if prob.f.affine_rate is None
-            else apply_superposition(prob.f, zero) @ prob.proj.matrix.T)
+    rest = (None if prob.f.affine is None
+            else prob.f.affine.rest_at(grid.nodes, space.n_modes) @ prob.proj.matrix.T)
     march = _stage_march(prob, 1.0, rest)
     sqrt_t = math.sqrt(grid.horizon)
 
@@ -562,7 +631,7 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
     else:
         status, _, solution, marches, res = _solve_stage(prob, march, 1.0, x0, zero, cfg)
     lambda_path = [(1.0, marches, res)]
-    if status != "converged" and cfg.lambda_steps > 1:
+    if status not in ("converged", "singular") and cfg.lambda_steps > 1:
         x, prev = x0, 1.0
         for k in range(1, cfg.lambda_steps + 1):
             lam = k / cfg.lambda_steps
@@ -603,8 +672,9 @@ def exp_shift(prob: NonlocalProblem, mu: float) -> NonlocalProblem:
 
     The pivot shift declared on the form (its quasi-coercivity defect) is
     absorbed into the stiffness; the remainder ``eps = mu - delta`` is folded
-    into the nonlinearity, which gains the inward-pointing term ``-eps x`` (a
-    declared affine rate c becomes ``c + eps``).
+    into the nonlinearity, which gains the inward-pointing term ``-eps x`` (declared
+    affine data ``(c, rest)`` become ``(c + eps, e^{-mu t} rest)``, with f derived
+    from them).
     The condition g is composed with the inverse scaling so fixed points map
     one-to-one (a path-linear g's node weights gain the factors ``e^{mu t_j}``);
     ``mu = 0`` is the identity.
@@ -636,9 +706,15 @@ def _exp_shift_fields(form: TimeForm, f: Nonlinearity, g: NonlocalCondition, mu:
         scale = math.exp(-mu * t)
         return scale * np.asarray(f.eval(t, x / scale), dtype=float) - eps * x
 
-    new_f = Nonlinearity(eval=f_hat, growth_a=f.growth_a + eps,
-                         growth_b=lambda t: math.exp(-mu * t) * f.growth_b(t),
-                         affine_rate=None if f.affine_rate is None else f.affine_rate + eps)
+    def b_hat(t: float) -> float:
+        return math.exp(-mu * t) * f.growth_b(t)
+
+    if f.affine is not None:
+        rest = f.affine.rest
+        new_f = f_affine(f.affine.rate + eps, lambda ts: np.exp(-mu * ts)[:, None] * rest(ts),
+                         f.growth_a + eps, b_hat)
+    else:
+        new_f = Nonlinearity(eval=f_hat, growth_a=f.growth_a + eps, growth_b=b_hat)
 
     if g.path_linear is not None:  # the weights absorb the scaling
         data = g.path_linear.shifted(mu)

@@ -149,13 +149,13 @@ class TestSolve:
         assert res["converged"] and res["g_star_method"] == "closed_form"
 
     def test_affine_f_not_finite_at_a_node_exits_1(self, tmp_path, monkeypatch):
-        # f(t, 0) is infinite at t = 1/64 only, a node that neither check_affine_rate nor
+        # rest(t) is infinite at t = 1/64 only, a node that neither check_affine nor
         # the transversality scan reads: the solve raises naming t, before any march
         import parabolic_nonlocal.cli as cli
-        from parabolic_nonlocal.nonlinearity import Nonlinearity
+        from parabolic_nonlocal.nonlinearity import f_affine
 
-        spiked = Nonlinearity(lambda t, x: np.where(t == 1 / 64, math.inf, 0.0) - x, 1.0,
-                              lambda t: 0.0, affine_rate=1.0)
+        spiked = f_affine(1.0, lambda ts: np.where(ts == 1 / 64, math.inf, 0.0)[:, None], 1.0,
+                          lambda t: 0.0)
         monkeypatch.setitem(cli.NONLINEARITIES, "spiked", lambda space: spiked)
         cfg = write_config(tmp_path, "cfg.json", {
             "command": "solve",

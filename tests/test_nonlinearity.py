@@ -9,11 +9,12 @@ from parabolic_nonlocal.galerkin import GalerkinSpace, build_sine_space, constan
 from parabolic_nonlocal.models import preset_evi, preset_heat_timevarying
 from parabolic_nonlocal.nonlinearity import (
     GROWTH_TIMES,
+    AffineSource,
     ConvexFunctional,
     Nonlinearity,
     apply_superposition,
     bounded_source,
-    check_affine_rate,
+    check_affine,
     check_monotone,
     check_row_contract,
     evi_residual,
@@ -97,7 +98,8 @@ def bundled_nonlinearities(n):
         "zero": zero_nonlinearity(),
         "negated_identity": negated_identity(),
         "saturating_drift": saturating_drift(build_sine_space(n, math.pi)),
-        "bounded_source": bounded_source(lambda t: math.sin(t) * np.arange(1.0, n + 1), n),
+        "bounded_source": bounded_source(lambda ts: np.sin(ts)[:, None] * np.arange(1.0, n + 1),
+                                         n),
         "exp_shift_f_hat": preset_heat_timevarying(n, 64).f,
         "gradient_flow_quadratic": preset_evi(n, 8, quadratic_functional(n)).f,
         "gradient_flow_pseudo_huber": preset_evi(n, 8, pseudo_huber_functional(n)).f,
@@ -125,14 +127,14 @@ class TestAffineRate:
     def test_bundled_declarations_hold(self, name):
         # the heat preset's f is its bounded source after exp_shift with eps = 0.4
         f = bundled_nonlinearities(4)[name]
-        assert f.affine_rate == self.RATES[name]
-        if f.affine_rate is not None:
-            check_affine_rate(f, 4, 1.0)
+        assert (None if f.affine is None else f.affine.rate) == self.RATES[name]
+        if f.affine is not None:
+            check_affine(f, 4, 1.0)
 
     @pytest.mark.parametrize("rate", [-0.1, math.inf, math.nan])
     def test_rate_must_be_finite_and_nonnegative(self, rate):
-        with pytest.raises(ValueError, match="affine_rate must be finite and at least 0"):
-            Nonlinearity(lambda t, x: -x, 1.0, lambda t: 0.0, affine_rate=rate)
+        with pytest.raises(ValueError, match="affine rate must be finite and at least 0"):
+            AffineSource(rate, lambda ts: np.zeros((len(ts), 1)))
 
 
 class TestGrowthAudit:

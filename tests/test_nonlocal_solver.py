@@ -21,9 +21,11 @@ from parabolic_nonlocal.evolution import (
 from parabolic_nonlocal.galerkin import TimeForm, build_sine_space, constant_form, project
 from parabolic_nonlocal.models import cosine_bump_kernel, preset_evi, preset_heat_timevarying
 from parabolic_nonlocal.nonlinearity import (
+    AffineSource,
     Nonlinearity,
     apply_superposition,
     bounded_source,
+    f_affine,
     negated_identity,
     pseudo_huber_functional,
     saturating_drift,
@@ -48,7 +50,7 @@ from parabolic_nonlocal.nonlocal_solver import (
     unshift_trajectory,
 )
 
-STATUSES = ("converged", "max_iterations", "boundary_hit", "non_finite")
+STATUSES = ("converged", "max_iterations", "boundary_hit", "non_finite", "singular")
 
 # closed-form fixed point of the scalar time-average condition:
 # x = c h (1-q) / (1 - c q), q = (1 - e^-T)/T, for u' + u = h, u(0) = (c/T) int u
@@ -404,7 +406,8 @@ class TestSolveNonlocal:
 def dense_affine_solution(prob):
     """Discrete fixed point of an affine problem as the dense solve of (I - L) w = c.
 
-    c = S(0) and L w = S(w) - c, for S the stage map at lam = 1.
+    c = S(0) and L w = S(w) - c, for S the stage map at lam = 1.  L's columns are
+    differenced at the step s = 1 + |c|_inf, so a large c does not cancel them.
     """
     space, grid = prob.form.space, prob.grid
     prop = build_propagator(prob.form, prob.proj, grid)
@@ -416,7 +419,8 @@ def dense_affine_solution(prob):
         return homotopy_map(prob, 1.0, w, prop).values.ravel()
 
     c = stage_map(np.zeros(size))
-    lin = np.column_stack([stage_map(e) - c for e in np.eye(size)])
+    step = 1.0 + np.abs(c).max()
+    lin = np.column_stack([(stage_map(step * e) - c) / step for e in np.eye(size)])
     return np.linalg.solve(np.eye(size) - lin, c)
 
 
@@ -599,13 +603,13 @@ class TestBlockShooting:
         monkeypatch.setattr(ns, "_light_s_apply", counted)
         return passes
 
-    def test_affine_solve_is_three_passes(self, monkeypatch):
-        # start, one (n, n) Jacobian block, the Newton step; lambda_path counts rows
+    def test_affine_solve_is_one_pass(self, monkeypatch):
+        # the start and its n probe rows as one (n + 1, n) block; lambda_path counts rows
         passes = self.count_passes(monkeypatch)
         rep = solve_nonlocal(preset_heat_timevarying(4, 64), SolverConfig(inner_tol=1e-12))
         assert rep.converged
-        assert passes == [(4,), (4, 4), (4,)]
-        assert rep.lambda_path[0][1] == 4 + 2
+        assert passes == [(5, 4)]
+        assert rep.lambda_path[0][1] == 5
 
     def test_only_the_failed_column_is_differenced_backwards(self, monkeypatch):
         # r(x) = 3 (x - e_1) from x0 = 3 e_1, whose path sits just inside R0:
@@ -710,10 +714,19 @@ class TestBlockShooting:
         assert [p[:2] for p in rep.lambda_path] == [(1.0, 5)]
 
 
+def no_rest(ts):
+    return np.zeros((len(ts), 1))
+
+
+def unit_rest(ts):
+    return np.ones((len(ts), 2))
+
+
 def declared_affine(space):
-    """The bundled f that declare an affine rate, on ``space``."""
+    """The bundled f that declare affine data, on ``space``."""
     h = np.linspace(0.5, -0.5, space.n_modes)
-    return {"bounded_source": bounded_source(lambda t: math.cos(3.0 * t) * h, space.h_norm(h)),
+    return {"bounded_source": bounded_source(lambda ts: np.cos(3.0 * ts)[:, None] * h,
+                                             space.h_norm(h)),
             "negated_identity": negated_identity(),
             "zero": zero_nonlinearity()}
 
@@ -737,7 +750,7 @@ class TestAffineFold:
     @staticmethod
     def both(prob, cfg):
         """The folded solve and the iterated solve of the same problem."""
-        plain = replace(prob, f=replace(prob.f, affine_rate=None))
+        plain = replace(prob, f=replace(prob.f, affine=None))
         return solve_nonlocal(prob, cfg), solve_nonlocal(plain, cfg)
 
     @staticmethod
@@ -754,7 +767,7 @@ class TestAffineFold:
         sp = (build_sine_space(4, math.pi) if space == "sine"
               else coupled_gram_space(4, np.random.default_rng(3)))
         prob = self.problem(sp, 3, declared_affine(sp)[name], mu)  # m < n
-        assert prob.f.affine_rate == {"negated_identity": 1.0}.get(name, 0.0) + mu
+        assert prob.f.affine.rate == {"negated_identity": 1.0}.get(name, 0.0) + mu
         folded, iterated = self.both(prob, SolverConfig(inner_tol=1e-12))
         assert folded.converged and len(folded.lambda_path) == 1
         self.assert_agree(folded, iterated)
@@ -775,8 +788,8 @@ class TestAffineFold:
         self.assert_agree(folded, iterated)
 
     def test_heat_solve_takes_no_step_iteration(self, monkeypatch):
-        # the heat preset's f is affine after exp_shift: no march iterates a step,
-        # and f is read only at the state 0, once per node
+        # the heat preset's f is affine after exp_shift: no march iterates a step, and the
+        # solve reads the nodal source from the declared data, never from f
         import parabolic_nonlocal.evolution as ev
 
         steps, calls, solve_step = [], [], ev._solve_step
@@ -786,20 +799,20 @@ class TestAffineFold:
         prob = replace(prob, f=replace(f, eval=lambda t, x: calls.append(t) or f.eval(t, x)))
         calls.clear()
         rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12))
-        assert rep.converged and rep.lambda_path[0][1] == 4 + 2
-        assert steps == [] and len(calls) <= prob.grid.n_steps + 1
+        assert rep.converged and rep.lambda_path[0][1] == 4 + 1
+        assert steps == [] and calls == []
 
     def test_non_finite_node_raises_naming_t_before_any_march(self, monkeypatch):
-        # check_affine_rate reads t = 0, T/2 and T only; f(t_j, 0) is read at every node
-        # on the zero path before the first march, and a non-finite value raises there
+        # check_affine reads t = 0, T/2 and T only; rest(t_j) is read at every node
+        # before the first march, and a non-finite value raises there
         import parabolic_nonlocal.nonlocal_solver as ns
 
         def no_march(*args, **kwargs):
             raise AssertionError("marched with a non-finite nodal source")
 
         grid = TimeGrid(1.0, 32)
-        f = Nonlinearity(lambda t, x: np.where(t == grid.nodes[1], math.inf, 0.0) - x, 1.0,
-                         lambda t: 0.0, affine_rate=1.0)
+        f = f_affine(1.0, lambda ts: np.where(ts == grid.nodes[1], math.inf, 0.0)[:, None], 1.0,
+                     lambda t: 0.0)
         prob = scalar_problem(grid, f, g_constant(np.ones(1)))
         monkeypatch.setattr(ns, "_march", no_march)
         with pytest.raises(ValueError, match=f"t={grid.nodes[1]}"):
@@ -811,20 +824,23 @@ class TestAffineFold:
         steps, solve_step = [], ev._solve_step
         monkeypatch.setattr(ev, "_solve_step", lambda *a: steps.append(1) or solve_step(*a))
         prob = preset_evi(4, 64, pseudo_huber_functional(4))
-        assert prob.f.affine_rate is None
+        assert prob.f.affine is None
         assert solve_nonlocal(prob, SolverConfig(inner_tol=1e-10)).converged
         assert len(steps) == prob.grid.n_steps
 
-    @pytest.mark.parametrize("f", [replace(negated_identity(), affine_rate=0.5),
-                                   replace(zero_nonlinearity(), affine_rate=1.0),
-                                   replace(bounded_source(lambda t: np.ones(2), 1.0),
-                                           affine_rate=0.1),
-                                   Nonlinearity(lambda t, x: -x**3, 1.0, lambda t: 0.0,
-                                                affine_rate=1.0)],
-                             ids=["negated_identity", "zero", "bounded_source", "cubic"])
-    def test_wrong_rate_rejected_by_name_when_built(self, f):
+    @pytest.mark.parametrize("f, wrong", [
+        (replace(negated_identity(), affine=AffineSource(0.5, no_rest)), "rate"),
+        (replace(zero_nonlinearity(), affine=AffineSource(1.0, no_rest)), "rate"),
+        (replace(bounded_source(unit_rest, 1.0), affine=AffineSource(0.1, unit_rest)), "rate"),
+        (Nonlinearity(lambda t, x: -x**3, 1.0, lambda t: 0.0,
+                      AffineSource(1.0, no_rest)), "rate"),
+        (replace(bounded_source(unit_rest, 1.0),  # rest doubled at T/2 only
+                 affine=AffineSource(0.0, lambda ts: unit_rest(ts) * (1.0 + (ts == 0.5))[:, None])),
+         "rest"),
+    ], ids=["negated_identity", "zero", "bounded_source", "cubic", "rest_at_half_horizon"])
+    def test_wrong_rate_rejected_by_name_when_built(self, f, wrong):
         sp = build_sine_space(2, math.pi)
-        with pytest.raises(ValueError, match="f.affine_rate = .* is wrong"):
+        with pytest.raises(ValueError, match=f"f.affine.{wrong}.* is wrong"):
             NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, 2), f=f,
                             g=g_constant(np.ones(2)), grid=TimeGrid(1.0, 16), r0=1.0,
                             R0=math.inf)
@@ -835,7 +851,117 @@ class TestAffineFold:
             prob = NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, 2),
                                    f=f, g=g_constant(np.ones(2)), grid=TimeGrid(1.0, 16),
                                    r0=1.0, R0=math.inf)
-            assert exp_shift(prob, 0.7).f.affine_rate == rate
+            shifted = exp_shift(prob, 0.7).f.affine
+            assert (None if shifted is None else shifted.rate) == rate
+
+
+def trapezoid_weights(grid):
+    return grid.dt * np.r_[0.5, np.ones(grid.n_steps - 1), 0.5]
+
+
+class TestDirectAffineSolve:
+    """An affine f with a path-linear g is one block pass of n + 1 rows and one n x n
+    solve: the exact Newton step, whose path is a combination of the marched rows."""
+
+    @staticmethod
+    def point_condition(c):
+        # g(u) = u(0) + c: r(x) = -c for every x, so the Jacobian is 0
+        return g_path_linear(np.array([c]), np.array([[1.0]]),
+                             lambda grid: np.r_[1.0, np.zeros(grid.n_steps)])
+
+    def test_no_fixed_point_is_singular_with_no_continuation(self):
+        prob = scalar_problem(TimeGrid(1.0, 32), zero_nonlinearity(), self.point_condition(0.3))
+        rep = solve_nonlocal(prob)
+        assert rep.status == "singular" and not rep.converged
+        assert rep.lambda_path == ((1.0, 2, float(prob.form.space.h_norm(np.array([0.3])))),)
+
+    def test_every_point_fixed_converges_from_the_start(self):
+        # g(u) = u(0): the Jacobian is 0 too, but the start is already a root
+        prob = scalar_problem(TimeGrid(1.0, 32), zero_nonlinearity(), self.point_condition(0.0))
+        rep = solve_nonlocal(prob)
+        assert rep.converged and rep.lambda_path == ((1.0, 2, 0.0),)
+
+    def test_one_block_pass_and_no_step_iteration(self, monkeypatch):
+        import parabolic_nonlocal.evolution as ev
+        import parabolic_nonlocal.nonlocal_solver as ns
+
+        sp = coupled_gram_space(4, np.random.default_rng(3))
+        g = g_mollified_integral(cosine_bump_kernel(4.0), [(0.0, 0.5)], sp)
+        prob = exp_shift(NonlocalProblem(form=random_accretive_form(sp, np.random.default_rng(8)),
+                                         proj=project(sp, 3), f=negated_identity(), g=g,
+                                         grid=TimeGrid(1.0, 64), r0=0.5, R0=math.inf), 0.6)
+        passes, steps, block, solve_step = [], [], ns._light_s_apply, ev._solve_step
+        monkeypatch.setattr(ns, "_light_s_apply",
+                            lambda *a: passes.append(np.shape(a[3])) or block(*a))
+        monkeypatch.setattr(ev, "_solve_step", lambda *a: steps.append(1) or solve_step(*a))
+        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12))
+        assert rep.converged and rep.fixed_point_residual <= 1e-12
+        assert passes == [(5, 4)] and steps == []
+
+    def test_inexact_root_goes_on_as_newton(self, monkeypatch):
+        # the n x n solve made to land at 90% of the root: its residual is above
+        # inner_tol, so Newton goes on from the exact Jacobian with one march per step
+        passes = TestBlockShooting.count_passes(monkeypatch)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: solve(a, b) * (0.9 if np.ndim(b) == 1 else 1.0))
+        rep = solve_nonlocal(preset_heat_timevarying(4, 64), SolverConfig(inner_tol=1e-12))
+        assert rep.converged and rep.fixed_point_residual <= 1e-12
+        assert passes == [(5, 4), (4,)]
+
+    def test_probe_row_not_finite_ends_the_stage(self, monkeypatch):
+        import parabolic_nonlocal.nonlocal_solver as ns
+
+        block = ns._light_s_apply
+
+        def flag_a_probe(*args):
+            out = block(*args)
+            out[2] = np.nan
+            return out
+
+        monkeypatch.setattr(ns, "_light_s_apply", flag_a_probe)
+        prob = preset_heat_timevarying(4, 64)
+        rep = solve_nonlocal(prob, SolverConfig(lambda_steps=1))
+        assert rep.status == "non_finite" and not rep.converged
+        assert rep.lambda_path[0][:2] == (1.0, 5) and 0.0 < rep.lambda_path[0][2] < math.inf
+
+    def test_continuation_stages_are_direct_solves(self):
+        # R0 below the solution's mean radius: the root at lam = 1 leaves R0, and the
+        # stages lam < 1, each one block pass, converge until a root reaches R0
+        sp = coupled_gram_space(4, np.random.default_rng(3))
+        prob = TestAffineFold.problem(sp, 4, declared_affine(sp)["bounded_source"], 0.6)
+        g = g_path_linear(prob.g.eval(zero_trajectory(sp, prob.grid)), 0.8 * np.eye(4),
+                          lambda grid: trapezoid_weights(grid) * np.exp(0.6 * grid.nodes))
+        prob = replace(prob, g=g)
+        radius = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12)).solution.mean_radius
+        rep = solve_nonlocal(replace(prob, R0=0.55 * radius), SolverConfig(inner_tol=1e-12))
+        assert rep.status == "boundary_hit" and not rep.converged
+        assert all(marches == 5 for _, marches, _ in rep.lambda_path)
+        assert sum(lam < 1.0 and res <= 1e-12 for lam, _, res in rep.lambda_path) >= 3
+
+    @RANDOM_FORM_SETTINGS
+    @given(n=st.integers(1, 4), n_steps=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+    def test_random_direct_solve_matches_dense_and_newton(self, n, n_steps, seed):
+        rng = np.random.default_rng(seed)
+        sp = build_sine_space(n, math.pi)
+        h1, h2 = rng.standard_normal((2, n))
+        freq, rate = rng.uniform(0.5, 4.0), rng.uniform(0.0, 2.0)
+        f = f_affine(rate, lambda ts: np.cos(freq * ts)[:, None] * h1 + ts[:, None] * h2, rate,
+                     lambda t: float(np.abs(h1).sum() + np.abs(h2).sum()))
+        offset = 10.0 ** rng.uniform(-2.0, 6.0) * rng.standard_normal(n)  # so h = 1 + |x| varies
+        w = rng.uniform(0.0, 1.0, n_steps + 1)
+        g = g_path_linear(offset, 0.5 * rng.uniform(-1.0, 1.0, (n, n)) / n,  # |C|_2 <= 1/2
+                          lambda grid: w / w.sum())
+        prob = NonlocalProblem(form=random_accretive_form(sp, rng), proj=project(sp, n), f=f,
+                               g=g, grid=TimeGrid(1.0, n_steps), r0=1.0, R0=math.inf)
+        cfg = SolverConfig(inner_tol=1e-13 * (1.0 + np.abs(offset).max()))
+        direct = solve_nonlocal(prob, cfg)
+        newton = solve_nonlocal(replace(prob, f=replace(f, affine=None)), cfg)
+        assert direct.converged and direct.lambda_path[0][1] == n + 1 and newton.converged
+        values = direct.solution.values
+        scale = np.abs(values).max()
+        assert np.abs(values.ravel() - dense_affine_solution(prob)).max() <= 1e-10 * scale
+        assert np.abs(values - newton.solution.values).max() <= 1e-12 * scale
 
 
 class TestAuditProblem:
@@ -1140,8 +1266,8 @@ class TestPathLinear:
         # the preset builds its problem shifted: the construction gates run once
         import parabolic_nonlocal.nonlocal_solver as ns
 
-        calls, check = [], ns.check_affine_rate
-        monkeypatch.setattr(ns, "check_affine_rate", lambda *a: calls.append(1) or check(*a))
+        calls, check = [], ns.check_affine
+        monkeypatch.setattr(ns, "check_affine", lambda *a: calls.append(1) or check(*a))
         prob = preset_heat_timevarying(4, 64)
         assert calls == [1] and prob.shift_mu == 0.4
 
