@@ -2,9 +2,10 @@
 
 One command per process, driven by a JSON config file; results land in an
 output directory as ``report.json`` (plus ``trajectory.csv`` where a path is
-produced).  Exit codes: 0 success/converged, 1 config error, 2 audit
-failure, 3 solver non-convergence.  Identical config and seed give
-bit-identical reports apart from the timestamp field.
+produced).  Exit codes: 0 success/converged, 1 config error (a size that
+cannot be allocated included), 2 audit failure, 3 solver non-convergence.
+Identical config and seed give bit-identical reports apart from the
+timestamp field.
 """
 
 from __future__ import annotations
@@ -430,9 +431,13 @@ def run(config_path: str, output: str | None, seed_override: int | None,
             raise ConfigError(f"unknown command: {command!r}")
         code, results, traj = COMMANDS[command](reader, seed, outdir)
         payload["results"] = {**results, "resolved": reader.resolved}
-    except (ConfigError, ValueError, TypeError) as exc:
-        payload["error"] = (str(exc) if isinstance(exc, ConfigError)
-                            else f"invalid parameters: {exc}")
+    except (ConfigError, ValueError, TypeError, MemoryError) as exc:
+        if isinstance(exc, ConfigError):
+            payload["error"] = str(exc)
+        elif isinstance(exc, MemoryError):  # numpy's message names the size it asked for
+            payload["error"] = f"size cannot be allocated: {exc}"
+        else:
+            payload["error"] = f"invalid parameters: {exc}"
         code, traj = EXIT_CONFIG, None
     payload["exit_code"] = code
 

@@ -40,10 +40,10 @@ class TimeGrid:
     nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be at least 1")
+        if not (self.horizon > 0.0 and math.isfinite(self.horizon)):  # NaN fails too
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
+        if not self.n_steps >= 1:
+            raise ValueError(f"n_steps must be at least 1, got {self.n_steps!r}")
         object.__setattr__(self, "nodes", np.linspace(0.0, self.horizon, self.n_steps + 1))
 
     @property
@@ -59,7 +59,8 @@ class TimeGrid:
 class Propagator:
     """One-step factors of the discrete evolution family on a grid.
 
-    ``step_factors`` and ``source_factors`` are ``(n_steps, n, n)`` stacks.
+    ``step_factors`` and ``source_factors`` are C-contiguous ``(n_steps, n, n)``
+    stacks.
     ``step_factors[j]`` maps data at node j to node j+1; two-parameter
     actions are composed products, so the evolution-family law holds exactly
     at grid nodes.  ``source_factors[j]`` applies the step's source weight
@@ -97,9 +98,11 @@ def build_propagator(form: TimeForm, proj: Projection | None, grid: TimeGrid,
     gives ``X_j = (G_H + c S(t_{j+1/2}))^(-1) G_H`` for every step; the step
     factor is ``2 X - I`` (Cayley) or ``X``, the source factor ``dt X``.  The
     midpoint stiffnesses come as one :func:`stiffness_stack`, unless ``stack``
-    already holds the form's stiffness at ``grid.midpoints`` (unprojected); it
-    is then projected and overwritten in place.  The solved system's buffer
-    takes one factor stack, so a build holds at most two stacks.
+    already holds the form's stiffness at ``grid.midpoints`` (unprojected,
+    C-contiguous like every :func:`stiffness_stack`); it is then projected
+    and overwritten in place.  The solved system's buffer takes one factor
+    stack, so a build holds at most two stacks, and both factor stacks are
+    C-contiguous.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -111,6 +114,8 @@ def build_propagator(form: TimeForm, proj: Projection | None, grid: TimeGrid,
         lhs = stiffness_stack(form, proj, grid.midpoints)
     elif stack.shape != (grid.n_steps, *gh.shape):
         raise ValueError("stack must have shape (n_steps, n_modes, n_modes)")
+    elif not stack.flags.c_contiguous:
+        raise ValueError("stack must be C-contiguous, as stiffness_stack returns it")
     else:
         lhs = stack if proj is None else project_stack(form, proj, stack)
     lhs *= 0.5 * dt if scheme == "cayley" else dt

@@ -66,8 +66,9 @@ class GalerkinSpace:
     def __post_init__(self) -> None:
         if self.n_modes < 1:
             raise ValueError("n_modes must be at least 1")
-        if self.domain_length <= 0.0:
-            raise ValueError("domain_length must be positive")
+        length = self.domain_length
+        if not (length > 0.0 and math.isfinite(length)):  # NaN fails too
+            raise ValueError(f"domain_length must be positive and finite, got {length!r}")
         gh = np.asarray(self.gram_H, dtype=float)
         gv = np.asarray(self.gram_V, dtype=float)
         if gh.shape != (self.n_modes, self.n_modes) or gv.shape != gh.shape:
@@ -102,8 +103,8 @@ def build_sine_space(n_modes: int, length: float) -> GalerkinSpace:
     """
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
-    if length <= 0.0:
-        raise ValueError("length must be positive")
+    if not (length > 0.0 and math.isfinite(length)):  # NaN fails too
+        raise ValueError(f"length must be positive and finite, got {length!r}")
     k = np.arange(1, n_modes + 1)
     gram_h = np.eye(n_modes)
     gram_v = np.diag((k * math.pi / length) ** 2)
@@ -123,7 +124,11 @@ class TimeForm:
     ``stiffness_at`` maps a 1-D array of k times to a new ``(k, n, n)``
     stack, with ``stiffness_at(times)[l, i, j]`` the form at ``times[l]``
     applied to (phi_j, phi_i); callers of :func:`stiffness_stack` overwrite
-    the stack in place.  Wrap a function of one time in
+    the stack in place.  :func:`stiffness_stack` hands them a C-contiguous
+    stack and copies one in another layout (a transposed or sliced view):
+    they read one n x n matrix at a time, and with time as the fastest axis
+    a matrix's neighbouring entries lie ``8 k`` bytes apart.  Wrap a
+    function of one time in
     ``np.vectorize(fn, signature="()->(n,n)")``.  The declared constants
     are audited against sampled estimates rather than trusted: see
     :func:`estimate_bounds` and :func:`audit_dini`.
@@ -140,12 +145,13 @@ class TimeForm:
     shift_delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
-        if self.bound_M <= 0.0 or self.coercivity_alpha <= 0.0:
-            raise ValueError("bound_M and coercivity_alpha must be positive")
-        if self.shift_delta < 0.0:
-            raise ValueError("shift_delta must be nonnegative")
+        for name in ("horizon", "bound_M", "coercivity_alpha"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        delta = self.shift_delta
+        if not (delta >= 0.0 and math.isfinite(delta)):
+            raise ValueError(f"shift_delta must be nonnegative and finite, got {delta!r}")
 
 
 def constant_form(space: GalerkinSpace, stiffness: Matrix, horizon: float,
@@ -283,8 +289,10 @@ def stiffness_stack(form: TimeForm, proj: Projection | None, times: np.ndarray) 
 
     This is the one place the stiffness is evaluated on a set of times: one
     ``stiffness_at`` call on the whole array, checked against the horizon
-    and the stack contract of :class:`TimeForm`.  With a projection, the
-    stack is then reduced in place by :func:`project_stack`.
+    and the stack contract of :class:`TimeForm`.  The stack returned is
+    C-contiguous, a copy when ``stiffness_at`` gave a view in another layout
+    (see :class:`TimeForm`).  With a projection, it is then reduced in place
+    by :func:`project_stack`.
     """
     times = np.asarray(times, dtype=float)
     if not np.all((times >= 0.0) & (times <= form.horizon * (1.0 + 1e-12))):
@@ -293,7 +301,7 @@ def stiffness_stack(form: TimeForm, proj: Projection | None, times: np.ndarray) 
     if not times.size:  # a np.vectorize wrapper cannot be called on no times
         return np.empty(shape)
     try:
-        stack = np.asarray(form.stiffness_at(times), dtype=float)
+        stack = np.ascontiguousarray(form.stiffness_at(times), dtype=float)
         broken = f"got shape {stack.shape}" if stack.shape != shape else ""
     except (IndexError, TypeError, ValueError) as exc:
         broken = f"raised {exc!r}"

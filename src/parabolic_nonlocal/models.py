@@ -156,7 +156,7 @@ def divergence_form_assemble(field: CoefficientField, space: GalerkinSpace,
     identity ``D_i D_j = (a_i a_j / L) (cos((i-j) theta) + cos((i+j) theta))``.
     So a stack on k times is kappa, evaluated once on ``(times, points)``,
     times the weights, contracted with the 2n + 1 cosines ``cos(m theta)``
-    and gathered at ``|i - j|`` and ``i + j``.
+    and gathered at ``|i - j|`` and ``i + j`` by a C-order gather.
 
     The assembly is verified by comparing against doubled quadrature order at
     three sampled times; disagreement above 1e-8 per entry raises
@@ -183,8 +183,8 @@ def divergence_form_assemble(field: CoefficientField, space: GalerkinSpace,
 
     def assemble(times: np.ndarray, xs, ws, cosines) -> np.ndarray:
         c = (_kappa(field, times[:, None], xs) * ws) @ cosines
-        stack = c[:, diff]
-        stack += c[:, total]
+        stack = np.take(c, diff, axis=1)  # C order; c[:, diff] would put time innermost
+        stack += np.take(c, total, axis=1)
         stack *= scale
         return stack
 

@@ -314,6 +314,23 @@ class TestReportValues:
 
 
 class TestConfigHandling:
+    # each size's first allocation asks for at least 1 TiB (72.8 TiB of nodes, 7.28 TiB
+    # of mode numbers), so it fails before any page is touched
+    @pytest.mark.parametrize("payload", [
+        {"command": "converge", "form": {"n_modes": 4}, "n_steps": 10**13, "m_list": [2],
+         "m_ref": 4},
+        {"command": "converge", "form": {"n_modes": 10**12}, "m_list": [2], "m_ref": 4},
+    ], ids=["n_steps", "n_modes"])
+    def test_size_that_cannot_be_allocated_writes_report(self, tmp_path, payload):
+        # numpy's MemoryError once crashed the run with a traceback and no report
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--output", str(out), "--quiet"]) == 1
+        rep = read_report(out)
+        assert rep["exit_code"] == 1 and "results" not in rep
+        assert rep["error"].startswith("size cannot be allocated: ")
+        assert not (out / "convergence.csv").exists()
+
     def test_missing_file(self, tmp_path):
         out = tmp_path / "out"
         assert main(["--config", str(tmp_path / "nope.json"),

@@ -39,7 +39,8 @@ from parabolic_nonlocal.galerkin import (
     stiffness_stack,
 )
 from parabolic_nonlocal.models import divergence_form_assemble, time_power_coefficient
-from parabolic_nonlocal.nonlocal_solver import unshift_trajectory
+from parabolic_nonlocal.nonlinearity import zero_nonlinearity
+from parabolic_nonlocal.nonlocal_solver import _exp_shift_fields, g_constant, unshift_trajectory
 
 # closed-form values for the scalar decay/source problems (see module tests)
 REG_RATIO_SCALAR = 2.244913202997993  # sqrt(1-e^-2) + 2*sqrt((1-e^-2)/2)
@@ -94,6 +95,81 @@ class TestTimeGrid:
             TimeGrid(0.0, 4)
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0)
+
+
+def assembled_form(n=5):
+    return divergence_form_assemble(time_power_coefficient(1.0, 0.5, 0.6),
+                                    build_sine_space(n, math.pi), 6)
+
+
+def exp_shifted_form():
+    """An assembled form declared quasi-coercive, with its shift folded into the stiffness."""
+    form = replace(assembled_form(), shift_delta=0.5)
+    g = g_constant(np.zeros(form.space.n_modes))
+    return _exp_shift_fields(form, zero_nonlinearity(), g, 0.5)["form"]
+
+
+class TestNonFiniteSizes:
+    """A NaN or infinite size fails the positivity checks, naming its field."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field, build", [
+        ("horizon", lambda v: TimeGrid(v, 4)),
+        ("length", lambda v: build_sine_space(3, v)),
+        ("domain_length", lambda v: GalerkinSpace(1, v, np.eye(1), np.eye(1), 1.0)),
+        ("horizon", lambda v: replace(scalar_form()[1], horizon=v)),
+        ("bound_M", lambda v: replace(scalar_form()[1], bound_M=v)),
+        ("coercivity_alpha", lambda v: replace(scalar_form()[1], coercivity_alpha=v)),
+        ("shift_delta", lambda v: replace(scalar_form()[1], shift_delta=v)),
+    ], ids=["grid_horizon", "sine_length", "space_length", "form_horizon", "form_bound_M",
+            "form_alpha", "form_shift_delta"])
+    def test_rejected_by_name(self, field, build, value):
+        # NaN once built all-NaN grid nodes, and build_sine_space raised LinAlgError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                build(value)
+
+    def test_nan_n_steps_rejected(self):
+        with pytest.raises(ValueError, match="^n_steps must be at least 1"):
+            TimeGrid(1.0, math.nan)
+
+
+class TestStackLayout:
+    """Every stack a consumer reads is C-contiguous: each matrix one block in memory."""
+
+    times = np.linspace(0.0, 1.0, 9)
+
+    @pytest.mark.parametrize("make, m", [
+        (assembled_form, None),
+        (assembled_form, 3),
+        (lambda: constant_form(build_sine_space(4, math.pi), np.diag([1.0, 4, 9, 16]), 1.0), None),
+        (lambda: reversed_form(assembled_form()), None),
+        (exp_shifted_form, None),
+        (lambda: _leading_mode_form(assembled_form(), 3), None),
+    ], ids=["assembled", "assembled_projected", "constant", "reversed", "exp_shifted",
+            "leading_modes"])
+    def test_stiffness_stack_is_c_contiguous(self, make, m):
+        # the assembled stack once had time as its fastest axis: strides (8, 8 k n, 8 k)
+        form = make()
+        proj = None if m is None else project(form.space, m)
+        assert stiffness_stack(form, proj, self.times).flags.c_contiguous
+
+    @pytest.mark.parametrize("scheme", ["cayley", "implicit_euler"])
+    @pytest.mark.parametrize("m", [None, 3], ids=["unprojected", "projected"])
+    @pytest.mark.parametrize("passed", [False, True], ids=["evaluated", "passed_in"])
+    def test_propagator_factors_are_c_contiguous(self, scheme, m, passed):
+        form, grid = assembled_form(), TimeGrid(1.0, 16)
+        proj = None if m is None else project(form.space, m)
+        stack = stiffness_stack(form, None, grid.midpoints) if passed else None
+        prop = build_propagator(form, proj, grid, scheme, stack=stack)
+        assert prop.step_factors.flags.c_contiguous and prop.source_factors.flags.c_contiguous
+
+    def test_passed_stack_in_another_layout_rejected(self):
+        form, grid = assembled_form(), TimeGrid(1.0, 16)
+        stack = stiffness_stack(form, None, grid.midpoints)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            build_propagator(form, None, grid, stack=stack.transpose(0, 2, 1))
 
 
 class TestStackWrappers:
