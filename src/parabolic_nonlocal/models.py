@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .evolution import TimeGrid
-from .galerkin import GalerkinSpace, TimeForm, build_sine_space, project
+from .galerkin import GalerkinSpace, TimeForm, _gauss_panels, build_sine_space, project
 from .nonlinearity import (ConvexFunctional, Nonlinearity, bounded_source, check_monotone,
                            check_row_contract, gradient_consistency)
 from .nonlocal_solver import (
@@ -46,8 +46,10 @@ class CoefficientField:
     holder_exponent: float
 
     def __post_init__(self) -> None:
-        if self.nu <= 0.0:
-            raise ValueError("ellipticity floor nu must be positive")
+        if not (self.nu > 0.0 and math.isfinite(self.nu)):  # NaN fails too
+            raise ValueError(f"ellipticity floor nu must be positive and finite, got {self.nu!r}")
+        if not (self.holder_K >= 0.0 and math.isfinite(self.holder_K)):
+            raise ValueError(f"holder_K must be nonnegative and finite, got {self.holder_K!r}")
         if not 0.0 < self.holder_exponent <= 1.0:
             raise ValueError("holder_exponent must lie in (0, 1]")
 
@@ -115,8 +117,11 @@ class MollifierKernel:
     mass: float
 
     def __post_init__(self) -> None:
-        if self.support_radius <= 0.0:
-            raise ValueError("support_radius must be positive")
+        radius, deriv = self.support_radius, self.derivative_mass
+        if not (radius > 0.0 and math.isfinite(radius)):  # NaN fails too
+            raise ValueError(f"support_radius must be positive and finite, got {radius!r}")
+        if not (deriv >= 0.0 and math.isfinite(deriv)):
+            raise ValueError(f"derivative_mass must be nonnegative and finite, got {deriv!r}")
         if not 1.0 - 1e-6 <= self.mass <= 1.0 + 1e-6:
             raise ValueError(f"kernel mass {self.mass} is not 1 within 1e-6")
 
@@ -172,13 +177,7 @@ def divergence_form_assemble(field: CoefficientField, space: GalerkinSpace,
     diff, total = np.abs(k[:, None] - k), k[:, None] + k
 
     def quad_rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        panels = max(16, 2 * n)
-        qn, qw = np.polynomial.legendre.leggauss(order)
-        edges = np.linspace(0.0, length, panels + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halves = 0.5 * np.diff(edges)
-        xs = (mids[:, None] + halves[:, None] * qn[None, :]).ravel()
-        ws = (halves[:, None] * qw[None, :]).ravel()
+        xs, ws = _gauss_panels(0.0, length, max(16, 2 * n), order)
         return xs, ws, np.cos(np.outer(xs, np.arange(2 * n + 1) * (math.pi / length)))
 
     def assemble(times: np.ndarray, xs, ws, cosines) -> np.ndarray:

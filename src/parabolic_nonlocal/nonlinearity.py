@@ -71,17 +71,22 @@ class Nonlinearity:
     :func:`growth_audit` spot-checks the promise.
 
     ``affine``, when given, declares f affine: ``f(t, x) = rest(t) - rate x``
-    (see :class:`AffineSource`; build such an f with :func:`f_affine`).  The
-    solver then folds the rate into the step factors and marches the nodal
-    values ``rest(t_j)``, read in one call, with no per-step iteration;
-    :func:`check_affine` enforces the declaration when a problem is built.
-    ``eval`` stays the full f, which every audit reads.
+    (see :class:`AffineSource`).  The data then define f: ``eval`` must be
+    ``affine.eval``, as :func:`f_affine` builds it, or construction raises
+    ValueError.  The solver folds the rate into the step factors and marches
+    the nodal values ``rest(t_j)``, read in one call, with no per-step
+    iteration; every audit reads ``eval``.
     """
 
     eval: Callable[[float, Vector], Vector]
     growth_a: float
     growth_b: Callable[[float], float]
     affine: AffineSource | None = None
+
+    def __post_init__(self) -> None:
+        if self.affine is not None and self.eval != self.affine.eval:
+            raise ValueError("declared affine data define f: eval must be affine.eval; build an "
+                             "f with affine data with f_affine(rate, rest, growth_a, growth_b)")
 
 
 def f_affine(rate: float, rest: Callable[[np.ndarray], np.ndarray], growth_a: float,
@@ -241,20 +246,15 @@ def pseudo_huber_functional(dim: int) -> ConvexFunctional:
     )
 
 
-def _row_block(core: tuple[int, ...]) -> np.ndarray:
-    """The probe block of :func:`check_row_contract`: rows of shape ``core`` along two
-    leading axes unequal to each other and to every core axis, so ``x[k]`` fails."""
-    lead = [k for k in range(2, 6) if k not in core][:2]
-    return np.linspace(-2.0, 2.0, math.prod(lead + list(core))).reshape(*lead, *core)
-
-
 def check_row_contract(fn: Callable[[np.ndarray], np.ndarray], core: int | tuple[int, ...],
                        signature: str, name: str) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``fn`` on a block of rows of shape
     ``core`` (an int n means ``(n,)``) equals ``np.vectorize(fn, signature=signature)``,
-    i.e. fn row by row."""
+    i.e. fn row by row.  The rows lie along two leading axes unequal to each other and
+    to every core axis, so an fn that indexes ``x[k]`` fails."""
     core = (core,) if np.isscalar(core) else tuple(core)
-    block = _row_block(core)
+    lead = [k for k in range(2, 6) if k not in core][:2]
+    block = np.linspace(-2.0, 2.0, math.prod(lead + list(core))).reshape(*lead, *core)
     rows = np.vectorize(fn, signature=signature)(block)
     try:
         out = np.asarray(fn(block), dtype=float)
@@ -264,29 +264,6 @@ def check_row_contract(fn: Callable[[np.ndarray], np.ndarray], core: int | tuple
                                                                  equal_nan=True):
         raise ValueError(f"{name} breaks the row contract: on a block of rows of shape {core} "
                          f"it must equal np.vectorize({name}, signature='{signature}')")
-
-
-def _check_agree(full: np.ndarray, declared: np.ndarray, what: str) -> None:
-    """Raise ``ValueError`` starting with ``what`` unless ``full`` and ``declared`` agree
-    to 1e-12 relative, the standard every declaration is enforced to (NaN fails too)."""
-    gap, scale = np.abs(full - declared).max(), max(np.abs(full).max(), np.abs(declared).max())
-    if not gap <= 1e-12 * scale:
-        raise ValueError(f"{what} they differ by {gap:.2e} on values of size {scale:.2e}")
-
-
-def check_affine(f: Nonlinearity, n: int, horizon: float) -> None:
-    """Raise ``ValueError`` naming ``f.affine`` unless, at t in {0, horizon/2, horizon},
-    ``f(t, X) = f(t, 0) - rate X`` on the probe block of :func:`check_row_contract` with
-    rows of n coordinates, and ``rest(t) = f(t, 0)``, each to 1e-12 relative."""
-    c, block = f.affine.rate, _row_block((n,))
-    times = np.array([0.0, 0.5 * horizon, horizon])
-    for t, rest in zip(times.tolist(), f.affine.rest_at(times, n)):
-        zero = np.broadcast_to(np.asarray(f.eval(t, np.zeros(n)), dtype=float), (n,))
-        full = np.broadcast_to(np.asarray(f.eval(t, block), dtype=float), block.shape)
-        _check_agree(full, zero - c * block, f"f.affine.rate = {c!r} is wrong: f(t, x) must "
-                                             f"equal f(t, 0) - {c!r} x, but at t = {t!r}")
-        _check_agree(rest, zero, f"f.affine.rest is wrong: rest(t) must equal f(t, 0), but "
-                                 f"at t = {t!r}")
 
 
 def check_monotone(phi: ConvexFunctional, n_pairs: int, seed=0,

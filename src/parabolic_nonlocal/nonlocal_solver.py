@@ -33,9 +33,10 @@ from .evolution import (
     regularity_norm,
     zero_trajectory,
 )
-from .galerkin import GalerkinSpace, Matrix, Projection, TimeForm, Vector, stiffness_stack
-from .nonlinearity import (ROW_CHUNK, Nonlinearity, _check_agree, _rng, _row_block, check_affine,
-                           check_row_contract, f_affine, scan_transversality)
+from .galerkin import (GalerkinSpace, Matrix, Projection, TimeForm, Vector, _gauss_panels,
+                       stiffness_stack)
+from .nonlinearity import (ROW_CHUNK, Nonlinearity, _rng, check_row_contract, f_affine,
+                           scan_transversality)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +92,10 @@ class NonlocalCondition:
     may.  So g reads node j as ``values[..., j, :]`` and integrates in time
     along ``axis=-2``.
 
-    ``path_linear``, when given, declares g path-linear, and ``eval`` must then
-    equal its :meth:`PathLinear.eval` (build such a g with :func:`g_path_linear`);
-    :class:`NonlocalProblem` enforces this.  The g* estimate and the g-bound
-    audits read their closed forms from it instead of sampling paths.
+    ``path_linear``, when given, declares g path-linear, and the data then define
+    g: ``eval`` must be ``path_linear.eval``, as :func:`g_path_linear` builds it,
+    or construction raises ValueError.  The g* estimate and the g-bound audits
+    read their closed forms from the data instead of sampling paths.
 
     ``solver_ok`` False marks g unusable for solves: :func:`audit_problem` then
     fails.
@@ -103,6 +104,12 @@ class NonlocalCondition:
     eval: Callable[[Trajectory], Vector]
     path_linear: PathLinear | None = None
     solver_ok: bool = True
+
+    def __post_init__(self) -> None:
+        if self.path_linear is not None and self.eval != self.path_linear.eval:
+            raise ValueError("declared path_linear data define g: eval must be path_linear.eval; "
+                             "build a g with path-linear data with g_path_linear(offset, matrix, "
+                             "weights)")
 
 
 def g_path_linear(offset: Vector, matrix: Matrix,
@@ -149,13 +156,7 @@ def _kernel_cosine_coefficients(kernel, space: GalerkinSpace) -> np.ndarray:
     a = kernel.support_radius
     length = space.domain_length
     # panels resolve the fastest oscillation over the support
-    panels = max(16, int(math.ceil(8.0 * a * space.n_modes / length)))
-    q_nodes, q_weights = np.polynomial.legendre.leggauss(10)
-    edges = np.linspace(-a, a, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    ys = (mid[:, None] + half[:, None] * q_nodes).ravel()
-    ws = (half[:, None] * q_weights).ravel()
+    ys, ws = _gauss_panels(-a, a, max(16, int(math.ceil(8.0 * a * space.n_modes / length))), 10)
     profile = np.asarray(kernel.profile(ys), dtype=float)
     k = np.arange(1, space.n_modes + 1)
     return np.cos(np.outer(k, ys) * math.pi / length) @ (ws * profile)
@@ -292,12 +293,9 @@ class NonlocalProblem:
     this problem (0 when it is stated in the user's frame); trajectories are
     mapped back with :func:`unshift_trajectory`.  When the problem is built,
     before any march, ``f`` must follow the row contract of :class:`Nonlinearity`
-    (it is checked at t = 0), declared ``f.affine`` data must hold
-    (:func:`check_affine`), g must follow the block contract of
+    (it is checked at t = 0), and g the block contract of
     :class:`NonlocalCondition` on the grid (a g that cannot be evaluated on it,
-    say with intervals past its horizon, raises there), and declared
-    ``g.path_linear`` data must agree with ``g.eval`` to 1e-12 relative on the
-    same probe block of paths.
+    say with intervals past its horizon, raises there).
     """
 
     form: TimeForm
@@ -318,17 +316,9 @@ class NonlocalProblem:
         # a state-free f or g may return one (n,) row, so each is compared broadcast
         check_row_contract(lambda x: np.broadcast_to(self.f.eval(0.0, x), np.shape(x)),
                            n, "(n)->(n)", "f.eval(t, .)")
-        if self.f.affine is not None:
-            check_affine(self.f, n, grid.horizon)
-        core = (grid.n_steps + 1, n)
         check_row_contract(lambda v: np.broadcast_to(self.g.eval(make_trajectory(space, grid, v)),
                                                      np.shape(v)[:-2] + (n,)),
-                           core, "(m,n)->(n)", "g.eval")
-        if self.g.path_linear is not None:
-            paths = make_trajectory(space, grid, _row_block(core))
-            _check_agree(np.asarray(self.g.eval(paths), dtype=float),
-                         self.g.path_linear.eval(paths),
-                         "g.path_linear disagrees with g.eval: on a block of paths")
+                           (grid.n_steps + 1, n), "(m,n)->(n)", "g.eval")
 
 
 def audit_problem(prob: NonlocalProblem, n_samples: int = 300, seed=0) -> dict:

@@ -149,7 +149,7 @@ class TestSolve:
         assert res["converged"] and res["g_star_method"] == "closed_form"
 
     def test_affine_f_not_finite_at_a_node_exits_1(self, tmp_path, monkeypatch):
-        # rest(t) is infinite at t = 1/64 only, a node that neither check_affine nor
+        # rest(t) is infinite at t = 1/64 only, a node that neither the row-contract gate nor
         # the transversality scan reads: the solve raises naming t, before any march
         import parabolic_nonlocal.cli as cli
         from parabolic_nonlocal.nonlinearity import f_affine

@@ -72,6 +72,12 @@ class TestSineSpace:
         with pytest.raises(ValueError):
             build_sine_space(3, -1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_embed_const_rejected_by_name(self, value):
+        sp = build_sine_space(2, math.pi)
+        with pytest.raises(ValueError, match="embed_const must be positive and finite"):
+            GalerkinSpace(2, math.pi, sp.gram_H, sp.gram_V, value)
+
     def test_embed_constant_matches_generalized_eigenvalue(self):
         sp = build_sine_space(5, 2.0)
         lam = np.linalg.eigvalsh(sp.inv_sqrt_V @ sp.gram_H @ sp.inv_sqrt_V).max()
@@ -239,22 +245,31 @@ class TestDiniAudit:
         assert rep.dini_exponent == pytest.approx(0.4, abs=0.05)
         assert not rep.dini_pass
 
-    def test_samples_evaluated_once_and_bounds_read_from_them(self):
+    def test_samples_evaluated_once(self):
         # S(t) at the 17 samples once, then S(t + h) for every sample that fits
         form = random_gram_form(4, np.random.default_rng(64))
         calls = []
         counted = replace(form, stiffness_at=lambda t: calls.append(len(t)) or form.stiffness_at(t))
         h = np.geomspace(1e-4, 1e-2, 9)
-        rep = audit_dini(counted, h)
-        fits = [int((rep.sample_grid + gap <= form.horizon).sum()) for gap in h]
-        assert calls == [rep.sample_grid.size] + fits
-        assert (rep.M_hat, rep.alpha_hat) == estimate_bounds(form, rep.sample_grid)
+        audit_dini(counted, h)
+        samples = np.linspace(0.0, form.horizon, 17)
+        assert calls == [17] + [int((samples + gap <= form.horizon).sum()) for gap in h]
 
     def test_refuses_short_gap_grids(self):
         sp = build_sine_space(2, math.pi)
         form = scaled_form(sp, lambda t: 1.0)
         with pytest.raises(ValueError):
             audit_dini(form, np.array([1e-4, 1e-3, 1e-2]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_gap_rejected(self, bad):
+        # a NaN smallest gap used to fit no slope and pass as a constant form
+        sp = build_sine_space(2, math.pi)
+        form = scaled_form(sp, lambda t: 1.0 + 0.5 * t**0.4, bound_M=1.5, alpha=1.0)
+        h = np.geomspace(1e-4, 1e-2, 9)
+        h[0 if math.isnan(bad) else -1] = bad
+        with pytest.raises(ValueError, match="h_grid must be finite"):
+            audit_dini(form, h)
 
 
 class TestProjection:

@@ -115,6 +115,13 @@ class TestCoefficientFields:
         with pytest.raises(ValueError):
             CoefficientField(lambda t, x: 1.0, nu=1.0, holder_K=1.0, holder_exponent=1.5)
 
+    @pytest.mark.parametrize("name, value", [("nu", math.nan), ("nu", math.inf),
+                                             ("holder_K", math.nan)])
+    def test_non_finite_constants_rejected_by_name(self, name, value):
+        fields = {"nu": 1.0, "holder_K": 0.5, "holder_exponent": 0.6, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be .* finite"):
+            CoefficientField(lambda t, x: 1.0, **fields)
+
 
 class TestDivergenceFormAssembly:
     def test_unit_coefficient_recovers_energy_gram(self):
@@ -235,6 +242,14 @@ class TestMollifierKernels:
             MollifierKernel(lambda x: 1.0, support_radius=-1.0, derivative_mass=0.5, mass=1.0)
         with pytest.raises(ValueError):
             MollifierKernel(lambda x: 1.0, support_radius=1.0, derivative_mass=0.5, mass=0.9)
+
+    @pytest.mark.parametrize("name", ["support_radius", "derivative_mass"])
+    def test_non_finite_constants_rejected_by_name(self, name):
+        from parabolic_nonlocal.models import MollifierKernel
+
+        fields = {"support_radius": 1.0, "derivative_mass": 0.5, "mass": 1.0, name: math.nan}
+        with pytest.raises(ValueError, match=f"{name} must be .* finite"):
+            MollifierKernel(lambda x: 1.0, **fields)
 
 
 class TestHeatPreset:

@@ -789,21 +789,24 @@ class TestAffineFold:
 
     def test_heat_solve_takes_no_step_iteration(self, monkeypatch):
         # the heat preset's f is affine after exp_shift: no march iterates a step, and the
-        # solve reads the nodal source from the declared data, never from f
+        # solve reads the nodal source once, by one call of rest on the grid's nodes
         import parabolic_nonlocal.evolution as ev
 
         steps, calls, solve_step = [], [], ev._solve_step
         monkeypatch.setattr(ev, "_solve_step", lambda *a: steps.append(1) or solve_step(*a))
         prob = preset_heat_timevarying(4, 64)
         f = prob.f
-        prob = replace(prob, f=replace(f, eval=lambda t, x: calls.append(t) or f.eval(t, x)))
+        rest = f.affine.rest
+        prob = replace(prob, f=f_affine(f.affine.rate, lambda ts: calls.append(ts) or rest(ts),
+                                        f.growth_a, f.growth_b))
         calls.clear()
         rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12))
         assert rep.converged and rep.lambda_path[0][1] == 4 + 1
-        assert steps == [] and calls == []
+        assert steps == [] and len(calls) == 1
+        assert np.array_equal(calls[0], prob.grid.nodes) and calls[0].size == 65
 
     def test_non_finite_node_raises_naming_t_before_any_march(self, monkeypatch):
-        # check_affine reads t = 0, T/2 and T only; rest(t_j) is read at every node
+        # the row-contract gate reads t = 0 only; rest(t_j) is read at every node
         # before the first march, and a non-finite value raises there
         import parabolic_nonlocal.nonlocal_solver as ns
 
@@ -828,22 +831,35 @@ class TestAffineFold:
         assert solve_nonlocal(prob, SolverConfig(inner_tol=1e-10)).converged
         assert len(steps) == prob.grid.n_steps
 
-    @pytest.mark.parametrize("f, wrong", [
-        (replace(negated_identity(), affine=AffineSource(0.5, no_rest)), "rate"),
-        (replace(zero_nonlinearity(), affine=AffineSource(1.0, no_rest)), "rate"),
-        (replace(bounded_source(unit_rest, 1.0), affine=AffineSource(0.1, unit_rest)), "rate"),
-        (Nonlinearity(lambda t, x: -x**3, 1.0, lambda t: 0.0,
-                      AffineSource(1.0, no_rest)), "rate"),
-        (replace(bounded_source(unit_rest, 1.0),  # rest doubled at T/2 only
-                 affine=AffineSource(0.0, lambda ts: unit_rest(ts) * (1.0 + (ts == 0.5))[:, None])),
-         "rest"),
+    @pytest.mark.parametrize("build", [
+        lambda: replace(negated_identity(), affine=AffineSource(0.5, no_rest)),
+        lambda: replace(zero_nonlinearity(), affine=AffineSource(1.0, no_rest)),
+        lambda: replace(bounded_source(unit_rest, 1.0), affine=AffineSource(0.1, unit_rest)),
+        lambda: Nonlinearity(lambda t, x: -x**3, 1.0, lambda t: 0.0, AffineSource(1.0, no_rest)),
+        lambda: replace(bounded_source(unit_rest, 1.0),  # rest doubled at T/2 only
+                        affine=AffineSource(0.0, lambda ts: unit_rest(ts)
+                                            * (1.0 + (ts == 0.5))[:, None])),
     ], ids=["negated_identity", "zero", "bounded_source", "cubic", "rest_at_half_horizon"])
-    def test_wrong_rate_rejected_by_name_when_built(self, f, wrong):
-        sp = build_sine_space(2, math.pi)
-        with pytest.raises(ValueError, match=f"f.affine.{wrong}.* is wrong"):
-            NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, 2), f=f,
-                            g=g_constant(np.ones(2)), grid=TimeGrid(1.0, 16), r0=1.0,
-                            R0=math.inf)
+    def test_wrong_rate_rejected_by_name_when_built(self, build):
+        # declared data define f: an eval other than the data's is refused when f is built
+        with pytest.raises(ValueError, match="affine.*f_affine"):
+            build()
+
+    @pytest.mark.parametrize("name", ["bounded_source", "negated_identity", "zero"])
+    def test_exp_shift_of_declared_data_is_the_substituted_f(self, name):
+        # the shifted data define e^{-mu t} f(t, e^{mu t} x) - eps x, eps = mu with no
+        # declared shift on the form
+        sp, mu = build_sine_space(3, math.pi), 0.7
+        f = declared_affine(sp)[name]
+        prob = NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, 3), f=f,
+                               g=g_constant(np.ones(3)), grid=TimeGrid(1.0, 16), r0=1.0,
+                               R0=math.inf)
+        shifted = exp_shift(prob, mu).f
+        x = np.random.default_rng(4).standard_normal((5, 3))
+        for t in (0.0, 0.3, 1.0):
+            scale = math.exp(-mu * t)
+            expected = scale * np.asarray(f.eval(t, x / scale)) - mu * x
+            np.testing.assert_allclose(shifted.eval(t, x), expected, rtol=1e-14, atol=1e-14)
 
     def test_exp_shift_adds_eps_to_a_declared_rate_only(self):
         sp = build_sine_space(2, math.pi)
@@ -1249,27 +1265,23 @@ class TestPathLinear:
             g.eval(zero_trajectory(sp, grid))
 
     def test_eval_disagreeing_with_its_data_rejected_when_built(self):
-        # eval reads 10 u(T) while the declared data say u(0), so the closed-form g*
-        # would read the data, not eval: the problem is refused, naming path_linear
-        sp, grid = build_sine_space(2, math.pi), TimeGrid(1.0, 32)
+        # declared data define g: an eval other than the data's is refused when g is
+        # built, naming path_linear, even one that agrees with the data
         data = PathLinear(np.zeros(2), np.eye(2), lambda grid: np.r_[1.0, np.zeros(grid.n_steps)])
-
-        def problem(g):
-            return NonlocalProblem(form=constant_form(sp, sp.gram_V, 1.0), proj=project(sp, 2),
-                                   f=zero_nonlinearity(), g=g, grid=grid, r0=1.0, R0=math.inf)
-
-        with pytest.raises(ValueError, match="path_linear"):
-            problem(NonlocalCondition(lambda tr: 10.0 * tr.values[..., -1, :], data))
-        problem(NonlocalCondition(lambda tr: tr.values[..., 0, :], data))  # agrees: accepted
+        for foreign in (lambda tr: 10.0 * tr.values[..., -1, :], lambda tr: tr.values[..., 0, :]):
+            with pytest.raises(ValueError, match="path_linear.*g_path_linear"):
+                NonlocalCondition(foreign, data)
+        assert NonlocalCondition(data.eval, data).path_linear is data
 
     def test_heat_preset_built_once(self, monkeypatch):
-        # the preset builds its problem shifted: the construction gates run once
+        # the preset builds its problem shifted: the construction gates run once, one
+        # row-contract gate for f and one for g
         import parabolic_nonlocal.nonlocal_solver as ns
 
-        calls, check = [], ns.check_affine
-        monkeypatch.setattr(ns, "check_affine", lambda *a: calls.append(1) or check(*a))
+        calls, check = [], ns.check_row_contract
+        monkeypatch.setattr(ns, "check_row_contract", lambda *a: calls.append(1) or check(*a))
         prob = preset_heat_timevarying(4, 64)
-        assert calls == [1] and prob.shift_mu == 0.4
+        assert calls == [1, 1] and prob.shift_mu == 0.4
 
 
 def coordinate_rotation(n):
