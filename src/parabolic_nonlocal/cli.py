@@ -199,10 +199,13 @@ def _initial_data(cfg, key, n_modes):
     return np.array(spec)
 
 
-def _reject_overflow(key, norms):
+def _reject_overflow(key, norms, norms_of=None, x=None):
     """Finite data ``key`` whose norms, or its path's, overflow (computed without
-    warnings) is an error."""
+    warnings) is an error.  A path's norms ``norms_of(x)`` are 1-homogeneous in its
+    data x, so if they overflow for x scaled to unit peak too, the horizon is named."""
     if not np.isfinite(norms).all():
+        if norms_of is not None and not np.isfinite(norms_of(x / (np.abs(x).max() or 1.0))).all():
+            key = "form.horizon"
         raise ConfigError(f"{key} is too large: norms computed from it overflow")
 
 
@@ -289,9 +292,10 @@ def cmd_propagate(config, seed, outdir):
     grid = TimeGrid(form.horizon, config.read("n_steps", 128, _integer))
     x = _initial_data(config, "x", space.n_modes)
     prop = build_propagator(form, None, grid, config.read("scheme", "cayley"))
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
+
+    def summary(x):
         traj = propagate(form, None, grid, x, propagator=prop)
-        results = {
+        return traj, {
             "h_norm_initial": traj.h_norms[0],
             "h_norm_final": traj.h_norms[-1],
             "h_norms_nonincreasing": bool(np.all(np.diff(traj.h_norms) <= 1e-10)),
@@ -301,7 +305,10 @@ def cmd_propagate(config, seed, outdir):
             "au_l2": au_l2(form, None, traj),
             "weighted_diagnostic": weighted_diagnostic(form, None, traj),
         }
-    _reject_overflow("x", list(results.values()))
+
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected here
+        traj, results = summary(x)
+        _reject_overflow("x", list(results.values()), lambda y: list(summary(y)[1].values()), x)
     return EXIT_OK, results, traj
 
 
@@ -348,10 +355,14 @@ def cmd_converge(config, seed, outdir):
     x = _initial_data(config, "x", space.n_modes)
     m_list = config.read("m_list", [2, 4, 8], _list_of(_integer))
     m_ref = config.read("m_ref", space.n_modes, _integer)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
-        study = projected_convergence_study(form, grid, x, m_list, m_ref)
+
+    def study_of(x):
+        return projected_convergence_study(form, grid, x, m_list, m_ref)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected here
+        study = study_of(x)
+        _reject_overflow("x", study, study_of, x)  # every m of the study is finite
     errs = [e for _, e in study]
-    _reject_overflow("x", errs)
     results = {
         "m_ref": m_ref,
         "study": [[m, e] for m, e in study],

@@ -262,14 +262,14 @@ def _solve_step(source: Callable[[float, np.ndarray], np.ndarray], t: float, u: 
     return new[ok], np.broadcast_to(s, new.shape)[ok], kept
 
 
-def _march(prop: Propagator, x: np.ndarray, f_values: np.ndarray | None,
-           source: Callable[[float, np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+def _march(prop: Propagator, x: np.ndarray,
+           source: np.ndarray | Callable | None = None) -> np.ndarray:
     """Roll the one-step scheme ``u_{j+1} = F_j u_j + B_j (s_j + s_{j+1}) / 2``.
 
     One loop body marches a ``(k, n)`` block of initial values into a
     ``(k, N+1, n)`` array, one path per row, for every kind of source: none,
-    nodal values ``f_values``, or a state-dependent ``source(t, U)`` (which
-    takes precedence).  Only a callable source iterates: it is called on the
+    an ``(N+1, n)`` array of nodal values, or a state-dependent callable
+    ``source(t, U)``.  Only a callable source iterates: it is called on the
     block of live rows (its value may broadcast, e.g. as an ``(n,)`` row), and
     :func:`_solve_step` solves every row's implicit step at once from the
     source extrapolated linearly from the last two nodes.  A row whose source
@@ -284,28 +284,28 @@ def _march(prop: Propagator, x: np.ndarray, f_values: np.ndarray | None,
     out = np.full((len(u), prop.grid.n_steps + 1, prop.space.n_modes), np.nan)
     out[:, 0] = u
     live = slice(None)  # the rows still marching
-    if source is not None:
+    if callable(source):
         s_prev = s_old = np.asarray(source(0.0, u), dtype=float)
         if not np.isfinite(s_prev).all():  # a row whose source is not finite takes no step
             s_prev = np.broadcast_to(s_prev, u.shape)
             live = np.flatnonzero(np.isfinite(s_prev).all(-1))
             u, s_prev = u[live], s_prev[live]
             s_old = s_prev
-    elif f_values is not None:  # every step's increment B_j (f_j + f_{j+1}) / 2 at once
-        f_mid = 0.5 * (f_values[:-1] + f_values[1:])
-        inc = np.matmul(prop.source_factors, f_mid[..., None])[..., 0]
+    elif source is not None:  # every step's increment B_j (s_j + s_{j+1}) / 2 at once
+        s_mid = 0.5 * (source[:-1] + source[1:])
+        inc = np.matmul(prop.source_factors, s_mid[..., None])[..., 0]
     for j in range(prop.grid.n_steps):
         if not len(u):
             break
         u = u @ prop.step_factors[j].T
-        if source is not None:
+        if callable(source):
             v, s_next, kept = _solve_step(source, float(prop.grid.nodes[j + 1]), u, s_prev,
                                           s_old, 0.5 * prop.source_factors[j].T)
             if kept is not None:  # rows left the block: their sources leave too
                 live = np.arange(len(out))[live][kept]
                 s_prev = np.broadcast_to(s_prev, u.shape)[kept]
             u, s_old, s_prev = v, s_prev, s_next
-        elif f_values is not None:
+        elif source is not None:
             u += inc[j]  # u is the fresh product above, never the caller's x
         out[live, j + 1] = u
     out[~np.isfinite(out[:, -1]).all(-1)] = np.nan  # a row that left has no end value
@@ -313,37 +313,35 @@ def _march(prop: Propagator, x: np.ndarray, f_values: np.ndarray | None,
 
 
 def propagate(form: TimeForm, proj: Projection | None, grid: TimeGrid, x: Vector,
-              scheme: str = "cayley", propagator: Propagator | None = None) -> Trajectory:
+              propagator: Propagator | None = None) -> Trajectory:
     """Solve the homogeneous problem u' + A u = 0, u(0) = x, on the grid."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("initial vector must be finite")
-    prop = propagator if propagator is not None else build_propagator(form, proj, grid, scheme)
-    return make_trajectory(form.space, grid, _march(prop, x, None))
+    prop = propagator if propagator is not None else build_propagator(form, proj, grid)
+    return make_trajectory(form.space, grid, _march(prop, x))
 
 
 def duhamel_solve(form: TimeForm, proj: Projection | None, grid: TimeGrid, x: Vector,
-                  f_values: np.ndarray, scheme: str = "cayley",
-                  propagator: Propagator | None = None) -> Trajectory:
+                  f_values: np.ndarray, propagator: Propagator | None = None) -> Trajectory:
     """Solve u' + A u = f with nodal source values, trapezoidal in the source."""
     f_values = np.asarray(f_values, dtype=float)
     if f_values.shape != (grid.n_steps + 1, form.space.n_modes):
         raise ValueError("f_values must be given at every grid node")
-    prop = propagator if propagator is not None else build_propagator(form, proj, grid, scheme)
+    prop = propagator if propagator is not None else build_propagator(form, proj, grid)
     return make_trajectory(form.space, grid, _march(prop, np.asarray(x, dtype=float), f_values))
 
 
 def duhamel_direct_sum(form: TimeForm, proj: Projection | None, grid: TimeGrid, x: Vector,
-                       f_values: np.ndarray, scheme: str = "cayley",
-                       propagator: Propagator | None = None) -> np.ndarray:
+                       f_values: np.ndarray) -> np.ndarray:
     """Cross-check path: propagated data plus the rectangle-rule source sum.
 
     Computes ``E(t_k,0) x + sum_{j<k} E(t_k,t_j) f(t_j) dt`` by the recursion
-    ``y_{k+1} = F_k (y_k + dt f_k)``.  First-order in dt; used to validate
-    the one-step solve, never to replace it.
+    ``y_{k+1} = F_k (y_k + dt f_k)`` with Cayley factors.  First-order in dt;
+    used to validate the one-step solve, never to replace it.
     """
     f_values = np.asarray(f_values, dtype=float)
-    prop = propagator if propagator is not None else build_propagator(form, proj, grid, scheme)
+    prop = build_propagator(form, proj, grid)
     dt = grid.dt
     out = np.empty((grid.n_steps + 1, form.space.n_modes))
     out[0] = np.asarray(x, dtype=float)
@@ -359,7 +357,7 @@ def reversed_form(form: TimeForm) -> TimeForm:
 
 
 def adjoint_propagate(form: TimeForm, proj: Projection | None, grid: TimeGrid, x: Vector,
-                      i_t: int, i_s: int, scheme: str = "cayley") -> Vector:
+                      i_t: int, i_s: int) -> Vector:
     """Action of the pivot-adjoint propagator E(t,s)* on x, for grid nodes s < t.
 
     Realized by propagating the time-reversed transposed form from node
@@ -369,7 +367,7 @@ def adjoint_propagate(form: TimeForm, proj: Projection | None, grid: TimeGrid, x
     if not 0 <= i_s < i_t <= grid.n_steps:
         raise ValueError("need grid node indices with s < t")
     rform = reversed_form(form)
-    rprop = build_propagator(rform, proj, grid, scheme)
+    rprop = build_propagator(rform, proj, grid)
     return rprop.apply(np.asarray(x, dtype=float), grid.n_steps - i_t, grid.n_steps - i_s)
 
 
@@ -410,7 +408,7 @@ def projected_convergence_study(form: TimeForm, grid: TimeGrid, x: Vector,
     stack = stiffness_stack(form, None, grid.midpoints)
     reduced = [_reduced_path(form, m, grid, stack, x) for m in m_list]
     ref_proj = None if m_ref == space.n_modes else project(space, m_ref)
-    ref = _march(build_propagator(form, ref_proj, grid, stack=stack), x, None)
+    ref = _march(build_propagator(form, ref_proj, grid, stack=stack), x)
     del stack  # now the reference's step factors; freed before the error paths
     out = []
     for m, vals in zip(m_list, reduced):
@@ -428,7 +426,7 @@ def _reduced_path(form: TimeForm, m: int, grid: TimeGrid, stack: np.ndarray,
     x0 = project(form.space, m).matrix[:m] @ x
     prop = build_propagator(_leading_mode_form(form, m), None, grid,
                             stack=stack[:, :m, :m].copy())
-    return _march(prop, x0, None)
+    return _march(prop, x0)
 
 
 def _leading_mode_form(form: TimeForm, m: int) -> TimeForm:

@@ -107,12 +107,14 @@ def build_sine_space(n_modes: int, length: float) -> GalerkinSpace:
     if not (length > 0.0 and math.isfinite(length)):  # NaN fails too
         raise ValueError(f"length must be positive and finite, got {length!r}")
     k = np.arange(1, n_modes + 1)
-    gram_h = np.eye(n_modes)
-    gram_v = np.diag((k * math.pi / length) ** 2)
+    with np.errstate(over="ignore"):  # overflow is rejected below
+        gram_v = np.diag((k * math.pi / length) ** 2)
+    if not np.isfinite(gram_v).all():
+        raise ValueError(f"length {length!r} is too small: the energy Gram overflows")
     return GalerkinSpace(
         n_modes=n_modes,
         domain_length=float(length),
-        gram_H=gram_h,
+        gram_H=np.eye(n_modes),
         gram_V=gram_v,
         embed_const=length / math.pi,
     )
@@ -189,8 +191,8 @@ def _gauss_panels(a: float, b: float, panels: int, order: int) -> tuple[np.ndarr
     return (mid[:, None] + half[:, None] * q_nodes).ravel(), (half[:, None] * q_weights).ravel()
 
 
-def default_audit_grid(horizon: float, n_points: int = 33) -> np.ndarray:
-    return np.linspace(0.0, horizon, n_points)
+def default_audit_grid(horizon: float) -> np.ndarray:
+    return np.linspace(0.0, horizon, 33)
 
 
 def estimate_bounds(form: TimeForm, t_grid: np.ndarray) -> tuple[float, float]:
@@ -218,14 +220,14 @@ class FormAuditReport:
     dini_pass: bool
 
 
-def audit_dini(form: TimeForm, h_grid: np.ndarray, n_time_samples: int = 17) -> FormAuditReport:
+def audit_dini(form: TimeForm, h_grid: np.ndarray) -> FormAuditReport:
     """Fit the power-law exponent of the form's modulus of continuity.
 
     For each gap h the sampled modulus is the worst energy-weighted operator
-    norm of ``S(t+h) - S(t)``.  The exponent is the least-squares slope of
-    ``log w`` against ``log h`` over the smallest decade of gaps; an exponent
-    above 1/2 certifies the singular-integral conditions for power moduli.
-    A constant-in-time form reports an infinite exponent.
+    norm of ``S(t+h) - S(t)`` over 17 equally spaced t.  The exponent is the
+    least-squares slope of ``log w`` against ``log h`` over the smallest decade
+    of gaps; an exponent above 1/2 certifies the singular-integral conditions
+    for power moduli.  A constant-in-time form reports an infinite exponent.
     """
     h_grid = np.asarray(h_grid, dtype=float)
     if h_grid.size < 4:
@@ -236,7 +238,7 @@ def audit_dini(form: TimeForm, h_grid: np.ndarray, n_time_samples: int = 17) -> 
         raise ValueError("smallest gap must not exceed horizon/100")
 
     irv = form.space.inv_sqrt_V
-    t_samples = np.linspace(0.0, form.horizon, n_time_samples)
+    t_samples = np.linspace(0.0, form.horizon, 17)
     stack = stiffness_stack(form, None, t_samples)
     omegas = np.empty_like(h_grid)
     for i, h in enumerate(h_grid):

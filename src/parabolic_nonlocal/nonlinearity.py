@@ -22,12 +22,6 @@ ROW_CHUNK = 4096  # rows per block of the sampled audits: memory stays fixed for
 GROWTH_TIMES = 16  # times drawn by growth_audit; f is called once per time, on all the points
 
 
-def _rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
 @dataclass(frozen=True)
 class AffineSource:
     """Data of an affine f: ``f(t, x) = rest(t) - rate x``.
@@ -156,18 +150,18 @@ def _points_of_radii(space: GalerkinSpace, radii: np.ndarray,
 
 
 def growth_audit(f: Nonlinearity, space: GalerkinSpace, horizon: float, n_samples: int = 1000,
-                 max_radius: float = 1e3, seed=0) -> tuple[bool, float]:
+                 seed=0) -> tuple[bool, float]:
     """Spot-check the declared growth bound in the pivot norm of ``space``.
 
     Draws ``GROWTH_TIMES`` times in [0, horizon], then ``ceil(n_samples /
-    GROWTH_TIMES)`` points with pivot norms log-spread up to ``max_radius``,
+    GROWTH_TIMES)`` points with pivot norms log-spread over [1e-2, 1e3],
     and calls f once per time on the whole block of points.  Returns (passed,
     worst_excess) where the excess is ``|f(t,x)| - a |x| - b(t)``; pass means
     excess <= 1e-10 everywhere sampled, and a non-finite f value fails.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     times = rng.uniform(0.0, horizon, GROWTH_TIMES)
-    radii = 10.0 ** rng.uniform(-2.0, math.log10(max_radius), math.ceil(n_samples / GROWTH_TIMES))
+    radii = 10.0 ** rng.uniform(-2.0, 3.0, math.ceil(n_samples / GROWTH_TIMES))
     x = _points_of_radii(space, radii, rng)
     excess = [np.max(space.h_norm(np.asarray(f.eval(float(t), x), dtype=float))
                      - f.growth_a * radii) - f.growth_b(float(t)) for t in times]
@@ -204,7 +198,7 @@ def scan_transversality(f: Nonlinearity, r0: float, R0: float, n_samples: int,
         raise ValueError("n_samples must be at least 100")
     radii = np.geomspace(r0, min(R0, 10.0 * r0), 16)
     n_dirs = max(1, math.ceil(n_samples / (len(radii) * len(t_grid))))
-    x = _points_of_radii(space, np.repeat(radii, n_dirs), _rng(seed))
+    x = _points_of_radii(space, np.repeat(radii, n_dirs), np.random.default_rng(seed))
     vals = np.array([np.vecdot(np.asarray(f.eval(float(t), x)) @ space.gram_H, x)
                      for t in t_grid])
     return TransversalityReport(r0=r0, R0=R0, violations=int((vals > 0.0).sum()),
@@ -266,23 +260,21 @@ def check_row_contract(fn: Callable[[np.ndarray], np.ndarray], core: int | tuple
                          f"it must equal np.vectorize({name}, signature='{signature}')")
 
 
-def check_monotone(phi: ConvexFunctional, n_pairs: int, seed=0,
-                   radius: float = 10.0) -> float:
-    """Smallest sampled value of <grad(x) - grad(y), x - y>; monotone means >= 0."""
+def check_monotone(phi: ConvexFunctional, n_pairs: int, seed=0) -> float:
+    """Smallest <grad(x) - grad(y), x - y> over pairs drawn in [-10, 10]^dim; >= 0 if monotone."""
     if n_pairs < 100:
         raise ValueError("n_pairs must be at least 100")
-    xy = _rng(seed).uniform(-radius, radius, (n_pairs, 2, phi.dim))
+    xy = np.random.default_rng(seed).uniform(-10.0, 10.0, (n_pairs, 2, phi.dim))
     grad = phi.gradient(xy)
     return float(np.vecdot(grad[:, 0] - grad[:, 1], xy[:, 0] - xy[:, 1]).min())
 
 
-def gradient_consistency(phi: ConvexFunctional, n_points: int, h: float,
-                         seed=0, radius: float = 2.0) -> float:
-    """Worst relative gap between the gradient and central differences of phi."""
+def gradient_consistency(phi: ConvexFunctional, n_points: int, h: float, seed=0) -> float:
+    """Worst relative gap between the gradient and central differences of phi on [-2, 2]^dim."""
     if not 1e-7 <= h <= 1e-3:
         raise ValueError("h must lie in [1e-7, 1e-3]")
-    rng = _rng(seed)
-    x = rng.uniform(-radius, radius, (n_points, phi.dim))
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0, 2.0, (n_points, phi.dim))
     d = rng.standard_normal((n_points, phi.dim))
     d /= np.linalg.norm(d, axis=-1, keepdims=True)
     fd = (phi.value(x + h * d) - phi.value(x - h * d)) / (2.0 * h)
@@ -291,24 +283,23 @@ def gradient_consistency(phi: ConvexFunctional, n_points: int, h: float,
 
 
 def evi_residual(form: TimeForm, phi: ConvexFunctional, traj: Trajectory,
-                 n_test: int, seed=0, test_radius: float | None = None) -> float:
+                 n_test: int, seed=0) -> float:
     """Variational-inequality residual of a gradient-flow trajectory.
 
     For interior nodes (derivative by central differences) and random test
     points v, evaluates ``<u' + A u, v - u>_H - phi(u) + phi(v)``; on an exact
     gradient-flow solution this is nonnegative by convexity, and the discrete
-    defect is first order in the step size.  Test points are drawn node by
-    node as one generator stream, in chunks of ``ROW_CHUNK`` points.
+    defect is first order in the step size.  Test points in ``[-r, r]^dim``, r = max |u|_H + 1,
+    are drawn node by node as one generator stream, in chunks of ``ROW_CHUNK`` points.
     """
     if n_test < 1:
         raise ValueError("n_test must be at least 1")
     if traj.grid.n_steps < 2:
         raise ValueError("the grid has no interior node to test")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     gh = traj.space.gram_H
     dt = traj.grid.dt
-    if test_radius is None:
-        test_radius = float(traj.h_norms.max()) + 1.0
+    test_radius = float(traj.h_norms.max()) + 1.0
     # <u' + A u, w>_H = (G_H u')^T w + (S u)^T w in coordinates, at every interior node
     vals = traj.values[:, :, None]
     du = (vals[2:] - vals[:-2]) / (2.0 * dt)

@@ -35,8 +35,7 @@ from .evolution import (
 )
 from .galerkin import (GalerkinSpace, Matrix, Projection, TimeForm, Vector, _gauss_panels,
                        stiffness_stack)
-from .nonlinearity import (ROW_CHUNK, Nonlinearity, _rng, check_row_contract, f_affine,
-                           scan_transversality)
+from .nonlinearity import ROW_CHUNK, Nonlinearity, check_row_contract, f_affine, scan_transversality
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +208,7 @@ def _sampled_sup(g: NonlocalCondition, norm: Callable[[np.ndarray], np.ndarray],
     ``targets[:, i]``.  Paths are drawn and passed to g in blocks of at most
     ``ROW_CHUNK`` nodes; the draws equal drawing one path at a time.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     targets = targets(rng)
     targets = np.broadcast_to(targets, (len(targets), n_samples))
     per, worst = max(1, ROW_CHUNK // (grid.n_steps + 1)), np.zeros(len(targets))
@@ -321,18 +320,17 @@ class NonlocalProblem:
                            (grid.n_steps + 1, n), "(m,n)->(n)", "g.eval")
 
 
-def audit_problem(prob: NonlocalProblem, n_samples: int = 300, seed=0) -> dict:
-    """Run the standing audits: inward-pointing scan, g bound (see :func:`_g_sup`) and g's
-    admissibility; ``g_star_method`` says how the g-bound margins were obtained."""
+def audit_problem(prob: NonlocalProblem, seed=0) -> dict:
+    """Run the standing audits: inward-pointing scan (300 points), g bound (30 paths when
+    sampled, see :func:`_g_sup`) and g's admissibility; ``g_star_method`` names the method."""
     space = prob.form.space
     t_grid = np.linspace(0.0, prob.grid.horizon, 9)
-    scan = scan_transversality(prob.f, prob.r0, prob.R0, max(100, n_samples), t_grid, space,
-                               seed=seed)
+    scan = scan_transversality(prob.f, prob.r0, prob.R0, 300, t_grid, space, seed=seed)
     cap = prob.R0 if math.isfinite(prob.R0) else 10.0 * prob.r0
     radii, grid = np.geomspace(prob.r0 * 1.0001, cap * 0.9999, 4), prob.grid
     # a sampled g scales one draw of paths to the four radii
-    margins = radii - _g_sup(prob.g, False, radii * math.sqrt(grid.horizon),
-                             max(20, n_samples // 10), grid, space, seed)
+    margins = radii - _g_sup(prob.g, False, radii * math.sqrt(grid.horizon), 30, grid, space,
+                             seed)
     g_ok = bool((margins > 0.0).all())
     return {
         "transversality": scan,
@@ -424,7 +422,7 @@ def _light_s_apply(prob: NonlocalProblem, march: _StageMarch, lam: float,
     if march.f_values is not None:  # f's linear part is in the step factors
         return _march(march.prop, x, march.f_values)
     lam_pt, f = lam * prob.proj.matrix.T, prob.f.eval
-    return _march(march.prop, x, None, lambda t, u: np.asarray(f(t, u), dtype=float) @ lam_pt)
+    return _march(march.prop, x, lambda t, u: np.asarray(f(t, u), dtype=float) @ lam_pt)
 
 
 class _Halt(Exception):
@@ -667,10 +665,12 @@ def exp_shift(prob: NonlocalProblem, mu: float) -> NonlocalProblem:
     from them).
     The condition g is composed with the inverse scaling so fixed points map
     one-to-one (a path-linear g's node weights gain the factors ``e^{mu t_j}``);
-    ``mu = 0`` is the identity.
+    ``mu = 0`` is the identity; a total ``shift_mu`` whose e^(shift_mu T) overflows raises.
     """
     if mu < 0.0:
         raise ValueError("mu must be nonnegative")
+    if (prob.shift_mu + mu) * prob.grid.horizon > math.log(np.finfo(float).max):
+        raise ValueError(f"shift_mu {prob.shift_mu + mu!r} is too large: e^(shift_mu t) overflows")
     if mu == 0.0:
         return replace(prob)
     return replace(prob, **_exp_shift_fields(prob.form, prob.f, prob.g, mu),
@@ -722,14 +722,13 @@ def unshift_trajectory(traj: Trajectory, mu: float) -> Trajectory:
     return make_trajectory(traj.space, traj.grid, scaled)
 
 
-def annulus_energy_check(traj: Trajectory, r0: float, R0: float,
-                         tol_coeff: float = 10.0) -> bool:
+def annulus_energy_check(traj: Trajectory, r0: float, R0: float) -> bool:
     """No pivot-norm growth along any stretch of the path inside the annulus.
 
-    The permitted slack is first order in the time step.  Paths that never
-    enter the annulus pass vacuously.
+    The permitted slack is ``10 dt``, first order in the time step.  Paths that
+    never enter the annulus pass vacuously.
     """
-    tol, h = tol_coeff * traj.grid.dt, traj.h_norms
+    tol, h = 10.0 * traj.grid.dt, traj.h_norms
     # each inside stretch h[a:b] is compared with its own running minimum
     edges = np.flatnonzero(np.diff((h > r0) & (h < R0), prepend=False, append=False))
     return not any((h[a + 1:b] > np.minimum.accumulate(h[a:b - 1]) + tol).any()

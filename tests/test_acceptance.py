@@ -285,7 +285,7 @@ def test_c12_growth_and_transversality():
     failures = []
     for name, (f, dim) in bundled.items():
         ok, worst = pn.growth_audit(f, space=pn.build_sine_space(dim, math.pi), horizon=1.0,
-                                    n_samples=1000, max_radius=1e3, seed=12)
+                                    n_samples=1000, seed=12)
         if not ok:
             failures.append(f"{name} (excess {worst:.2e})")
     outward = pn.Nonlinearity(lambda t, x: +x, 1.0, lambda t: 0.0)

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -269,7 +272,26 @@ BAD_VALUES = {
                                   "problem": {"n_modes": 2, "n_steps": 16,
                                               "g": {"kind": "constant",
                                                     "x0": [1e308, 1e308]}}}),
+    # edge values whose arithmetic overflows: a tiny length once crashed with an
+    # OverflowError (one mode) or failed with "Eigenvalues did not converge"; the
+    # widths, the shift and the horizon once printed numpy warnings, then failed
+    # naming support_radius, derivative_mass, numpy's size limit, the node weights
+    # and x
+    "tiny_length": ("length", {"command": "verify-form", "form": {"length": 1e-160}}),
+    "tiny_length_one_mode": ("length", {"command": "propagate",
+                                        "form": {"n_modes": 1, "length": 1e-300}}),
+    "tiny_stiffness_length": ("length", {"command": "verify-form", "form": {"length": 1e-120}}),
+    "zero_width": ("width", {"command": "solve",
+                             "problem": {"g": {"kind": "mollified_integral", "width": 0}}}),
+    "tiny_width": ("width", {"command": "solve",
+                             "problem": {"g": {"kind": "mollified_integral", "width": 1e-300}}}),
+    "huge_width": ("width", {"command": "solve",
+                             "problem": {"g": {"kind": "mollified_integral", "width": 1e300}}}),
+    "huge_shift_mu": ("shift_mu", {"command": "solve", "problem": {"shift_mu": 800}}),
+    "huge_horizon": ("form.horizon", {"command": "propagate", "form": {"horizon": 1e300}}),
 }
+EDGE_VALUES = ["tiny_length", "tiny_length_one_mode", "tiny_stiffness_length", "zero_width",
+               "tiny_width", "huge_width", "huge_shift_mu", "huge_horizon"]
 
 
 class TestReportValues:
@@ -367,6 +389,25 @@ class TestConfigHandling:
         out = tmp_path / "out"
         assert main(["--config", cfg, "--output", str(out), "--quiet"]) == 1
         assert key in read_report(out)["error"]
+
+    @pytest.mark.parametrize("name", EDGE_VALUES)
+    def test_edge_value_error_names_key_with_nothing_on_stderr(self, tmp_path, capfd, name):
+        # the console entry runs as its own process, so a numpy warning reaches its
+        # stderr as a user would see it instead of pytest's warning filters
+        key, payload = BAD_VALUES[name]
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        out = tmp_path / "out"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        env.pop("PYTHONWARNINGS", None)  # Python's default filters print a warning once
+        done = subprocess.run([sys.executable, "-m", "parabolic_nonlocal.cli", "--config", cfg,
+                               "--output", str(out), "--quiet"], env=env)
+        err = capfd.readouterr().err
+        assert done.returncode == 1
+        rep = read_report(out)
+        assert rep["exit_code"] == 1 and key in rep["error"]
+        assert "Warning" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("payload, section, key", [
         ({"command": "solve", "seed": 4, "problem": {"n_modes": 2, "n_steps": 8},

@@ -392,8 +392,7 @@ class TestStateDependentSource:
         prop = build_propagator(form, None, grid)
         c = 0.7
         h = np.cos(3.0 * grid.nodes)
-        out = _march(prop, np.array([0.4]), None,
-                     lambda t, u: math.cos(3.0 * t) - c * u)
+        out = _march(prop, np.array([0.4]), lambda t, u: math.cos(3.0 * t) - c * u)
         exact = np.empty(65)
         exact[0] = 0.4
         for j in range(64):
@@ -410,7 +409,7 @@ class TestStateDependentSource:
         src = np.outer(np.sin(grid.nodes), [1.0, -0.5, 0.25])
         x = np.array([0.2, 0.1, -0.3])
         nodal = _march(prop, x, src)
-        state = _march(prop, x, None, lambda t, u: math.sin(t) * np.array([1.0, -0.5, 0.25]))
+        state = _march(prop, x, lambda t, u: math.sin(t) * np.array([1.0, -0.5, 0.25]))
         assert np.abs(nodal - state).max() <= 1e-15
 
     def test_divergent_step_iteration_raises(self):
@@ -418,7 +417,7 @@ class TestStateDependentSource:
         # stays finite, and the unsolved path comes back NaN
         sp, form = scalar_form()
         prop = build_propagator(form, None, TimeGrid(1.0, 32))
-        out = _march(prop, np.array([1.0]), None, lambda t, u: 96.0 * u)
+        out = _march(prop, np.array([1.0]), lambda t, u: 96.0 * u)
         assert out.shape == (33, 1) and np.isnan(out).all()
 
     def test_overflowing_step_iteration_raises_floating_point_error(self):
@@ -434,7 +433,7 @@ class TestStateDependentSource:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = _march(prop, np.array([1.0]), None, source)
+            out = _march(prop, np.array([1.0]), source)
         assert out.shape == (33, 1) and np.isnan(out).all()
         assert len(finite_inputs) == 16 and all(finite_inputs)
 
@@ -455,10 +454,10 @@ class TestBlockMarch:
             def source(t, u):
                 return u @ a.T + math.cos(t) * h
         xs = rng.standard_normal((k, n))
-        block = _march(prop, xs, None, source)
+        block = _march(prop, xs, source)
         assert block.shape == (k, 33, n)
         for x, row in zip(xs, block):
-            single = _march(prop, x, None, source)
+            single = _march(prop, x, source)
             assert np.abs(row - single).max() <= STEP_TOL * (1.0 + np.abs(single).max())
 
     @pytest.mark.parametrize("gain, calls", [(1e12, 217), (96.0, 302)],
@@ -478,12 +477,12 @@ class TestBlockMarch:
         xs = np.array([[0.5], [5.0], [-0.3]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            block = _march(prop, xs, None, source)
+            block = _march(prop, xs, source)
             assert len(finite_inputs) == calls and all(finite_inputs)
-            failed = _march(prop, xs[1], None, source)
+            failed = _march(prop, xs[1], source)
         assert np.isnan(block[1]).all()
         for i in (0, 2):
-            single = _march(prop, xs[i], None, source)
+            single = _march(prop, xs[i], source)
             assert np.abs(block[i] - single).max() <= STEP_TOL * (1.0 + np.abs(single).max())
         assert np.isnan(failed).all()
 
@@ -496,8 +495,8 @@ class TestBlockMarch:
         def source(t, u):
             return gain * u + math.sin(t)
 
-        single = _march(prop, np.array([1.0]), None, source)
-        block = _march(prop, np.array([[1.0]]), None, source)
+        single = _march(prop, np.array([1.0]), source)
+        block = _march(prop, np.array([[1.0]]), source)
         assert single.shape == block.shape[1:] == (33, 1)
         assert np.array_equal(single, block[0], equal_nan=True)
         assert np.isfinite(single).all() == (gain < 0.0)
@@ -518,8 +517,8 @@ class TestBlockMarch:
         block_calls, good_calls = [], []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            block = _march(prop, xs, None, counted(block_calls))
-            good = _march(prop, xs[[0, 2]], None, counted(good_calls))
+            block = _march(prop, xs, counted(block_calls))
+            good = _march(prop, xs[[0, 2]], counted(good_calls))
         assert np.isnan(block[1]).all()
         assert np.array_equal(block[[0, 2]], good)
         assert len(block_calls) <= len(good_calls)
@@ -535,8 +534,8 @@ class TestBlockMarch:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            block = _march(prop, np.array([[0.5], [5.0]]), None, source)
-            single = _march(prop, np.array([5.0]), None, source)
+            block = _march(prop, np.array([[0.5], [5.0]]), source)
+            single = _march(prop, np.array([5.0]), source)
         assert np.isnan(block[1]).all()
         assert np.isfinite(block[0]).all()
         assert np.isnan(single).all()
@@ -564,7 +563,7 @@ class TestRandomFormProperties:
 
         x = rng.standard_normal((k, n) if k else n)
         nodal = _march(prop, x, np.array([source(float(t), None) for t in grid.nodes]))
-        state = _march(prop, x, None, source)
+        state = _march(prop, x, source)
         assert nodal.shape == state.shape == (*x.shape[:-1], n_steps + 1, n)
         assert np.abs(nodal - state).max() <= STEP_TOL * (1.0 + np.abs(state).max())
 
@@ -591,7 +590,7 @@ class TestRandomFormProperties:
         sp = build_sine_space(n, math.pi)
         prop = build_propagator(random_accretive_form(sp, rng), None, TimeGrid(1.0, n_steps))
         xs = rng.standard_normal((k, n))
-        norms = sp.h_norm(_march(prop, xs, None))
+        norms = sp.h_norm(_march(prop, xs))
         assert norms.shape == (k, n_steps + 1)
         assert norms[:, 0] == pytest.approx([sp.h_norm(x) for x in xs], rel=1e-14)
         assert np.all(np.diff(norms, axis=1) <= 1e-12 * norms[:, :1])

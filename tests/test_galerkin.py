@@ -72,6 +72,13 @@ class TestSineSpace:
         with pytest.raises(ValueError):
             build_sine_space(3, -1.0)
 
+    @pytest.mark.parametrize("n, length", [(1, 1e-160), (4, 1e-154), (4, 1e-310)])
+    def test_overflowing_energy_gram_rejected_by_name(self, n, length):
+        # (k pi / L)^2 once overflowed with numpy warnings, then failed in the eigensolver
+        # or, for one mode, raised OverflowError in the stiffness assembly
+        with pytest.raises(ValueError, match="length .* is too small: the energy Gram"):
+            build_sine_space(n, length)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_embed_const_rejected_by_name(self, value):
         sp = build_sine_space(2, math.pi)

@@ -228,6 +228,24 @@ class TestMollifierKernels:
             k = cosine_bump_kernel(width)
             assert k.derivative_mass == pytest.approx(2.0 / width, rel=1e-3)
 
+    @pytest.mark.parametrize("width", [0.0, -1.0, 1e-300, 1e300, math.nan, math.inf])
+    def test_width_outside_bounds_rejected_by_name(self, width):
+        # 0 and 1e-300 once printed numpy warnings from the mass quadrature, then failed
+        # naming support_radius or derivative_mass; 1e300 overflowed the node spacing
+        with pytest.raises(ValueError, match="width must lie in"):
+            cosine_bump_kernel(width)
+
+    @pytest.mark.parametrize("width", [1e-150, 1e150])
+    def test_widths_at_the_bounds_have_finite_masses(self, width):
+        k = cosine_bump_kernel(width)
+        assert k.mass == pytest.approx(1.0, abs=1e-6)
+        assert k.derivative_mass == pytest.approx(2.0 / width, rel=1e-3)
+
+    def test_overflowing_stiffness_rejected_by_name(self):
+        # k^2 (pi / L)^2 / L overflows at L = 1e-120, where the energy Gram is still finite
+        with pytest.raises(ValueError, match="length 1e-120 is too small: the stiffness"):
+            divergence_form_assemble(constant_coefficient(1.0), build_sine_space(4, 1e-120), 6)
+
     def test_profile_takes_arrays(self):
         k = cosine_bump_kernel(2.0)
         xs = np.array([-3.0, -2.0, -1.0, 0.0, 0.5, 2.0])

@@ -157,11 +157,10 @@ class TestGrowthAudit:
         gh = b @ b.T + 4.0 * np.eye(n)
         space = GalerkinSpace(n, math.pi, gh, gh, 1.0)
         ok, worst = growth_audit(saturating_drift(space), space, horizon=2.0, n_samples=1000,
-                                 max_radius=1e2, seed=3)
+                                 seed=3)
         assert ok and worst <= 1e-10
         euclidean = saturating_drift(build_sine_space(n, math.pi))
-        assert not growth_audit(euclidean, space, horizon=2.0, n_samples=1000,
-                                max_radius=1e2, seed=3)[0]
+        assert not growth_audit(euclidean, space, horizon=2.0, n_samples=1000, seed=3)[0]
 
     def test_understated_constants_fail(self):
         calls = []  # one f call per drawn time, on the block of ceil(500 / 16) points
@@ -429,7 +428,7 @@ class TestBlockAudits:
         f = saturating_drift(build_sine_space(4, math.pi))
         rng = np.random.default_rng(3)
         times = rng.uniform(0.0, 2.0, GROWTH_TIMES)
-        radii = 10.0 ** rng.uniform(-2.0, 2.0, 32)  # ceil(500 / 16) points
+        radii = 10.0 ** rng.uniform(-2.0, 3.0, 32)  # ceil(500 / 16) points
         excess = []
         for radius in radii:
             d = rng.standard_normal(4)
@@ -439,7 +438,7 @@ class TestBlockAudits:
                 excess.append(math.sqrt(fx @ gh @ fx) - f.growth_a * radius - f.growth_b(t))
         calls = []
         spy = Nonlinearity(counted(f.eval, calls), f.growth_a, f.growth_b)
-        ok, worst = growth_audit(spy, space, 2.0, n_samples=500, max_radius=1e2, seed=3)
+        ok, worst = growth_audit(spy, space, 2.0, n_samples=500, seed=3)
         assert worst == pytest.approx(max(excess), rel=1e-12, abs=1e-14)
         assert not ok  # |sin(t) e_1|_H = sqrt(gh[0, 0]) > 2 exceeds the declared b = 1
         assert calls == [(32, 4)] * GROWTH_TIMES
@@ -452,16 +451,17 @@ class TestBlockAudits:
         phi = pseudo_huber_functional(3)
         rng = np.random.default_rng(9)
         s = form.stiffness_at(np.array([0.0]))[0]
+        radius = float(tr.h_norms.max()) + 1.0  # test points fill [-radius, radius]^3
         worst = 0.0
         for j in range(1, grid.n_steps):
             u = tr.values[j]
             lin = (tr.values[j + 1] - tr.values[j - 1]) / (2.0 * grid.dt) + s @ u
             for _ in range(200):
-                v = rng.uniform(-0.3, 0.3, 3)
+                v = rng.uniform(-radius, radius, 3)
                 worst = min(worst, float(lin @ (v - u)) - phi.value(u) + phi.value(v))
         calls = []
         spy = ConvexFunctional(counted(phi.value, calls), phi.gradient, 3)
-        assert evi_residual(form, spy, tr, 200, seed=9, test_radius=0.3) == worst < 0.0
+        assert evi_residual(form, spy, tr, 200, seed=9) == worst < 0.0
         # u at every interior node, then 63 * 200 test points in chunks of 4096
         assert calls == [(63, 3), (4096, 3), (4096, 3), (4096, 3), (312, 3)]
 
