@@ -291,7 +291,7 @@ def cmd_propagate(config, seed, outdir):
     space, _, form = _form_from_config(config.section("form"))
     grid = TimeGrid(form.horizon, config.read("n_steps", 128, _integer))
     x = _initial_data(config, "x", space.n_modes)
-    prop = build_propagator(form, None, grid, config.read("scheme", "cayley"))
+    prop = build_propagator(form, None, grid)
 
     def summary(x):
         traj = propagate(form, None, grid, x, propagator=prop)

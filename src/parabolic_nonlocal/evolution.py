@@ -1,10 +1,9 @@
 """Time stepping: contractive propagators, source solves, and path norms.
 
-The default one-step factor is the midpoint Cayley transform
-``(G_H + dt/2 S)^(-1) (G_H - dt/2 S)``, which is nonexpansive in the pivot
-norm whenever the form is accretive, so norm decay of homogeneous solutions
-is an exact discrete invariant rather than an asymptotic one.  Implicit
-Euler is kept for stiff-robustness comparisons.
+The one-step factor is the midpoint Cayley transform
+``(G_H + dt/2 S)^(-1) (G_H - dt/2 S)``, which is second order and nonexpansive
+in the pivot norm whenever the form is accretive, so norm decay of homogeneous
+solutions is an exact discrete invariant rather than an asymptotic one.
 """
 
 from __future__ import annotations
@@ -27,9 +26,6 @@ from .galerkin import (
     project_stack,
     stiffness_stack,
 )
-
-SCHEMES = ("cayley", "implicit_euler")
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -64,7 +60,7 @@ class Propagator:
     ``step_factors[j]`` maps data at node j to node j+1; two-parameter
     actions are composed products, so the evolution-family law holds exactly
     at grid nodes.  ``source_factors[j]`` applies the step's source weight
-    ``dt * (G_H + c S)^(-1) G_H``.
+    ``dt * (G_H + dt/2 S)^(-1) G_H``.
     """
 
     space: GalerkinSpace
@@ -90,13 +86,12 @@ class Propagator:
         return np.linalg.norm(weighted, 2, axis=(1, 2))
 
 
-def build_propagator(form: TimeForm, proj: Projection | None, grid: TimeGrid,
-                     scheme: str = "cayley", stack: np.ndarray | None = None) -> Propagator:
-    """Materialize the one-step factors for the (optionally reduced) form.
+def build_propagator(form: TimeForm, proj: Projection | None, grid: TimeGrid, *,
+                     stack: np.ndarray | None = None) -> Propagator:
+    """Materialize the Cayley one-step factors for the (optionally reduced) form.
 
-    With ``c = dt/2`` (Cayley) or ``dt`` (implicit Euler), one batched solve
-    gives ``X_j = (G_H + c S(t_{j+1/2}))^(-1) G_H`` for every step; the step
-    factor is ``2 X - I`` (Cayley) or ``X``, the source factor ``dt X``.  The
+    One batched solve gives ``X_j = (G_H + dt/2 S(t_{j+1/2}))^(-1) G_H`` for
+    every step; the step factor is ``2 X - I``, the source factor ``dt X``.  The
     midpoint stiffnesses come as one :func:`stiffness_stack`, unless ``stack``
     already holds the form's stiffness at ``grid.midpoints`` (unprojected,
     C-contiguous like every :func:`stiffness_stack`); it is then projected
@@ -104,8 +99,6 @@ def build_propagator(form: TimeForm, proj: Projection | None, grid: TimeGrid,
     stack, so a build holds at most two stacks, and both factor stacks are
     C-contiguous.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if grid.horizon > form.horizon * (1.0 + 1e-12):
         raise ValueError("grid horizon exceeds the form's horizon")
     gh = form.space.gram_H
@@ -118,17 +111,12 @@ def build_propagator(form: TimeForm, proj: Projection | None, grid: TimeGrid,
         raise ValueError("stack must be C-contiguous, as stiffness_stack returns it")
     else:
         lhs = stack if proj is None else project_stack(form, proj, stack)
-    lhs *= 0.5 * dt if scheme == "cayley" else dt
+    lhs *= 0.5 * dt
     lhs += gh
-    x = np.linalg.solve(lhs, np.broadcast_to(gh, lhs.shape))
-    if scheme == "cayley":
-        steps = np.multiply(x, 2.0, out=lhs)
-        steps -= np.eye(gh.shape[0])
-        sources = x
-        sources *= dt
-    else:
-        steps = x
-        sources = np.multiply(x, dt, out=lhs)
+    sources = np.linalg.solve(lhs, np.broadcast_to(gh, lhs.shape))
+    steps = np.multiply(sources, 2.0, out=lhs)
+    steps -= np.eye(gh.shape[0])
+    sources *= dt
     return Propagator(space=form.space, grid=grid, step_factors=steps, source_factors=sources)
 
 

@@ -159,8 +159,8 @@ def divergence_form_assemble(field: CoefficientField, space: GalerkinSpace,
     and gathered at ``|i - j|`` and ``i + j`` by a C-order gather.
 
     The assembly is verified by comparing against doubled quadrature order at
-    three sampled times; disagreement above 1e-8 per entry raises
-    :class:`QuadratureNotConverged`.
+    three sampled times; an entry drift above ``1e-8 max(1, largest |entry|)`` at a
+    time raises :class:`QuadratureNotConverged`.
     """
     if quad_order < 4:
         raise ValueError("quad_order must be at least 4")
@@ -187,10 +187,11 @@ def divergence_form_assemble(field: CoefficientField, space: GalerkinSpace,
 
     rule = quad_rule(quad_order)
     checks = np.array([0.0, 0.5 * horizon, horizon])
-    gaps = np.abs(assemble(checks, *rule)
-                  - assemble(checks, *quad_rule(2 * quad_order))).max(axis=(1, 2))
-    if gaps.max() > 1e-8:
-        worst = int(gaps.argmax())
+    low = assemble(checks, *rule)
+    gaps = np.abs(low - assemble(checks, *quad_rule(2 * quad_order))).max(axis=(1, 2))
+    tols = 1e-8 * np.maximum(1.0, np.abs(low).max(axis=(1, 2)))
+    if (gaps > tols).any():
+        worst = int((gaps / tols).argmax())
         raise QuadratureNotConverged(
             f"quadrature not converged at t={checks[worst]}: entry drift {gaps[worst]:.2e}")
 

@@ -62,7 +62,8 @@ class Nonlinearity:
     ``np.vectorize(f, excluded={0}, signature="(n)->(n)")``.
 
     The declared constants promise ``|f(t,x)|_H <= growth_a |x|_H + growth_b(t)``;
-    :func:`growth_audit` spot-checks the promise.
+    :func:`growth_audit` spot-checks the promise.  ``growth_b`` maps a ``(k,)`` array
+    of times to ``(k,)`` values, or to a scalar that broadcasts.
 
     ``affine``, when given, declares f affine: ``f(t, x) = rest(t) - rate x``
     (see :class:`AffineSource`).  The data then define f: ``eval`` must be
@@ -74,7 +75,7 @@ class Nonlinearity:
 
     eval: Callable[[float, Vector], Vector]
     growth_a: float
-    growth_b: Callable[[float], float]
+    growth_b: Callable[[np.ndarray], np.ndarray | float]
     affine: AffineSource | None = None
 
     def __post_init__(self) -> None:
@@ -84,7 +85,7 @@ class Nonlinearity:
 
 
 def f_affine(rate: float, rest: Callable[[np.ndarray], np.ndarray], growth_a: float,
-             growth_b: Callable[[float], float]) -> Nonlinearity:
+             growth_b: Callable[[np.ndarray], np.ndarray | float]) -> Nonlinearity:
     """The f ``f(t, x) = rest(t) - rate x`` (see :class:`AffineSource`) with the declared
     growth constants, and ``eval`` derived from the data."""
     data = AffineSource(rate, rest)
@@ -153,18 +154,19 @@ def growth_audit(f: Nonlinearity, space: GalerkinSpace, horizon: float, n_sample
                  seed=0) -> tuple[bool, float]:
     """Spot-check the declared growth bound in the pivot norm of ``space``.
 
-    Draws ``GROWTH_TIMES`` times in [0, horizon], then ``ceil(n_samples /
-    GROWTH_TIMES)`` points with pivot norms log-spread over [1e-2, 1e3],
-    and calls f once per time on the whole block of points.  Returns (passed,
-    worst_excess) where the excess is ``|f(t,x)| - a |x| - b(t)``; pass means
-    excess <= 1e-10 everywhere sampled, and a non-finite f value fails.
+    Draws ``GROWTH_TIMES`` times in [0, horizon], then ``ceil(n_samples / GROWTH_TIMES)``
+    points with pivot norms log-spread over [1e-2, 1e3], and calls f once per time on the
+    whole block of points and ``growth_b`` once on all the times.  Returns (passed,
+    worst_excess) where the excess is ``|f(t,x)| - a |x| - b(t)``; pass means excess
+    <= 1e-10 everywhere sampled, and a non-finite f value fails.
     """
     rng = np.random.default_rng(seed)
     times = rng.uniform(0.0, horizon, GROWTH_TIMES)
     radii = 10.0 ** rng.uniform(-2.0, 3.0, math.ceil(n_samples / GROWTH_TIMES))
     x = _points_of_radii(space, radii, rng)
-    excess = [np.max(space.h_norm(np.asarray(f.eval(float(t), x), dtype=float))
-                     - f.growth_a * radii) - f.growth_b(float(t)) for t in times]
+    b = np.broadcast_to(f.growth_b(times), times.shape)
+    excess = [np.max(space.h_norm(np.asarray(f.eval(t, x), dtype=float)) - f.growth_a * radii)
+              - b_t for t, b_t in zip(times.tolist(), b.tolist())]
     worst = float(np.max(excess))
     return worst <= 1e-10, worst
 

@@ -37,6 +37,8 @@ from .galerkin import (GalerkinSpace, Matrix, Projection, TimeForm, Vector, _gau
                        stiffness_stack)
 from .nonlinearity import ROW_CHUNK, Nonlinearity, check_row_contract, f_affine, scan_transversality
 
+MAX_KERNEL_NODES = 100_000  # quadrature nodes of one kernel cosine transform
+G_STAR_SAMPLES = 200  # paths drawn for the g* of a g that declares no path-linear data
 
 @dataclass(frozen=True, eq=False)
 class PathLinear:
@@ -150,12 +152,18 @@ def _kernel_cosine_coefficients(kernel, space: GalerkinSpace) -> np.ndarray:
 
     Convolving a Dirichlet sine mode with an even kernel multiplies the mode
     by the kernel's cosine transform at the mode's wavenumber, so the
-    convolution acts diagonally in sine coordinates.
+    convolution acts diagonally in sine coordinates.  It takes 10 Gauss nodes on each
+    of ``max(16, ceil(8 a n / L))`` panels, and more than ``MAX_KERNEL_NODES`` raise a
+    ValueError naming the width before anything is allocated.
     """
     a = kernel.support_radius
     length = space.domain_length
     # panels resolve the fastest oscillation over the support
-    ys, ws = _gauss_panels(-a, a, max(16, int(math.ceil(8.0 * a * space.n_modes / length))), 10)
+    panels = 8.0 * a * space.n_modes / length
+    if not panels <= MAX_KERNEL_NODES // 10:  # an overflowed inf fails too
+        raise ValueError(f"width {a!r} is too large: the cosine transform at {space.n_modes} "
+                         f"modes on length {length!r} needs over {MAX_KERNEL_NODES} nodes")
+    ys, ws = _gauss_panels(-a, a, max(16, math.ceil(panels)), 10)
     profile = np.asarray(kernel.profile(ys), dtype=float)
     k = np.arange(1, space.n_modes + 1)
     return np.cos(np.outer(k, ys) * math.pi / length) @ (ws * profile)
@@ -347,23 +355,20 @@ def audit_problem(prob: NonlocalProblem, seed=0) -> dict:
 class SolverConfig:
     """Shooting and continuation settings (see :func:`solve_nonlocal`).
 
-    ``inner_tol`` bounds the pivot norm of the shooting residual and
-    ``max_inner`` the forward marches per stage.  ``g_star_samples`` paths are
-    drawn for g* only when g declares no path-linear data.
+    ``inner_tol`` bounds the pivot norm of the shooting residual, and of the
+    fixed-point residual of a converged solve, and ``max_inner`` the forward
+    marches per stage.
     """
 
     lambda_steps: int = 10
     inner_tol: float = 1e-8
     max_inner: int = 500
-    fp_tol: float | None = None
-    g_star_samples: int = 200
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, low in (("lambda_steps", 1), ("max_inner", 1), ("g_star_samples", 1),
-                          ("inner_tol", 0.0), ("fp_tol", 0.0)):
+        for name, low in (("lambda_steps", 1), ("max_inner", 1), ("inner_tol", 0.0)):
             value = getattr(self, name)
-            if value is not None and not value >= low:  # NaN fails too
+            if not value >= low:  # NaN fails too
                 raise ValueError(f"{name} must be at least {low}, got {value!r}")
 
 
@@ -594,8 +599,10 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
     not solved, a residual is not finite, or g fails on the zero path),
     ``singular`` (an affine problem's Jacobian has a reciprocal condition number
     below 1e-12; it is the same matrix from any start, so no continuation stage
-    runs).  A condition that fails on the grid raises ValueError from the g*
-    estimate; an error raised by f propagates.
+    runs).  The report is ``converged`` when the status is, the fixed-point residual
+    is within ``inner_tol`` and the path inside ``R0``.  g* is sampled over
+    ``G_STAR_SAMPLES`` paths for a g without path-linear data; a condition that fails
+    on the grid raises ValueError there.  An error raised by f propagates.
 
     An f that declares ``affine`` data is not evaluated by the solve: its nodal
     source is ``rest(t_j)``, one call on the grid's nodes, and each stage folds
@@ -639,15 +646,13 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
     except (ValueError, FloatingPointError):
         fp_residual = math.inf
 
-    g_star = estimate_g_star(prob.g, prob.r0 * sqrt_t, cfg.g_star_samples, grid,
-                             space, seed=cfg.seed)
-    b_vals = np.array([prob.f.growth_b(float(t)) for t in grid.nodes])
-    b_l2 = _l2(b_vals**2, grid.dt)
+    g_star = estimate_g_star(prob.g, prob.r0 * sqrt_t, G_STAR_SAMPLES, grid, space,
+                             seed=cfg.seed)
+    b_l2 = _l2(np.broadcast_to(prob.f.growth_b(grid.nodes), grid.nodes.shape)**2, grid.dt)
     apriori_rhs = 2.0 * max(prob.f.growth_a * prob.r0 * sqrt_t, b_l2) + g_star
     apriori_lhs = regularity_norm(prob.form, prob.proj, solution)
 
-    fp_tol = cfg.fp_tol if cfg.fp_tol is not None else cfg.inner_tol
-    converged = bool(status == "converged" and fp_residual <= fp_tol
+    converged = bool(status == "converged" and fp_residual <= cfg.inner_tol
                      and solution.mean_radius < prob.R0)
     return SolveReport(solution=solution, fixed_point_residual=fp_residual,
                        lambda_path=tuple(lambda_path), apriori_lhs=apriori_lhs,
@@ -696,8 +701,8 @@ def _exp_shift_fields(form: TimeForm, f: Nonlinearity, g: NonlocalCondition, mu:
         scale = math.exp(-mu * t)
         return scale * np.asarray(f.eval(t, x / scale), dtype=float) - eps * x
 
-    def b_hat(t: float) -> float:
-        return math.exp(-mu * t) * f.growth_b(t)
+    def b_hat(ts: np.ndarray) -> np.ndarray:
+        return np.exp(-mu * ts) * f.growth_b(ts)
 
     if f.affine is not None:
         rest = f.affine.rest

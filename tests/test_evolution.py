@@ -155,14 +155,13 @@ class TestStackLayout:
         proj = None if m is None else project(form.space, m)
         assert stiffness_stack(form, proj, self.times).flags.c_contiguous
 
-    @pytest.mark.parametrize("scheme", ["cayley", "implicit_euler"])
     @pytest.mark.parametrize("m", [None, 3], ids=["unprojected", "projected"])
     @pytest.mark.parametrize("passed", [False, True], ids=["evaluated", "passed_in"])
-    def test_propagator_factors_are_c_contiguous(self, scheme, m, passed):
+    def test_propagator_factors_are_c_contiguous(self, m, passed):
         form, grid = assembled_form(), TimeGrid(1.0, 16)
         proj = None if m is None else project(form.space, m)
         stack = stiffness_stack(form, None, grid.midpoints) if passed else None
-        prop = build_propagator(form, proj, grid, scheme, stack=stack)
+        prop = build_propagator(form, proj, grid, stack=stack)
         assert prop.step_factors.flags.c_contiguous and prop.source_factors.flags.c_contiguous
 
     def test_passed_stack_in_another_layout_rejected(self):
@@ -247,9 +246,8 @@ class TestPropagatorFactors:
         rng = np.random.default_rng(17)
         sp = build_sine_space(5, math.pi)
         form = random_accretive_form(sp, rng)
-        for scheme in ("cayley", "implicit_euler"):
-            prop = build_propagator(form, None, TimeGrid(1.0, 32), scheme)
-            assert prop.step_norms_h().max() <= 1.0 + 1e-10
+        prop = build_propagator(form, None, TimeGrid(1.0, 32))
+        assert prop.step_norms_h().max() <= 1.0 + 1e-10
 
     def test_composition_law_exact_on_actions(self):
         rng = np.random.default_rng(2)
@@ -265,22 +263,19 @@ class TestPropagatorFactors:
         assert np.allclose(full, split, atol=1e-13)
 
     @staticmethod
-    def per_step_reference(form, grid, scheme):
-        # independent oracle: one solve per step against [rhs, dt G_H], on the
+    def per_step_reference(form, grid):
+        # independent oracle: one solve per step against [G_H - dt/2 S, dt G_H], on the
         # midpoint stiffnesses of one stiffness_at call (batch sizes may round apart)
         gh, dt, n = form.space.gram_H, grid.dt, form.space.n_modes
-        c = 0.5 * dt if scheme == "cayley" else dt
         steps, sources = [], []
         for s in form.stiffness_at(grid.midpoints):
-            rhs = gh - c * s if scheme == "cayley" else gh
-            sol = np.linalg.solve(gh + c * s, np.hstack([rhs, dt * gh]))
+            sol = np.linalg.solve(gh + 0.5 * dt * s, np.hstack([gh - 0.5 * dt * s, dt * gh]))
             steps.append(sol[:, :n])
             sources.append(sol[:, n:])
         return np.array(steps), np.array(sources)
 
-    @pytest.mark.parametrize("scheme", ["cayley", "implicit_euler"])
     @pytest.mark.parametrize("case", ["random_accretive", "time_power_32x512"])
-    def test_stacked_factors_match_per_step_solves(self, scheme, case):
+    def test_stacked_factors_match_per_step_solves(self, case):
         if case == "random_accretive":
             sp = build_sine_space(5, math.pi)
             form = random_accretive_form(sp, np.random.default_rng(23))
@@ -289,10 +284,10 @@ class TestPropagatorFactors:
             sp = build_sine_space(32, math.pi)
             form = divergence_form_assemble(time_power_coefficient(1.0, 0.5, 0.6), sp, 6)
             grid = TimeGrid(1.0, 512)
-        prop = build_propagator(form, None, grid, scheme)
+        prop = build_propagator(form, None, grid)
         shape = (grid.n_steps, sp.n_modes, sp.n_modes)
         assert prop.step_factors.shape == shape and prop.source_factors.shape == shape
-        steps, sources = self.per_step_reference(form, grid, scheme)
+        steps, sources = self.per_step_reference(form, grid)
         assert np.abs(prop.step_factors - steps).max() <= 1e-15
         assert np.abs(prop.source_factors - sources).max() <= 1e-15
 
@@ -309,9 +304,12 @@ class TestPropagatorFactors:
         assert peak <= 1.25 * (prop.step_factors.nbytes + prop.source_factors.nbytes)
 
     def test_unknown_scheme_rejected(self):
+        # Cayley is the one scheme, and stack is keyword-only: a scheme passed by
+        # position, even "cayley", is a stale call
         sp, form = scalar_form()
-        with pytest.raises(ValueError):
-            build_propagator(form, None, TimeGrid(1.0, 4), "leapfrog")
+        for scheme in ("leapfrog", "cayley"):
+            with pytest.raises(TypeError):
+                build_propagator(form, None, TimeGrid(1.0, 4), scheme)
 
 
 class TestDuhamel:

@@ -13,6 +13,7 @@ from parabolic_nonlocal.galerkin import (
 )
 from parabolic_nonlocal.models import (
     CoefficientField,
+    QuadratureNotConverged,
     audit_coefficient_field,
     constant_coefficient,
     cosine_bump_kernel,
@@ -165,6 +166,21 @@ class TestDivergenceFormAssembly:
         high = divergence_form_assemble(field, sp, quad_order=12)
         gap = np.abs(at(low, 0.7) - at(high, 0.7)).max()
         assert gap <= 1e-8
+
+    def test_converged_large_entries_assemble(self):
+        # entries up to 2.6e7 drift 2.24e-8 between the orders: converged to 1e-15
+        # relative, which an absolute 1e-8 gate once refused
+        form = divergence_form_assemble(constant_coefficient(1e5), build_sine_space(16, math.pi),
+                                        quad_order=6)
+        assert np.abs(at(form, 0.0)).max() == pytest.approx(2.56e7, rel=1e-12)
+
+    def test_unresolved_coefficient_refused(self):
+        # cos(40 x) needs more than 16 panels of 4 nodes: a drift of 4.3e-3 on entries of
+        # at most 16
+        field = CoefficientField(lambda t, x: 1.0 + 0.5 * np.cos(40.0 * x), nu=0.5,
+                                 holder_K=1e-12, holder_exponent=1.0)
+        with pytest.raises(QuadratureNotConverged, match="entry drift 4.27e-03"):
+            divergence_form_assemble(field, build_sine_space(4, math.pi), quad_order=4)
 
     def test_non_finite_coefficient_rejected(self):
         sp = build_sine_space(3, math.pi)
@@ -319,7 +335,7 @@ class TestHeatPreset:
         errors = []
         for n_steps, bound in measured.items():
             prob = preset_heat_timevarying(8, n_steps)
-            rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12, g_star_samples=1))
+            rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12))
             assert rep.converged
             back = unshift_trajectory(rep.solution, prob.shift_mu)
             errors.append(float(back.space.h_norm(back.values

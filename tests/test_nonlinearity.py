@@ -436,12 +436,15 @@ class TestBlockAudits:
             for t in times:
                 fx = f.eval(float(t), x)
                 excess.append(math.sqrt(fx @ gh @ fx) - f.growth_a * radius - f.growth_b(t))
-        calls = []
-        spy = Nonlinearity(counted(f.eval, calls), f.growth_a, f.growth_b)
+        calls, b_times = [], []
+        spy = Nonlinearity(counted(f.eval, calls), f.growth_a,
+                           lambda ts: b_times.append(np.array(ts)) or f.growth_b(ts))
         ok, worst = growth_audit(spy, space, 2.0, n_samples=500, seed=3)
         assert worst == pytest.approx(max(excess), rel=1e-12, abs=1e-14)
         assert not ok  # |sin(t) e_1|_H = sqrt(gh[0, 0]) > 2 exceeds the declared b = 1
         assert calls == [(32, 4)] * GROWTH_TIMES
+        # growth_b takes every drawn time in one call
+        assert len(b_times) == 1 and np.array_equal(b_times[0], times)
 
     def test_evi_residual_matches_node_loop(self):
         sp = build_sine_space(3, math.pi)

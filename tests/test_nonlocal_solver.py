@@ -198,6 +198,22 @@ class TestGMollified:
         coeffs = _kernel_cosine_coefficients(cosine_bump_kernel(width), space)
         assert np.abs(coeffs - exact).max() <= 1e-13
 
+    def test_kernel_needing_too_many_nodes_refused_by_width(self, monkeypatch):
+        # at 4 modes on (0, pi), width 900 takes 91,670 nodes; 1e4 would take 1.02e6
+        # (85 MiB traced), and 1e150 once failed past numpy's size limit
+        import parabolic_nonlocal.nonlocal_solver as ns
+
+        space = build_sine_space(4, math.pi)
+        assert np.isfinite(_kernel_cosine_coefficients(cosine_bump_kernel(900.0), space)).all()
+
+        def no_panels(*args):
+            raise AssertionError("quadrature nodes built before the cap")
+
+        monkeypatch.setattr(ns, "_gauss_panels", no_panels)
+        for width in (1e4, 1e150):
+            with pytest.raises(ValueError, match="width .* is too large"):
+                g_mollified_integral(cosine_bump_kernel(width), [(0.0, 0.5)], space)
+
 
 class TestAuditGBound:
     def test_zero_condition_full_margin(self):
@@ -402,6 +418,24 @@ class TestSolveNonlocal:
         assert all(math.isfinite(r) and r > 0 for r in ratios)
         assert abs(ratios[1] - ratios[0]) / ratios[0] < 0.05
 
+    @pytest.mark.parametrize("mu", [0.0, 0.5], ids=["unshifted", "exp_shift"])
+    def test_growth_b_read_in_one_call_on_the_nodes(self, mu):
+        # b(t) = 2 + t decides the a priori bound over a r0 sqrt(T) <= 1: one growth_b
+        # call on the (N+1,) nodes gives the L2 norm a loop over the nodes takes
+        grid, calls = TimeGrid(1.0, 32), []
+
+        def growth_b(ts):
+            calls.append(np.array(ts))
+            return 2.0 + ts
+
+        f = f_affine(1.0, no_rest, 0.5, growth_b)
+        prob = exp_shift(scalar_problem(grid, f, g_constant(np.array([0.2]))), mu)
+        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12))
+        assert len(calls) == 1 and np.array_equal(calls[0], grid.nodes)
+        b = [math.exp(-mu * t) * (2.0 + t) for t in grid.nodes.tolist()]
+        b_l2 = math.sqrt(np.trapezoid(np.square(b), dx=grid.dt))
+        assert rep.apriori_rhs == pytest.approx(2.0 * b_l2 + rep.g_star, rel=1e-14)
+
 
 def dense_affine_solution(prob):
     """Discrete fixed point of an affine problem as the dense solve of (I - L) w = c.
@@ -562,7 +596,7 @@ class TestShooting:
         grid = TimeGrid(1.0, 32)
         g = NonlocalCondition(eval_g)
         prob = scalar_problem(grid, zero_nonlinearity(), g)
-        rep = solve_nonlocal(prob, SolverConfig(lambda_steps=1, g_star_samples=4))
+        rep = solve_nonlocal(prob, SolverConfig(lambda_steps=1))
         assert rep.status == "non_finite" and not rep.converged
         assert rep.lambda_path == ((1.0, 0, math.inf),)
         assert rep.fixed_point_residual == math.inf
@@ -656,7 +690,7 @@ class TestBlockShooting:
 
         monkeypatch.setattr(ns, "_light_s_apply", flag_first_block)
         seen.clear()
-        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12, lambda_steps=1, g_star_samples=1))
+        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12, lambda_steps=1))
         assert rep.converged and rep.lambda_path[0][1] == 5
         assert all(finite for _, finite in seen)
         # g(0); the start; the Jacobian's forward (e_2 only) and backward (e_1) blocks; the step
@@ -678,7 +712,7 @@ class TestBlockShooting:
         # converges to the root y = 2 cos(2 pi / 9)
         passes = self.count_passes(monkeypatch)
         prob = self.root_problem(lambda x: (x + 2.0) ** 3 - 3.0 * (x + 2.0) + 1.0)
-        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12, lambda_steps=1, g_star_samples=1))
+        rep = solve_nonlocal(prob, SolverConfig(inner_tol=1e-12, lambda_steps=1))
         assert rep.status == "converged" and rep.converged
         assert passes == [(1,), (1, 1)] + [(1,)] * 22 + [(1, 1)] + [(1,)] * 8
         assert [p[:2] for p in rep.lambda_path] == [(1.0, 33)]
@@ -690,18 +724,19 @@ class TestBlockShooting:
         # the stage halts after the start, the Jacobian row and 11 backtracked trials
         passes = self.count_passes(monkeypatch)
         rep = solve_nonlocal(self.root_problem(lambda x: np.full_like(x, -1.0)),
-                             SolverConfig(lambda_steps=1, g_star_samples=1))
+                             SolverConfig(lambda_steps=1))
         assert rep.status == "max_iterations" and not rep.converged
         assert passes == [(1,), (1, 1)] + [(1,)] * 11
         assert rep.lambda_path == ((1.0, 13, 1.0),)
 
     def test_g_raising_on_a_block_fails_every_row(self):
         # g raises on any block of two paths: both Jacobian columns fail forwards and
-        # backwards, and the stage ends having marched 1 + 2 + 2 paths
+        # backwards, and the stage ends having marched 1 + 2 + 2 paths (the g* sampler's
+        # blocks hold more paths)
         sp, armed = build_sine_space(2, math.pi), []
 
         def eval_g(tr):
-            if armed and tr.values.ndim == 3 and len(tr.values) > 1:
+            if armed and tr.values.ndim == 3 and len(tr.values) == 2:
                 raise FloatingPointError("g fails on this block")
             return 0.5 * tr.values[..., 0, :] + 0.1
 
@@ -709,7 +744,7 @@ class TestBlockShooting:
                                f=zero_nonlinearity(), g=NonlocalCondition(eval_g),
                                grid=TimeGrid(1.0, 32), r0=1.0, R0=math.inf)
         armed.append(True)
-        rep = solve_nonlocal(prob, SolverConfig(lambda_steps=1, g_star_samples=1))
+        rep = solve_nonlocal(prob, SolverConfig(lambda_steps=1))
         assert rep.status == "max_iterations" and not rep.converged
         assert [p[:2] for p in rep.lambda_path] == [(1.0, 5)]
 
@@ -1111,11 +1146,6 @@ class TestExpShift:
 
 
 class TestGStar:
-    @pytest.mark.parametrize("samples", [0, -5])
-    def test_solver_config_rejects_no_samples(self, samples):
-        with pytest.raises(ValueError, match="g_star_samples"):
-            SolverConfig(g_star_samples=samples)
-
     def test_zero_condition(self):
         sp = build_sine_space(2, math.pi)
         grid = TimeGrid(1.0, 8)
@@ -1230,7 +1260,7 @@ class TestPathLinear:
 
     def test_heat_preset_g_star(self):
         prob = preset_heat_timevarying(8, 512)
-        rep = solve_nonlocal(prob, SolverConfig(g_star_samples=1))
+        rep = solve_nonlocal(prob, SolverConfig())
         assert rep.converged and rep.g_star_method == "closed_form"
         assert rep.g_star == pytest.approx(0.1193456484856, rel=1e-12)
         assert rep.apriori_rhs == pytest.approx(0.4 + rep.g_star, rel=1e-12)
@@ -1239,7 +1269,7 @@ class TestPathLinear:
         grid = TimeGrid(1.0, 32)
         prob = scalar_problem(grid, zero_nonlinearity(), time_average_condition(0.5, 1.0))
         assert audit_problem(prob)["g_star_method"] == "sampled"
-        assert solve_nonlocal(prob, SolverConfig(g_star_samples=4)).g_star_method == "sampled"
+        assert solve_nonlocal(prob, SolverConfig()).g_star_method == "sampled"
 
     def test_constant_g_star_is_its_energy_norm(self):
         # w = 0: g* = |x0|_V + 0.0, which is what the sampler reads, bit for bit
