@@ -254,11 +254,11 @@ def _problem_from_config(problem):
     return exp_shift(prob, mu) if mu > 0.0 else prob
 
 
-def _solver_from_config(solver, seed):
-    """Every ``SolverConfig`` setting but the seed, typed by its default."""
-    return SolverConfig(seed=seed, **{
+def _solver_from_config(solver):
+    """Every ``SolverConfig`` setting, typed by its default."""
+    return SolverConfig(**{
         f.name: solver.read(f.name, f.default, _integer if type(f.default) is int else _real)
-        for f in dataclasses.fields(SolverConfig) if f.name != "seed"})
+        for f in dataclasses.fields(SolverConfig)})
 
 
 def cmd_verify_form(config, seed, outdir):
@@ -314,7 +314,7 @@ def cmd_propagate(config, seed, outdir):
 
 def cmd_solve(config, seed, outdir):
     prob = _problem_from_config(config.section("problem"))
-    cfg = _solver_from_config(config.section("solver"), seed)
+    cfg = _solver_from_config(config.section("solver"))
     audits = audit_problem(prob, seed=seed)
     results = {
         "audits": {
@@ -326,7 +326,6 @@ def cmd_solve(config, seed, outdir):
             "g_solver_ok": audits["g_solver_ok"],
             "passed": audits["passed"],
         },
-        "g_star_method": audits["g_star_method"],
     }
     if not audits["passed"]:
         return EXIT_AUDIT, results, None
@@ -379,7 +378,7 @@ def cmd_evi(config, seed, outdir):
     phi = _pick("functional preset", phi_name, FUNCTIONALS)(n_modes)
     prob = preset_evi(n_modes, config.read("n_steps", 256, _integer), phi)
     n_test = config.read("n_test", 50, _integer)
-    rep = solve_nonlocal(prob, _solver_from_config(config.section("solver"), seed))
+    rep = solve_nonlocal(prob, _solver_from_config(config.section("solver")))
     residual = evi_residual(prob.form, phi, rep.solution, n_test, seed=seed)
     results = {
         "status": rep.status,

@@ -8,6 +8,8 @@ When f declares affine data and g path-linear data, that map is affine in x,
 and Newton's first step is exact: one block pass of n + 1 rows gives the
 Jacobian, one n x n solve the root, and the solution path is a combination
 of the marched rows.
+The bound g* of the a priori estimate is a closed form of g's path-linear data,
+and inf for a g that declares none.
 Existence theory gives no algorithm, so non-convergence is a first-class
 reported outcome, never an exception: reports carry a status and the
 homotopy stages reached.
@@ -35,10 +37,9 @@ from .evolution import (
 )
 from .galerkin import (GalerkinSpace, Matrix, Projection, TimeForm, Vector, _gauss_panels,
                        stiffness_stack)
-from .nonlinearity import ROW_CHUNK, Nonlinearity, check_row_contract, f_affine, scan_transversality
+from .nonlinearity import Nonlinearity, check_row_contract, f_affine, scan_transversality
 
 MAX_KERNEL_NODES = 100_000  # quadrature nodes of one kernel cosine transform
-G_STAR_SAMPLES = 200  # paths drawn for the g* of a g that declares no path-linear data
 
 @dataclass(frozen=True, eq=False)
 class PathLinear:
@@ -96,7 +97,8 @@ class NonlocalCondition:
     ``path_linear``, when given, declares g path-linear, and the data then define
     g: ``eval`` must be ``path_linear.eval``, as :func:`g_path_linear` builds it,
     or construction raises ValueError.  The g* estimate and the g-bound audits
-    read their closed forms from the data instead of sampling paths.
+    read their closed forms from the data; a g without them has g* = inf and
+    fails the g-bound audit, as nothing bounds it.
 
     ``solver_ok`` False marks g unusable for solves: :func:`audit_problem` then
     fails.
@@ -154,7 +156,9 @@ def _kernel_cosine_coefficients(kernel, space: GalerkinSpace) -> np.ndarray:
     by the kernel's cosine transform at the mode's wavenumber, so the
     convolution acts diagonally in sine coordinates.  It takes 10 Gauss nodes on each
     of ``max(16, ceil(8 a n / L))`` panels, and more than ``MAX_KERNEL_NODES`` raise a
-    ValueError naming the width before anything is allocated.
+    ValueError naming the width before anything is allocated.  The ``(modes, nodes)``
+    cosine table is built and contracted in blocks of a multiple of 8 modes, at most
+    2^20 entries each (8 modes at least), so its memory stays bounded at the node cap.
     """
     a = kernel.support_radius
     length = space.domain_length
@@ -164,9 +168,11 @@ def _kernel_cosine_coefficients(kernel, space: GalerkinSpace) -> np.ndarray:
         raise ValueError(f"width {a!r} is too large: the cosine transform at {space.n_modes} "
                          f"modes on length {length!r} needs over {MAX_KERNEL_NODES} nodes")
     ys, ws = _gauss_panels(-a, a, max(16, math.ceil(panels)), 10)
-    profile = np.asarray(kernel.profile(ys), dtype=float)
+    weighted = ws * np.asarray(kernel.profile(ys), dtype=float)
     k = np.arange(1, space.n_modes + 1)
-    return np.cos(np.outer(k, ys) * math.pi / length) @ (ws * profile)
+    block = max(8, (2**20 // ys.size) // 8 * 8)
+    return np.concatenate([np.cos(np.outer(k[i:i + block], ys) * math.pi / length) @ weighted
+                           for i in range(0, k.size, block)])
 
 
 def g_mollified_integral(kernel, intervals, traj_space: GalerkinSpace) -> NonlocalCondition:
@@ -194,43 +200,9 @@ def g_mollified_integral(kernel, intervals, traj_space: GalerkinSpace) -> Nonloc
     return NonlocalCondition(data.eval, data, bool(kernel.derivative_mass < 1.0))
 
 
-def _gain_sq(space: GalerkinSpace, matrix: Matrix, gram: Matrix) -> float:
-    """Squared operator norm of ``matrix`` from the pivot norm to the norm of ``gram``."""
-    w = space.inv_sqrt_H @ matrix.T @ gram @ matrix @ space.inv_sqrt_H
-    return float(np.linalg.eigvalsh(w).max())
-
-
 class GBoundAudit(NamedTuple):
     passed: bool
     margin: float
-
-
-def _sampled_sup(g: NonlocalCondition, norm: Callable[[np.ndarray], np.ndarray], n_samples: int,
-                 grid: TimeGrid, space: GalerkinSpace, seed,
-                 targets: Callable[[np.random.Generator], np.ndarray]) -> np.ndarray:
-    """Largest ``norm(g(u))`` over sampled paths u, per row of ``targets(rng)``; a
-    non-finite norm counts as +inf, so a g that returns NaN fails every bound.
-
-    The targets are drawn first, as ``(m, 1)`` or ``(m, n_samples)`` L2-in-time
-    pivot norms: path i has standard normal coordinates scaled to norm
-    ``targets[:, i]``.  Paths are drawn and passed to g in blocks of at most
-    ``ROW_CHUNK`` nodes; the draws equal drawing one path at a time.
-    """
-    rng = np.random.default_rng(seed)
-    targets = targets(rng)
-    targets = np.broadcast_to(targets, (len(targets), n_samples))
-    per, worst = max(1, ROW_CHUNK // (grid.n_steps + 1)), np.zeros(len(targets))
-    for start in range(0, n_samples, per):
-        vals = rng.standard_normal((min(per, n_samples - start), grid.n_steps + 1, space.n_modes))
-        l2_h = np.maximum(_l2(space.h_norm(vals)**2, grid.dt), 1e-300)
-        for i, target in enumerate(targets[:, start:start + len(vals)]):
-            # the last target scales the draw in place, so a block holds one fewer copy
-            scaled = np.multiply(vals, (target / l2_h)[:, None, None],
-                                 out=vals if i == len(targets) - 1 else None)
-            g_u = g.eval(make_trajectory(space, grid, scaled))
-            norms = norm(np.asarray(g_u, dtype=float))
-            worst[i] = np.where(np.isnan(norms), math.inf, norms).max(initial=worst[i])
-    return worst
 
 
 def _closed_form_sup(data: PathLinear, norm: Callable[[np.ndarray], np.ndarray], gram: Matrix,
@@ -246,50 +218,38 @@ def _closed_form_sup(data: PathLinear, norm: Callable[[np.ndarray], np.ndarray],
     w = data.node_weights(grid)
     masses = np.full(w.size, grid.dt)
     masses[[0, -1]] *= 0.5
-    gain = math.sqrt(max(_gain_sq(space, data.matrix, gram), 0.0) * np.sum(w**2 / masses))
+    # squared operator norm of the matrix from the pivot norm to the norm of gram
+    gain_sq = np.linalg.eigvalsh(
+        space.inv_sqrt_H @ data.matrix.T @ gram @ data.matrix @ space.inv_sqrt_H).max()
+    gain = math.sqrt(max(float(gain_sq), 0.0) * np.sum(w**2 / masses))
     sup = norm(data.offset) + radii * gain
     return np.where(np.isnan(sup), math.inf, sup)
 
 
-def _g_sup(g: NonlocalCondition, energy: bool, radii: np.ndarray, n_samples: int,
-           grid: TimeGrid, space: GalerkinSpace, seed, ball: bool = False) -> np.ndarray:
+def _g_sup(g: NonlocalCondition, energy: bool, radii: np.ndarray, grid: TimeGrid,
+           space: GalerkinSpace) -> np.ndarray:
     """Sup of ``|g(u)|`` (energy norm if ``energy``, else pivot norm) over paths of
-    L2-in-time pivot norm ``radii[i]`` (at most ``radii[0]`` if ``ball``), per radius.
-
-    A path-linear g gets :func:`_closed_form_sup`; any other g the sampled sup
-    of :func:`_sampled_sup` over ``n_samples`` paths, whose norms are the radii
-    or, for the ball, drawn uniformly from ``[0, radii[0]]`` before the paths.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    L2-in-time pivot norm at most ``radii[i]``, per radius: :func:`_closed_form_sup`
+    for a path-linear g, and +inf for any other g, which is not called, since
+    nothing bounds it."""
+    if g.path_linear is None:
+        return np.full(len(radii), math.inf)
     norm, gram = (space.v_norm, space.gram_V) if energy else (space.h_norm, space.gram_H)
-    if g.path_linear is not None:
-        return _closed_form_sup(g.path_linear, norm, gram, radii, grid, space)
-    targets = ((lambda rng: rng.uniform(0.0, radii[0], (1, n_samples))) if ball
-               else (lambda rng: radii[:, None]))
-    return _sampled_sup(g, norm, n_samples, grid, space, seed, targets)
+    return _closed_form_sup(g.path_linear, norm, gram, radii, grid, space)
 
 
-def _sup_method(g: NonlocalCondition) -> str:
-    """How g* and the g-bound margins of ``g`` are obtained: ``closed_form`` for a
-    path-linear g, else ``sampled``."""
-    return "sampled" if g.path_linear is None else "closed_form"
-
-
-def audit_g_bound(g: NonlocalCondition, r: float, n_samples: int, grid: TimeGrid,
-                  space: GalerkinSpace, seed=0) -> GBoundAudit:
+def audit_g_bound(g: NonlocalCondition, r: float, grid: TimeGrid,
+                  space: GalerkinSpace) -> GBoundAudit:
     """Check ``|g(u)|_H < r`` over paths of mean pivot radius r (see :func:`_g_sup`)."""
-    margin = r - float(_g_sup(g, False, np.array([r * math.sqrt(grid.horizon)]), n_samples,
-                              grid, space, seed)[0])
+    margin = r - float(_g_sup(g, False, np.array([r * math.sqrt(grid.horizon)]), grid, space)[0])
     return GBoundAudit(passed=bool(margin > 0.0), margin=margin)
 
 
-def estimate_g_star(g: NonlocalCondition, radius_cap: float, n_samples: int,
-                    grid: TimeGrid, space: GalerkinSpace, seed=0) -> float:
+def estimate_g_star(g: NonlocalCondition, radius_cap: float, grid: TimeGrid,
+                    space: GalerkinSpace) -> float:
     """Sup of ``|g(u)|_V`` over paths with L2-in-time pivot norm <= cap: exact or an upper
-    bound for a path-linear g, else sampled (see :func:`_g_sup`)."""
-    return float(_g_sup(g, True, np.array([radius_cap]), n_samples, grid, space, seed,
-                        ball=True)[0])
+    bound for a path-linear g, +inf for any other g (see :func:`_g_sup`)."""
+    return float(_g_sup(g, True, np.array([radius_cap]), grid, space)[0])
 
 
 @dataclass(frozen=True)
@@ -329,23 +289,21 @@ class NonlocalProblem:
 
 
 def audit_problem(prob: NonlocalProblem, seed=0) -> dict:
-    """Run the standing audits: inward-pointing scan (300 points), g bound (30 paths when
-    sampled, see :func:`_g_sup`) and g's admissibility; ``g_star_method`` names the method."""
+    """Run the standing audits: inward-pointing scan (300 points, drawn from ``seed``), g
+    bound at four radii (see :func:`_g_sup`: a g without path-linear data fails it) and
+    g's admissibility."""
     space = prob.form.space
     t_grid = np.linspace(0.0, prob.grid.horizon, 9)
     scan = scan_transversality(prob.f, prob.r0, prob.R0, 300, t_grid, space, seed=seed)
     cap = prob.R0 if math.isfinite(prob.R0) else 10.0 * prob.r0
     radii, grid = np.geomspace(prob.r0 * 1.0001, cap * 0.9999, 4), prob.grid
-    # a sampled g scales one draw of paths to the four radii
-    margins = radii - _g_sup(prob.g, False, radii * math.sqrt(grid.horizon), 30, grid, space,
-                             seed)
+    margins = radii - _g_sup(prob.g, False, radii * math.sqrt(grid.horizon), grid, space)
     g_ok = bool((margins > 0.0).all())
     return {
         "transversality": scan,
         "transversality_ok": scan.passed,
         "g_bound_margins": margins.tolist(),
         "g_bound_ok": g_ok,
-        "g_star_method": _sup_method(prob.g),
         "g_solver_ok": prob.g.solver_ok,
         "passed": bool(scan.passed and g_ok and prob.g.solver_ok),
     }
@@ -363,7 +321,6 @@ class SolverConfig:
     lambda_steps: int = 10
     inner_tol: float = 1e-8
     max_inner: int = 500
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for name, low in (("lambda_steps", 1), ("max_inner", 1), ("inner_tol", 0.0)):
@@ -376,8 +333,8 @@ class SolverConfig:
 class SolveReport:
     """Outcome of a nonlocal solve, converged or not.  ``status`` is one of
     ``converged``, ``max_iterations``, ``boundary_hit``, ``non_finite`` and
-    ``singular`` (see :func:`solve_nonlocal`).  ``g_star_method`` is
-    ``closed_form`` or ``sampled`` (see :func:`estimate_g_star`)."""
+    ``singular`` (see :func:`solve_nonlocal`).  ``g_star`` and ``apriori_rhs`` are
+    inf for a g without path-linear data (see :func:`estimate_g_star`)."""
 
     solution: Trajectory
     fixed_point_residual: float
@@ -387,7 +344,6 @@ class SolveReport:
     converged: bool
     status: str
     g_star: float
-    g_star_method: str
 
 
 # forward-difference step bounds, relative to 1 + |x|_inf, and the shortest backtracked step
@@ -600,9 +556,9 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
     ``singular`` (an affine problem's Jacobian has a reciprocal condition number
     below 1e-12; it is the same matrix from any start, so no continuation stage
     runs).  The report is ``converged`` when the status is, the fixed-point residual
-    is within ``inner_tol`` and the path inside ``R0``.  g* is sampled over
-    ``G_STAR_SAMPLES`` paths for a g without path-linear data; a condition that fails
-    on the grid raises ValueError there.  An error raised by f propagates.
+    is within ``inner_tol`` and the path inside ``R0``.  g* is inf for a g without
+    path-linear data, which is solved all the same; a condition that fails on the
+    grid raises ValueError there.  An error raised by f propagates.
 
     An f that declares ``affine`` data is not evaluated by the solve: its nodal
     source is ``rest(t_j)``, one call on the grid's nodes, and each stage folds
@@ -638,7 +594,7 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
             if status != "converged":
                 break
             prev = lam
-    del march, rest  # the step factors and nodal source are not held through the g* sampler
+    del march, rest  # the step factors and nodal source are not held through the norms below
 
     try:
         g_u = np.asarray(prob.g.eval(solution), dtype=float)
@@ -646,8 +602,7 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
     except (ValueError, FloatingPointError):
         fp_residual = math.inf
 
-    g_star = estimate_g_star(prob.g, prob.r0 * sqrt_t, G_STAR_SAMPLES, grid, space,
-                             seed=cfg.seed)
+    g_star = estimate_g_star(prob.g, prob.r0 * sqrt_t, grid, space)
     b_l2 = _l2(np.broadcast_to(prob.f.growth_b(grid.nodes), grid.nodes.shape)**2, grid.dt)
     apriori_rhs = 2.0 * max(prob.f.growth_a * prob.r0 * sqrt_t, b_l2) + g_star
     apriori_lhs = regularity_norm(prob.form, prob.proj, solution)
@@ -656,8 +611,7 @@ def solve_nonlocal(prob: NonlocalProblem, cfg: SolverConfig | None = None) -> So
                      and solution.mean_radius < prob.R0)
     return SolveReport(solution=solution, fixed_point_residual=fp_residual,
                        lambda_path=tuple(lambda_path), apriori_lhs=apriori_lhs,
-                       apriori_rhs=apriori_rhs, converged=converged, status=status, g_star=g_star,
-                       g_star_method=_sup_method(prob.g))
+                       apriori_rhs=apriori_rhs, converged=converged, status=status, g_star=g_star)
 
 
 def exp_shift(prob: NonlocalProblem, mu: float) -> NonlocalProblem:
